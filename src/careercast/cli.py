@@ -279,6 +279,8 @@ def cmd_stage1(args) -> int:
         f"selected K={clusters.k} "
         f"(silhouette {clusters.silhouette_by_k[clusters.k]:.4f})"
     )
+    sizes = np.bincount(clusters.train_assignments, minlength=clusters.k)
+    print(f"cluster sizes: {' '.join(str(int(c)) for c in sizes)}")
     artifacts.write_run_info(
         cfg.out_dir, "stage1", cfg.seed, {AUTOENCODER: ae_hash, CLUSTERS: cl_hash}
     )

@@ -3,6 +3,10 @@
 Centroids are fit with k-means++ seeding and several restarts, keeping
 the lowest-inertia run. The number of clusters is chosen by mean
 silhouette over a candidate range, smaller K winning ties.
+
+Memory rule: ``select_k`` builds one (n, n) distance matrix, in row chunks
+of exact differences, and scores every candidate K from it. No temporary
+grows as n^2 * d.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from .errors import ParameterError, ShapeError
 DEFAULT_K_RANGE = range(2, 9)
 DEFAULT_RESTARTS = 10
 DEFAULT_MAX_ITERS = 300
+# floats per row-chunk temporary in pairwise_distances (16 MB)
+_CHUNK_ELEMENTS = 1 << 21
 
 
 def _check_points(points: np.ndarray) -> np.ndarray:
@@ -136,12 +142,34 @@ def kmeans_fit(
     return best
 
 
-def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix, (n, n), built in row chunks.
+
+    Each chunk takes exact differences, so a temporary holds at most
+    ``_CHUNK_ELEMENTS`` floats and the only O(n^2) array is the result.
+    """
+    points = _check_points(points)
+    n, d = points.shape
+    rows = max(1, _CHUNK_ELEMENTS // max(1, n * d))
+    dists = np.empty((n, n), dtype=float)
+    for lo in range(0, n, rows):
+        dists[lo:lo + rows] = _sq_dists(points[lo:lo + rows], points)
+    return np.sqrt(dists, out=dists)
+
+
+def silhouette_score(
+    points: np.ndarray, assignments: np.ndarray, dists: np.ndarray | None = None
+) -> float:
     """Mean silhouette over all points, Euclidean distance.
 
     Singleton-cluster points score 0, as does any point whose within and
-    between distances are both 0. Fewer than two occupied clusters gives
-    0 overall.
+    between distances are both 0. Empty cluster labels are skipped. Fewer
+    than two occupied clusters gives 0 overall.
+
+    ``dists`` is the points' ``pairwise_distances`` matrix; ``select_k``
+    builds it once and shares it across every candidate K. Without it the
+    matrix is built here, so the call holds one (n, n) array plus
+    (n, k) cluster sums.
     """
     points = _check_points(points)
     assignments = np.asarray(assignments)
@@ -150,29 +178,40 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
         raise ShapeError(
             f"assignments shape {assignments.shape} does not match {n} points"
         )
-    labels = np.unique(assignments)
-    if labels.size < 2:
+    if n and not np.issubdtype(assignments.dtype, np.integer):
+        raise ParameterError(
+            f"assignments must be integer labels, got dtype {assignments.dtype}"
+        )
+    if n and assignments.min() < 0:
+        raise ParameterError(f"negative assignment {assignments.min()} found")
+    if dists is not None and dists.shape != (n, n):
+        raise ShapeError(f"dists shape {dists.shape} does not match {n} points")
+    if np.unique(assignments).size < 2:
         return 0.0
+    if dists is None:
+        dists = pairwise_distances(points)
     k = int(assignments.max()) + 1
     counts = np.bincount(assignments, minlength=k)
-    dists = np.sqrt(np.maximum(_sq_dists(points, points), 0.0))
     onehot = np.zeros((n, k), dtype=float)
     onehot[np.arange(n), assignments] = 1.0
     cluster_sums = dists @ onehot
-    scores = np.zeros(n, dtype=float)
-    for i in range(n):
-        c = assignments[i]
-        if counts[c] < 2:
-            continue
-        a = cluster_sums[i, c] / (counts[c] - 1)
-        b = np.inf
-        for j in range(k):
-            if j == c or counts[j] == 0:
-                continue
-            b = min(b, cluster_sums[i, j] / counts[j])
-        denom = max(a, b)
-        if denom > 0.0:
-            scores[i] = (b - a) / denom
+    own = counts[assignments]
+    a = np.divide(
+        cluster_sums[np.arange(n), assignments],
+        own - 1,
+        out=np.zeros(n),
+        where=own > 1,
+    )
+    # mean distance to every other occupied cluster; own and empty ones are inf
+    means = np.divide(
+        cluster_sums, counts, out=np.full((n, k), np.inf), where=counts > 0
+    )
+    means[np.arange(n), assignments] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.divide(
+        b - a, denom, out=np.zeros(n), where=(own > 1) & (denom > 0.0)
+    )
     return float(scores.mean())
 
 
@@ -224,6 +263,9 @@ def select_k(
 ) -> ClusterModel:
     """Fit k-means for each candidate K and keep the best mean silhouette.
 
+    The pairwise distance matrix is built once and shared by every K's
+    ``silhouette_score`` call.
+
     Candidates needing more centroids than there are points are skipped.
     Exact silhouette ties go to the smaller K.
     """
@@ -231,6 +273,7 @@ def select_k(
     ks = [int(k) for k in k_range]
     if not ks:
         raise ParameterError("k_range is empty")
+    dists = pairwise_distances(embeddings)
     best_k = None
     best_fit = None
     table = {}
@@ -240,7 +283,7 @@ def select_k(
         fit = kmeans_fit(
             embeddings, k, restarts=restarts, max_iters=max_iters, seed=seed
         )
-        score = silhouette_score(embeddings, fit.assignments)
+        score = silhouette_score(embeddings, fit.assignments, dists=dists)
         table[k] = score
         if best_k is None or score > table[best_k]:
             best_k = k

@@ -115,6 +115,17 @@ def test_tampered_dataset_is_refused(pipeline, tmp_path, capsys):
     assert "hash mismatch" in capsys.readouterr().err
 
 
+def test_stage1_prints_cluster_sizes(pipeline, tmp_path, capsys):
+    out_dir, _ = pipeline
+    copy = tmp_path / "sizes"
+    shutil.copytree(out_dir, copy)
+    argv = ["--config", str(copy / "config.json"), "--out", str(copy), "--seed", "0"]
+    assert main(["stage1", *argv]) == 0
+    doc = json.loads((copy / "clusters.json").read_text())["clusters"]
+    sizes = [doc["train_assignments"].count(c) for c in range(doc["k"])]
+    assert f"cluster sizes: {' '.join(map(str, sizes))}" in capsys.readouterr().out
+
+
 def test_corrupt_forecaster_is_refused(pipeline, tmp_path, capsys):
     out_dir, _ = pipeline
     copy = tmp_path / "corrupt"

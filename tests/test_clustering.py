@@ -1,8 +1,11 @@
 """K-means, silhouette selection, and cluster utilities against brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from careercast import clustering
 from careercast.clustering import (
     ClusterModel,
     assign,
@@ -83,8 +86,48 @@ def test_silhouette_edge_cases():
     assert silhouette_score(points[:2], np.array([0, 1])) == 0.0
     # tight duplicate pairs far apart: perfect separation
     assert silhouette_score(points, np.array([0, 0, 1, 1])) == 1.0
+    # an empty label between occupied ones is skipped
+    assert silhouette_score(points, np.array([0, 0, 2, 2])) == 1.0
     with pytest.raises(ShapeError):
         silhouette_score(points, np.array([0, 0, 1]))
+    with pytest.raises(ShapeError):
+        silhouette_score(points, np.array([[0, 0], [1, 1]]))
+    with pytest.raises(ShapeError):
+        silhouette_score(points, np.array([0, 0, 1, 1]), dists=np.zeros((3, 3)))
+    with pytest.raises(ParameterError):
+        silhouette_score(points, np.array([0, 0, -1, -1]))
+    with pytest.raises(ParameterError):
+        silhouette_score(points, np.array([0.0, 0.0, 1.0, 1.0]))
+    with pytest.raises(ParameterError):
+        silhouette_score(points, np.array([False, False, True, True]))
+
+
+def test_silhouette_memory_is_one_distance_matrix():
+    n = 1600
+    points = np.random.default_rng(4).normal(size=(n, 64))
+    labels = np.arange(n) % 5
+    tracemalloc.start()
+    try:
+        silhouette_score(points, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
+
+
+def test_select_k_scores_match_standalone_silhouette(monkeypatch):
+    rng = np.random.default_rng(5)
+    points = np.vstack(
+        [rng.normal(size=(20, 4)) + c for c in (-3.0, 0.0, 3.0)] + [rng.normal(size=(1, 4))]
+    )
+    model = select_k(points, k_range=range(2, 7), restarts=3, seed=5)
+    for k, score in model.silhouette_by_k.items():
+        labels = kmeans_fit(points, k, restarts=3, seed=5).assignments
+        assert score == silhouette_score(points, labels)
+        # many row chunks with a ragged last one give the same bits
+        with monkeypatch.context() as m:
+            m.setattr(clustering, "_CHUNK_ELEMENTS", 3 * points.size)
+            assert score == silhouette_score(points, labels)
 
 
 def test_select_k_finds_three_blobs_and_breaks_ties_low():
