@@ -80,9 +80,9 @@ def write_run_info(out_dir, command: str, seed: int, artifact_hashes: dict) -> N
 def sequence_to_doc(seq: CareerSequence) -> dict:
     return {
         "player_id": seq.player_id,
-        "input": [[float(v) for v in row] for row in seq.input],
-        "raw_input": [[float(v) for v in row] for row in seq.raw_input],
-        "target": [float(v) for v in seq.target],
+        "input": seq.input.tolist(),
+        "raw_input": seq.raw_input.tolist(),
+        "target": seq.target.tolist(),
         "category": seq.category,
     }
 

@@ -95,8 +95,8 @@ class NormStats:
     def to_doc(self) -> dict:
         return {
             "names": list(self.names),
-            "mean": [float(v) for v in self.mean],
-            "std": [float(v) for v in self.std],
+            "mean": self.mean.tolist(),
+            "std": self.std.tolist(),
             "dropped": list(self.dropped),
         }
 
@@ -239,18 +239,48 @@ def select_eligible_players(
     return eligible
 
 
+def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray:
+    """Median of each feature's observed peer values at each input age.
+
+    Row ``i`` is age ``INPUT_AGES[i]`` and column ``j`` is feature
+    ``schema.names[j]``. Imputed and absent cells do not count; an entry is
+    NaN where no peer observes that feature at that age.
+    """
+    rows = [r for r in peers if r.age in INPUT_AGES]
+    values = np.array(
+        [[r.features.get(n, np.nan) for n in schema.names] for r in rows], dtype=float
+    ).reshape(len(rows), schema.n_features)
+    column = {n: j for j, n in enumerate(schema.names)}
+    for i, r in enumerate(rows):
+        for name in r.imputed:
+            values[i, column[name]] = np.nan
+    ages = np.array([r.age for r in rows], dtype=int)
+    medians = np.full((len(INPUT_AGES), schema.n_features), np.nan)
+    for i, age in enumerate(INPUT_AGES):
+        for j, cells in enumerate(values[ages == age].T):
+            observed = cells[~np.isnan(cells)]
+            if observed.size:
+                medians[i, j] = np.median(observed)
+    return medians
+
+
 def impute_missing(
     seasons: list[SeasonRecord],
     schema: FeatureSchema,
-    peers: list[SeasonRecord],
+    medians: np.ndarray,
 ) -> list[SeasonRecord]:
     """Produce complete rows for every input age, leaving targets untouched.
 
-    Ratio-like gaps are filled with the peer median for that feature at the
-    same age. Counting gaps copy the nearest observed earlier season, else
-    the nearest later one; a wholly absent input-age row is first copied
-    from the nearest observed season the same way. Rows at target ages pass
-    through unchanged. Applying this to its own output is the identity.
+    A wholly absent input-age row is first copied from the player's nearest
+    season (the nearest earlier one, else the nearest later one), ratio-like
+    columns included, and every copied cell counts as imputed. Only the cells
+    the (observed or copied) row still lacks are then filled: a ratio-like
+    cell takes the peer median for that feature at that age from
+    ``medians`` (see ``peer_medians``), and a counting cell copies the
+    player's nearest observed value of that feature the same way, falling
+    back to the peer median if the player never observed it. Rows at target
+    ages pass through unchanged. Applying this to its own output is the
+    identity.
     """
     by_age = {r.age: r for r in seasons}
     own_ages = sorted(by_age)
@@ -274,7 +304,7 @@ def impute_missing(
                 category=src.category,
                 imputed=set(src.features),
             )
-        _fill_cells(rec, schema, by_age, peers)
+        _fill_cells(rec, schema, by_age, medians[INPUT_AGES.index(age)])
         out.append(rec)
     out.extend(
         _copy_record(by_age[a]) for a in TARGET_AGES if a in by_age
@@ -309,15 +339,15 @@ def _fill_cells(
     rec: SeasonRecord,
     schema: FeatureSchema,
     own_by_age: dict[int, SeasonRecord],
-    peers: list[SeasonRecord],
+    medians_at_age: np.ndarray,
 ) -> None:
-    for name in schema.names:
+    for j, name in enumerate(schema.names):
         if name in rec.features:
             continue
         kind = schema.imputation_class[name]
         if kind == RATIO_LIKE:
-            value = _peer_median(peers, name, rec.age)
-            if value is None:
+            value = float(medians_at_age[j])
+            if math.isnan(value):
                 raise ImputationError(
                     f"feature {name!r} has no observed peer values at age {rec.age}"
                 )
@@ -326,20 +356,13 @@ def _fill_cells(
             value = _own_nearest_value(own_by_age, name, rec.age)
             if value is None:
                 # Never observed anywhere in this career; fall back to peers.
-                value = _peer_median(peers, name, rec.age)
-            if value is None:
+                value = float(medians_at_age[j])
+            if math.isnan(value):
                 raise ImputationError(
                     f"feature {name!r} unobserved for the player and the peer pool at age {rec.age}"
                 )
         rec.features[name] = value
         rec.imputed.add(name)
-
-
-def _peer_median(peers: list[SeasonRecord], name: str, age: int) -> float | None:
-    values = [r.features[name] for r in peers if r.age == age and r.observed(name)]
-    if not values:
-        return None
-    return float(np.median(values))
 
 
 def _own_nearest_value(
@@ -490,9 +513,9 @@ def ingest_csv(
         else:
             dropped_targets += 1
 
-    peers = [r for rows in eligible.values() for r in rows]
+    medians = peer_medians([r for rows in eligible.values() for r in rows], schema)
     complete = {
-        pid: impute_missing(rows, schema, peers) for pid, rows in eligible.items()
+        pid: impute_missing(rows, schema, medians) for pid, rows in eligible.items()
     }
     sequences = build_sequences(complete, schema)
     if not sequences:

@@ -3,16 +3,26 @@
 import numpy as np
 import pytest
 
-from careercast.errors import EmptyInputError, IngestError, SchemaError, SplitError
+from careercast.errors import (
+    EmptyInputError,
+    ImputationError,
+    IngestError,
+    SchemaError,
+    SplitError,
+)
 from careercast.ingest import (
+    INPUT_AGES,
     CareerSequence,
     build_sequences,
     impute_missing,
     ingest_csv,
     parse_season_csv,
+    peer_medians,
     select_eligible_players,
     split_and_normalize,
 )
+from careercast.schema import COUNTING, default_schema
+from careercast.synth import default_specs, generate_records
 
 from conftest import career_rows
 
@@ -103,7 +113,7 @@ def test_impute_ratio_like_uses_peer_median(small_schema, write_season_csv):
     records = parse_season_csv(write_season_csv(rows), small_schema)
     eligible = select_eligible_players(records, "BPM")
     peers = [r for rs in eligible.values() for r in rs]
-    completed = impute_missing(eligible["hole"], small_schema, peers)
+    completed = impute_missing(eligible["hole"], small_schema, peer_medians(peers, small_schema))
     filled = next(r for r in completed if r.age == 24)
     assert filled.features["TS%"] == 0.57  # median of peer values at age 24
     assert "TS%" in filled.imputed
@@ -115,7 +125,7 @@ def test_impute_counting_copies_own_nearest(small_schema, write_season_csv):
     records = parse_season_csv(write_season_csv(rows), small_schema)
     eligible = select_eligible_players(records, "BPM")
     peers = [r for rs in eligible.values() for r in rs]
-    completed = impute_missing(eligible["own"], small_schema, peers)
+    completed = impute_missing(eligible["own"], small_schema, peer_medians(peers, small_schema))
     filled = next(r for r in completed if r.age == 25)
     by_age = {r.age: r for r in eligible["own"]}
     # nearest observed season, earlier preferred
@@ -128,7 +138,7 @@ def test_impute_creates_missing_input_age_row(small_schema, write_season_csv):
     records = parse_season_csv(write_season_csv(rows), small_schema)
     eligible = select_eligible_players(records, "BPM")
     peers = [r for rs in eligible.values() for r in rs]
-    completed = impute_missing(eligible["gap"], small_schema, peers)
+    completed = impute_missing(eligible["gap"], small_schema, peer_medians(peers, small_schema))
     ages = [r.age for r in completed]
     assert ages == list(range(22, 32))
     created = next(r for r in completed if r.age == 25)
@@ -145,8 +155,9 @@ def test_impute_is_idempotent(small_schema, write_season_csv):
     peers = [r for rs in eligible.values() for r in rs] + [
         r for r in parse_season_csv(write_season_csv(full_career("p", 0.0), "p.csv"), small_schema)
     ]
-    once = impute_missing(eligible["idem"], small_schema, peers)
-    twice = impute_missing(once, small_schema, peers)
+    medians = peer_medians(peers, small_schema)
+    once = impute_missing(eligible["idem"], small_schema, medians)
+    twice = impute_missing(once, small_schema, medians)
     assert [r.features for r in twice] == [r.features for r in once]
     assert [r.imputed for r in twice] == [r.imputed for r in once]
 
@@ -158,7 +169,8 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
     records = parse_season_csv(write_season_csv(rows), small_schema)
     eligible = select_eligible_players(records, "BPM")
     peers = [r for rs in eligible.values() for r in rs]
-    complete = {"great": impute_missing(eligible["great"], small_schema, peers)}
+    medians = peer_medians(peers, small_schema)
+    complete = {"great": impute_missing(eligible["great"], small_schema, medians)}
     seqs = build_sequences(complete, small_schema)
     assert len(seqs) == 1
     seq = seqs[0]
@@ -166,6 +178,133 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
     assert np.array_equal(seq.target, np.array([8.80, 7.10, 9.00]))
     ti = small_schema.target_index
     assert np.array_equal(seq.input[:, ti], np.array([4.1, 5.0, 5.5, 6.2, 6.8, 7.3, 7.9]))
+
+
+def gappy_pool(schema, seed, cell_share=0.1):
+    """40 synthetic players; blanks input-age cells and deletes input-age rows.
+
+    A fifth of the players lose one or two input-age rows, which leaves at
+    least 8 seasons in ages 22-31, so every player stays eligible. Returns
+    the records and one dict row per record for ``write_season_csv``.
+    """
+    records, _ = generate_records(default_specs(6, 34), seed=seed, schema=schema)
+    rng = np.random.default_rng(seed)
+    deleted = set()
+    for pid in sorted({r.player_id for r in records}):
+        if rng.random() < 0.2:
+            for age in rng.choice(INPUT_AGES, size=rng.integers(1, 3), replace=False):
+                deleted.add((pid, int(age)))
+    kept = [r for r in records if (r.player_id, r.age) not in deleted]
+    for rec in kept:
+        if rec.age in INPUT_AGES:
+            for name in schema.names:
+                if rng.random() < cell_share:
+                    del rec.features[name]
+    rows = [
+        {
+            "player_id": r.player_id,
+            "player_name": r.player_name,
+            "season": r.season_end_year,
+            "age": r.age,
+            "category": r.category,
+            **{n: repr(v) for n, v in r.features.items()},
+        }
+        for r in kept
+    ]
+    return kept, rows
+
+
+def reference_impute(seasons, schema, peers):
+    """Per-cell peer scan: each missing cell rescans every peer row."""
+
+    def nearest(ages, age):
+        earlier = [a for a in ages if a < age]
+        later = [a for a in ages if a > age]
+        return max(earlier) if earlier else (min(later) if later else None)
+
+    def scan(name, age):
+        values = [r.features[name] for r in peers if r.age == age and r.observed(name)]
+        return float(np.median(values)) if values else None
+
+    by_age = {r.age: r for r in seasons}
+    out = []
+    for age in INPUT_AGES:
+        if age in by_age:
+            features, imputed = dict(by_age[age].features), set(by_age[age].imputed)
+        else:
+            src = by_age[nearest(sorted(by_age), age)]
+            features, imputed = dict(src.features), set(src.features)
+        for name in schema.names:
+            if name in features:
+                continue
+            value = None
+            if schema.imputation_class[name] == COUNTING:
+                own = nearest(sorted(a for a, r in by_age.items() if r.observed(name)), age)
+                if own is not None:
+                    value = by_age[own].features[name]
+            if value is None:
+                value = scan(name, age)
+            features[name] = value
+            imputed.add(name)
+        out.append((age, features, imputed))
+    return out
+
+
+def test_impute_matches_per_cell_peer_scan():
+    schema = default_schema()
+    records, _ = gappy_pool(schema, seed=11)
+    eligible = select_eligible_players(records, schema.target_name)
+    assert len(eligible) == 40
+    peers = [r for rs in eligible.values() for r in rs]
+    medians = peer_medians(peers, schema)
+    n_imputed = 0
+    for pid, rows in eligible.items():
+        completed = impute_missing(rows, schema, medians)
+        expected = reference_impute(rows, schema, peers)
+        assert [r.age for r in completed[: len(INPUT_AGES)]] == list(INPUT_AGES)
+        for rec, (age, features, imputed) in zip(completed, expected):
+            assert rec.age == age
+            assert rec.imputed == imputed
+            for name in imputed:
+                assert rec.features[name] == features[name], (pid, age, name)
+            n_imputed += len(imputed)
+    assert n_imputed > 0.09 * 40 * len(INPUT_AGES) * schema.n_features
+
+    # No peer observes a needed feature at that age: refuse, as the scan did.
+    ratio, counting = "FG%", "G"
+    assert schema.imputation_class[ratio] != COUNTING
+    holder = next(rows for rows in eligible.values() if 24 in {r.age for r in rows})
+    for rec in records:
+        if rec.age == 24:
+            rec.features.pop(ratio, None)
+    medians = peer_medians(peers, schema)
+    assert np.isnan(medians[INPUT_AGES.index(24), schema.names.index(ratio)])
+    with pytest.raises(ImputationError, match=f"'{ratio}' has no observed peer values at age 24"):
+        impute_missing(holder, schema, medians)
+
+    for rec in records:
+        rec.features.pop(counting, None)
+    with pytest.raises(ImputationError, match=f"'{counting}' unobserved for the player"):
+        impute_missing(holder, schema, peer_medians(peers, schema))
+
+
+def test_ingest_computes_each_peer_median_once(write_season_csv, monkeypatch):
+    schema = default_schema()
+    calls = []
+    median = np.median
+
+    def counting_median(*args, **kwargs):
+        calls.append(1)
+        return median(*args, **kwargs)
+
+    monkeypatch.setattr(np, "median", counting_median)
+    counts = []
+    for share in (0.0, 0.1):
+        _, rows = gappy_pool(schema, seed=12, cell_share=share)
+        calls.clear()
+        ingest_csv(write_season_csv(rows, f"pool{share}.csv", schema.names), schema)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= len(INPUT_AGES) * schema.n_features
 
 
 def make_sequences(n, n_features, rng):

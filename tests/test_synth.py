@@ -11,6 +11,7 @@ from careercast.ingest import (
     build_sequences,
     impute_missing,
     parse_season_csv,
+    peer_medians,
     select_eligible_players,
 )
 from careercast.schema import default_schema
@@ -144,8 +145,9 @@ def test_csv_round_trip_matches_direct_generation(tmp_path):
     direct, _ = generate(specs, seed=9, schema=schema)
     records = parse_season_csv(path, schema)
     eligible = select_eligible_players(records, schema.target_name)
+    medians = peer_medians(records, schema)
     complete = {
-        pid: impute_missing(rows, schema, records) for pid, rows in eligible.items()
+        pid: impute_missing(rows, schema, medians) for pid, rows in eligible.items()
     }
     parsed = build_sequences(complete, schema)
 
