@@ -421,6 +421,19 @@ def build_sequences(
     return sequences
 
 
+def _split_indices(
+    n: int, test_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded player-level split of ``n`` players: (test indices, train indices)."""
+    if n < 2:
+        raise SplitError(f"need at least 2 sequences to split, got {n}")
+    if not 0.0 < test_fraction < 1.0:
+        raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    order = substream(seed, "ingest.split").permutation(n)
+    n_test = min(max(int(round(n * test_fraction)), 1), n - 1)
+    return order[:n_test], order[n_test:]
+
+
 def split_and_normalize(
     sequences: list[CareerSequence],
     schema: FeatureSchema,
@@ -433,18 +446,12 @@ def split_and_normalize(
     the normalized inputs with a warning (they carry no signal and would
     divide by zero); ``raw_input`` keeps every column.
     """
-    if len(sequences) < 2:
-        raise SplitError(f"need at least 2 sequences to split, got {len(sequences)}")
-    if not 0.0 < test_fraction < 1.0:
-        raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    test_idx, train_idx = _split_indices(len(sequences), test_fraction, seed)
     ids = [s.player_id for s in sequences]
     if len(set(ids)) != len(ids):
         raise SplitError("duplicate player_id in sequences; cannot guarantee a leak-free split")
-
-    order = substream(seed, "ingest.split").permutation(len(sequences))
-    n_test = min(max(int(round(len(sequences) * test_fraction)), 1), len(sequences) - 1)
-    test_raw = [sequences[i] for i in order[:n_test]]
-    train_raw = [sequences[i] for i in order[n_test:]]
+    test_raw = [sequences[i] for i in test_idx]
+    train_raw = [sequences[i] for i in train_idx]
 
     stacked = np.vstack([s.raw_input for s in train_raw])
     mean = stacked.mean(axis=0)
@@ -491,6 +498,8 @@ def ingest_csv(
 ) -> tuple[Dataset, dict]:
     """Run the whole ingestion chain and return the dataset plus a summary.
 
+    Imputation medians come from train players only: the seeded split is
+    drawn before imputing, and ``split_and_normalize`` draws the same one.
     The summary counts players kept and dropped by reason, which the CLI
     prints and persists next to the dataset artifact.
     """
@@ -513,13 +522,15 @@ def ingest_csv(
         else:
             dropped_targets += 1
 
-    medians = peer_medians([r for rows in eligible.values() for r in rows], schema)
+    if not eligible:
+        raise IngestError("no eligible players")
+    pids = list(eligible)
+    _, train_idx = _split_indices(len(pids), test_fraction, seed)
+    medians = peer_medians([r for i in sorted(train_idx) for r in eligible[pids[i]]], schema)
     complete = {
         pid: impute_missing(rows, schema, medians) for pid, rows in eligible.items()
     }
     sequences = build_sequences(complete, schema)
-    if not sequences:
-        raise IngestError("no eligible players")
     dataset = split_and_normalize(sequences, schema, test_fraction, seed)
     summary = {
         "rows_parsed": len(records),

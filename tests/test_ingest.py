@@ -307,6 +307,33 @@ def test_ingest_computes_each_peer_median_once(write_season_csv, monkeypatch):
     assert counts[0] == counts[1] <= len(INPUT_AGES) * schema.n_features
 
 
+def test_imputation_medians_ignore_test_players(small_schema, write_season_csv):
+    def ingest(gap=None, test_value=None, test_ids=()):
+        rows = []
+        for i in range(10):
+            pid = f"p{i}"
+            career = full_career(pid, float(i), missing=[(24, "TS%")] if pid == gap else ())
+            for row in career:
+                if row["age"] == 24 and pid != gap:
+                    row["TS%"] = test_value if pid in test_ids else 0.40 + 0.01 * i
+            rows += career
+        path = write_season_csv(rows, f"{gap}-{test_value}.csv")
+        return ingest_csv(path, small_schema, test_fraction=0.25, seed=0)[0]
+
+    split = ingest()
+    test_ids = {s.player_id for s in split.test}
+    gap = split.train[0].player_id
+    low = ingest(gap, 0.0, test_ids)
+    high = ingest(gap, 1.0, test_ids)
+    for ds in (low, high):
+        assert [s.player_id for s in ds.train] == [s.player_id for s in split.train]
+    for a, b in zip(low.train, high.train):
+        assert np.array_equal(a.raw_input, b.raw_input)
+    train_values = [0.40 + 0.01 * int(s.player_id[1:]) for s in split.train[1:]]
+    filled = low.train[0].raw_input[INPUT_AGES.index(24), small_schema.names.index("TS%")]
+    assert filled == np.median(train_values)
+
+
 def make_sequences(n, n_features, rng):
     seqs = []
     for i in range(n):
