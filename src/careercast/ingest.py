@@ -246,18 +246,20 @@ def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray
     ``schema.names[j]``. Imputed and absent cells do not count; an entry is
     NaN where no peer observes that feature at that age.
     """
-    rows = [r for r in peers if r.age in INPUT_AGES]
-    values = np.array(
-        [[r.features.get(n, np.nan) for n in schema.names] for r in rows], dtype=float
-    ).reshape(len(rows), schema.n_features)
+    at_age = {age: [] for age in INPUT_AGES}
+    for r in peers:
+        if r.age in at_age:
+            at_age[r.age].append(r)
     column = {n: j for j, n in enumerate(schema.names)}
-    for i, r in enumerate(rows):
-        for name in r.imputed:
-            values[i, column[name]] = np.nan
-    ages = np.array([r.age for r in rows], dtype=int)
     medians = np.full((len(INPUT_AGES), schema.n_features), np.nan)
-    for i, age in enumerate(INPUT_AGES):
-        for j, cells in enumerate(values[ages == age].T):
+    for i, rows in enumerate(at_age.values()):
+        values = np.array(
+            [[r.features.get(n, np.nan) for n in schema.names] for r in rows], dtype=float
+        ).reshape(len(rows), schema.n_features)
+        for k, r in enumerate(rows):
+            for name in r.imputed:
+                values[k, column[name]] = np.nan
+        for j, cells in enumerate(values.T):
             observed = cells[~np.isnan(cells)]
             if observed.size:
                 medians[i, j] = np.median(observed)

@@ -258,8 +258,10 @@ def test_impute_matches_per_cell_peer_scan():
     peers = [r for rs in eligible.values() for r in rs]
     medians = peer_medians(peers, schema)
     n_imputed = 0
+    all_completed = []
     for pid, rows in eligible.items():
         completed = impute_missing(rows, schema, medians)
+        all_completed += completed
         expected = reference_impute(rows, schema, peers)
         assert [r.age for r in completed[: len(INPUT_AGES)]] == list(INPUT_AGES)
         for rec, (age, features, imputed) in zip(completed, expected):
@@ -269,6 +271,8 @@ def test_impute_matches_per_cell_peer_scan():
                 assert rec.features[name] == features[name], (pid, age, name)
             n_imputed += len(imputed)
     assert n_imputed > 0.09 * 40 * len(INPUT_AGES) * schema.n_features
+    # Imputed cells never feed the table.
+    assert np.array_equal(peer_medians(all_completed, schema), medians, equal_nan=True)
 
     # No peer observes a needed feature at that age: refuse, as the scan did.
     ratio, counting = "FG%", "G"
