@@ -180,18 +180,18 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
     assert np.array_equal(seq.input[:, ti], np.array([4.1, 5.0, 5.5, 6.2, 6.8, 7.3, 7.9]))
 
 
-def gappy_pool(schema, seed, cell_share=0.1):
+def gappy_pool(schema, seed, cell_share=0.1, player_share=0.2):
     """40 synthetic players; blanks input-age cells and deletes input-age rows.
 
-    A fifth of the players lose one or two input-age rows, which leaves at
-    least 8 seasons in ages 22-31, so every player stays eligible. Returns
-    the records and one dict row per record for ``write_season_csv``.
+    ``player_share`` of the players lose one or two input-age rows, which
+    leaves at least 8 seasons in ages 22-31, so every player stays eligible.
+    Returns the records and one dict row per record for ``write_season_csv``.
     """
     records, _ = generate_records(default_specs(6, 34), seed=seed, schema=schema)
     rng = np.random.default_rng(seed)
     deleted = set()
     for pid in sorted({r.player_id for r in records}):
-        if rng.random() < 0.2:
+        if rng.random() < player_share:
             for age in rng.choice(INPUT_AGES, size=rng.integers(1, 3), replace=False):
                 deleted.add((pid, int(age)))
     kept = [r for r in records if (r.player_id, r.age) not in deleted]
@@ -253,6 +253,9 @@ def reference_impute(seasons, schema, peers):
 def test_impute_matches_per_cell_peer_scan():
     schema = default_schema()
     records, _ = gappy_pool(schema, seed=11)
+    for rec in records:
+        if rec.player_id == "syn0001":
+            rec.features.pop("G", None)  # never observed: takes the peer median
     eligible = select_eligible_players(records, schema.target_name)
     assert len(eligible) == 40
     peers = [r for rs in eligible.values() for r in rs]
@@ -304,7 +307,7 @@ def test_ingest_computes_each_peer_median_once(write_season_csv, monkeypatch):
     monkeypatch.setattr(np, "median", counting_median)
     counts = []
     for share in (0.0, 0.1):
-        _, rows = gappy_pool(schema, seed=12, cell_share=share)
+        _, rows = gappy_pool(schema, seed=12, cell_share=share, player_share=2 * share)
         calls.clear()
         ingest_csv(write_season_csv(rows, f"pool{share}.csv", schema.names), schema)
         counts.append(len(calls))
