@@ -7,7 +7,7 @@ age 28. Baselines, metrics, a synthetic-data generator and a CLI round
 out the pipeline.
 """
 
-from .autoencoder import Autoencoder, ae_train, flatten_batch, flatten_sequence
+from .autoencoder import Autoencoder, ae_train, flatten_batch
 from .baselines import (
     LinearModel,
     last_value_predict,
@@ -89,7 +89,6 @@ __all__ = [
     "export_curves",
     "export_scatter",
     "flatten_batch",
-    "flatten_sequence",
     "forecaster_train",
     "generate",
     "ingest_csv",

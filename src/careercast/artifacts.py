@@ -1,9 +1,15 @@
-"""Artifact persistence: canonical JSON, content hashes, CSV tables.
+"""Artifact persistence: canonical JSON, one envelope, the hash-chained loader.
 
 JSON artifacts are written compact with sorted keys, so the same
-document always produces the same bytes and a stable SHA-256. Anything
-time-dependent goes in the ``run_info.json`` sidecar, which is excluded
-from hashing and from determinism comparisons.
+document always produces the same bytes and a stable SHA-256. Every
+pipeline artifact is one flat envelope: the header keys ``format``,
+``version``, ``kind`` and ``inputs`` (the SHA-256 of each artifact it was
+built from, by file name) sit beside the body keys. ``load_chain`` reads
+the artifacts a command needs plus everything they were built from, refuses
+the chain unless every recorded hash matches the bytes it read, and decodes
+each document into the object it holds. Anything time-dependent goes in
+the ``run_info.json`` sidecar, which is excluded from hashing and from
+determinism comparisons.
 """
 
 from __future__ import annotations
@@ -12,33 +18,73 @@ import hashlib
 import json
 import os
 from datetime import datetime, timezone
+from typing import NamedTuple
 
+import numpy as np
+
+from .autoencoder import Autoencoder
+from .clustering import ClusterModel
 from .errors import ArtifactError
+from .forecaster import Forecaster
 from .ingest import CareerSequence, Dataset, NormStats
 from .schema import FeatureSchema
 
 RUN_INFO = "run_info.json"
+FORMAT = "careercast-artifact"
+VERSION = 1
+HEADER = ("format", "version", "kind", "inputs")
+
+DATASET = "dataset.json"
+AUTOENCODER = "autoencoder.json"
+CLUSTERS = "clusters.json"
+FORECASTER = "forecaster.json"
+FORECASTER_STANDARD = "forecaster_standard.json"
+
+# artifact file -> (the command that writes it, what its document decodes to);
+# its kind is the file's stem. The decoders look their functions up when called,
+# so a wrapped (for example, traced) dataset_from_doc is the one that runs.
+CHAIN = {
+    DATASET: ("ingest", lambda doc: dataset_from_doc(doc)),
+    AUTOENCODER: ("stage1", lambda doc: Autoencoder.from_doc(doc["model"])),
+    CLUSTERS: ("stage1", lambda doc: ClusterModel.from_doc(doc["clusters"])),
+    FORECASTER: ("stage2", lambda doc: Forecaster.from_doc(doc["model"])),
+    FORECASTER_STANDARD: ("stage2 --standard", lambda doc: Forecaster.from_doc(doc["model"])),
+}
 
 
-def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+class Artifact(NamedTuple):
+    value: object
+    sha256: str
+
+
+def canonical_json(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def write_json(path, doc) -> str:
     """Write a canonical JSON artifact; returns its content SHA-256."""
-    text = canonical_json(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    data = canonical_json(doc)
+    with open(path, "wb") as fh:
+        fh.write(data)
+        fh.write(b"\n")
+    digest = hashlib.sha256(data)
+    digest.update(b"\n")
+    return digest.hexdigest()
 
 
-def read_json(path) -> dict:
+def read_json(path) -> tuple[dict, str]:
+    """Parse a JSON artifact; returns it with the SHA-256 of the bytes parsed."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise ArtifactError(f"missing artifact: {path}") from None
-    except json.JSONDecodeError as exc:
+    digest = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+        del data  # parse with one copy of the file alive, not two
+        return json.loads(text), digest
+    except ValueError as exc:
         raise ArtifactError(f"{path}: corrupt artifact: {exc}") from exc
 
 
@@ -48,6 +94,67 @@ def file_hash(path) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
     except FileNotFoundError:
         raise ArtifactError(f"missing artifact: {path}") from None
+
+
+def envelope(kind: str, body: dict, inputs: dict | None = None) -> dict:
+    """One artifact: the header keys beside ``body``'s, which must not collide."""
+    clash = sorted(set(HEADER) & set(body))
+    if clash:
+        raise ArtifactError(f"artifact body reuses header key(s) {clash}")
+    header = {"format": FORMAT, "version": VERSION, "kind": kind, "inputs": dict(inputs or {})}
+    return {**header, **body}
+
+
+def write_artifact(out_dir, name: str, body: dict, inputs: dict | None = None) -> str:
+    """Write ``body`` in its envelope to ``out_dir/name``; returns its SHA-256."""
+    kind = os.path.splitext(name)[0]
+    return write_json(os.path.join(out_dir, name), envelope(kind, body, inputs))
+
+
+def load_chain(out_dir, names) -> dict[str, Artifact]:
+    """Load ``names`` and every artifact they were built from, by file name.
+
+    Each file is read once and hashed from the bytes parsed, and each
+    document is decoded (a ``Dataset``, ``Autoencoder``, ``ClusterModel``
+    or ``Forecaster``) before the next file is read, so only one parsed
+    document is alive at a time. A missing, corrupt or foreign artifact, or
+    an ``inputs`` hash that differs from the file on disk, raises
+    ``ArtifactError`` naming the command to rerun.
+    """
+    loaded = {}
+
+    def load(name):
+        if name in loaded:
+            return loaded[name]
+        if name not in CHAIN:
+            raise ArtifactError(f"unknown artifact {name!r} in an inputs list")
+        path = os.path.join(out_dir, name)
+        rerun, decode = CHAIN[name]
+        try:
+            doc, digest = read_json(path)
+        except ArtifactError as exc:
+            raise ArtifactError(f"{exc}; run the {rerun} command first") from None
+        kind = os.path.splitext(name)[0]
+        header = [doc.get(key) for key in HEADER[:3]] if isinstance(doc, dict) else None
+        if header != [FORMAT, VERSION, kind] or not isinstance(doc.get("inputs"), dict):
+            raise ArtifactError(
+                f"{path}: not a {FORMAT} v{VERSION} {kind!r} artifact "
+                f"(found format, version, kind {header}); rerun {rerun}"
+            )
+        inputs = doc["inputs"]
+        loaded[name] = Artifact(decode(doc), digest)
+        del doc  # before any upstream file is parsed
+        for upstream, expected in inputs.items():
+            if load(upstream).sha256 != expected:
+                raise ArtifactError(
+                    f"{name} was built from a different {upstream} "
+                    f"(hash mismatch); rerun {rerun}"
+                )
+        return loaded[name]
+
+    for name in names:
+        load(name)
+    return loaded
 
 
 def _format_cell(value) -> str:
@@ -80,27 +187,15 @@ def write_run_info(out_dir, command: str, seed: int, artifact_hashes: dict) -> N
 def sequence_to_doc(seq: CareerSequence) -> dict:
     return {
         "player_id": seq.player_id,
-        "input": seq.input.tolist(),
         "raw_input": seq.raw_input.tolist(),
         "target": seq.target.tolist(),
         "category": seq.category,
     }
 
 
-def sequence_from_doc(doc: dict) -> CareerSequence:
-    return CareerSequence(
-        player_id=doc["player_id"],
-        input=doc["input"],
-        raw_input=doc["raw_input"],
-        target=doc["target"],
-        category=doc["category"],
-    )
-
-
 def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
+    """The dataset body; normalized inputs are left out and recomputed on load."""
     return {
-        "format": "careercast-dataset",
-        "version": 1,
         "seed": dataset.seed,
         "schema": dataset.schema.to_doc(),
         "norm_stats": dataset.norm_stats.to_doc(),
@@ -110,18 +205,25 @@ def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
     }
 
 
-def dataset_from_doc(doc: dict) -> tuple[Dataset, dict]:
-    if doc.get("format") != "careercast-dataset":
-        raise ArtifactError(
-            f"not a dataset artifact (format={doc.get('format')!r})"
+def dataset_from_doc(doc: dict) -> Dataset:
+    """Rebuild a dataset from its document, re-normalizing ``raw_input``."""
+    schema = FeatureSchema.from_doc(doc["schema"])
+    stats = NormStats.from_doc(doc["norm_stats"])
+
+    def sequence(d):
+        raw = np.array(d["raw_input"], dtype=float)
+        return CareerSequence(
+            player_id=d["player_id"],
+            input=stats.apply(raw, schema.names),
+            raw_input=raw,
+            target=d["target"],
+            category=d["category"],
         )
-    if doc.get("version") != 1:
-        raise ArtifactError(f"unsupported dataset version {doc.get('version')!r}")
-    dataset = Dataset(
-        train=[sequence_from_doc(d) for d in doc["train"]],
-        test=[sequence_from_doc(d) for d in doc["test"]],
-        norm_stats=NormStats.from_doc(doc["norm_stats"]),
+
+    return Dataset(
+        train=[sequence(d) for d in doc["train"]],
+        test=[sequence(d) for d in doc["test"]],
+        norm_stats=stats,
         seed=int(doc["seed"]),
-        schema=FeatureSchema.from_doc(doc["schema"]),
+        schema=schema,
     )
-    return dataset, doc.get("summary", {})

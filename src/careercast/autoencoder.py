@@ -29,14 +29,6 @@ DEFAULT_CODE = 64
 DEFAULT_DROPOUT = 0.1
 
 
-def flatten_sequence(matrix: np.ndarray) -> np.ndarray:
-    """Flatten one (n_ages, n_features) block to a vector, age-major."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ShapeError(f"expected a 2-d block, got shape {matrix.shape}")
-    return matrix.ravel()
-
-
 def flatten_batch(blocks: np.ndarray) -> np.ndarray:
     """Flatten a (n_players, n_ages, n_features) stack to (n_players, n_ages*n_features)."""
     blocks = np.asarray(blocks, dtype=float)

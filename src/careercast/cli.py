@@ -1,9 +1,11 @@
 """Command-line pipeline: ingest, embed and cluster, forecast, evaluate.
 
-Artifacts live under the output directory with fixed names and carry the
-SHA-256 of what they were built from, so a stage refuses inputs from a
-different run. Exit codes: 0 success, 1 usage or configuration error,
-2 data or artifact error, 3 numeric failure.
+Artifacts live under the output directory with fixed names. Each is one
+``artifacts.envelope`` carrying the SHA-256 of the artifacts it was built
+from, and each command reads only the artifacts its request needs, through
+``artifacts.load_chain``, which refuses inputs from a different run.
+Exit codes: 0 success, 1 usage or configuration error, 2 data or artifact
+error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import sys
 import numpy as np
 
 from . import artifacts
-from .autoencoder import Autoencoder, ae_train, flatten_batch
+from .artifacts import AUTOENCODER, CLUSTERS, DATASET, FORECASTER, FORECASTER_STANDARD
+from .autoencoder import ae_train, flatten_batch
 from .baselines import last_value_predict, linear_fit, linear_predict, mlp_baseline_train
 from .checks import gradcheck_suite
-from .clustering import ClusterModel, select_k
+from .clustering import select_k
 from .config import MODEL_NAMES, PipelineConfig, load_config, with_overrides
 from .errors import (
     ArtifactError,
@@ -31,23 +34,13 @@ from .errors import (
     UndefinedMetricError,
 )
 from .evaluation import evaluate, export_curves, export_scatter
-from .forecaster import Forecaster, forecaster_train
+from .forecaster import forecaster_train
 from .ingest import INPUT_AGES, TARGET_AGES, ingest_csv
-from .nn import unwrap_doc, wrap_doc
 from .schema import default_schema, load_schema
 from .synth import default_specs, write_csv as write_synth_csv
 
-DATASET = "dataset.json"
-AUTOENCODER = "autoencoder.json"
-CLUSTERS = "clusters.json"
-FORECASTER = "forecaster.json"
-FORECASTER_STANDARD = "forecaster_standard.json"
 REPORTS = "reports"
 PREDICTIONS = "predictions.csv"
-
-KIND_EMBEDDER = "career-embedder"
-KIND_FORECASTER = "trend-forecaster"
-CLUSTERS_FORMAT = "careercast-clusters"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,10 +55,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _path(cfg: PipelineConfig, name: str) -> str:
-    return os.path.join(cfg.out_dir, name)
 
 
 def _report_path(cfg: PipelineConfig, name: str) -> str:
@@ -102,69 +91,32 @@ def _result_doc(result) -> dict:
     }
 
 
-def _load_dataset(cfg: PipelineConfig):
-    path = _path(cfg, DATASET)
-    try:
-        doc = artifacts.read_json(path)
-    except ArtifactError as exc:
-        raise ArtifactError(f"{exc}; run the ingest command first") from None
-    dataset, summary = artifacts.dataset_from_doc(doc)
-    return dataset, summary, artifacts.file_hash(path)
-
-
-def _load_stage1(cfg: PipelineConfig, dataset_hash: str):
-    ae_path = _path(cfg, AUTOENCODER)
-    cl_path = _path(cfg, CLUSTERS)
-    try:
-        ae_doc = artifacts.read_json(ae_path)
-        cl_doc = artifacts.read_json(cl_path)
-    except ArtifactError as exc:
-        raise ArtifactError(f"{exc}; run the stage1 command first") from None
-    model_doc, ae_meta = unwrap_doc(ae_doc, KIND_EMBEDDER)
-    if ae_meta.get("dataset_sha256") != dataset_hash:
-        raise ArtifactError(
-            "autoencoder artifact was trained on a different dataset "
-            "(hash mismatch); rerun stage1"
-        )
-    if cl_doc.get("format") != CLUSTERS_FORMAT or cl_doc.get("version") != 1:
-        raise ArtifactError(f"{cl_path}: not a cluster artifact this build can read")
-    cl_meta = cl_doc.get("meta", {})
-    if cl_meta.get("dataset_sha256") != dataset_hash:
-        raise ArtifactError(
-            "cluster artifact was built from a different dataset "
-            "(hash mismatch); rerun stage1"
-        )
-    if cl_meta.get("autoencoder_sha256") != artifacts.file_hash(ae_path):
-        raise ArtifactError(
-            "cluster artifact does not match the stored autoencoder "
-            "(hash mismatch); rerun stage1"
-        )
-    ae = Autoencoder.from_doc(model_doc)
-    clusters = ClusterModel.from_doc(cl_doc["clusters"])
-    return ae, clusters, artifacts.file_hash(cl_path)
-
-
-def _load_forecaster(cfg: PipelineConfig, dataset_hash: str, standard: bool):
-    name = FORECASTER_STANDARD if standard else FORECASTER
-    hint = "stage2 --standard" if standard else "stage2"
-    path = _path(cfg, name)
-    try:
-        doc = artifacts.read_json(path)
-    except ArtifactError as exc:
-        raise ArtifactError(f"{exc}; run the {hint} command first") from None
-    model_doc, meta = unwrap_doc(doc, KIND_FORECASTER)
-    if meta.get("dataset_sha256") != dataset_hash:
-        raise ArtifactError(
-            f"{name} was trained on a different dataset (hash mismatch); "
-            f"rerun {hint}"
-        )
-    return Forecaster.from_doc(model_doc), meta
+def _blocks(seqs) -> np.ndarray:
+    return np.stack([s.input for s in seqs])
 
 
 def _train_arrays(dataset):
-    blocks = np.stack([s.input for s in dataset.train])
-    targets = np.stack([s.target for s in dataset.train])
-    return blocks, targets
+    return _blocks(dataset.train), np.stack([s.target for s in dataset.train])
+
+
+def _chain(cfg: PipelineConfig, names=()):
+    """The checked artifact chain behind ``names``, plus its dataset."""
+    chain = artifacts.load_chain(cfg.out_dir, (DATASET, *names))
+    return chain[DATASET].value, chain
+
+
+def _proposed(chain):
+    """The conditioned forecast of (n, steps, features) blocks.
+
+    Each block is embedded, assigned its nearest career type, and fed with
+    that type to the forecaster; ``evaluate`` and ``predict`` both use it.
+    """
+    ae, clusters, model = (chain[n].value for n in (AUTOENCODER, CLUSTERS, FORECASTER))
+
+    def forecast(blocks):
+        return model.predict_batch(blocks, clusters.assign(ae.encode(flatten_batch(blocks))))
+
+    return forecast
 
 
 def cmd_synth(args) -> int:
@@ -175,7 +127,7 @@ def cmd_synth(args) -> int:
     if args.noise < 0:
         raise ConfigError(f"noise must be non-negative, got {args.noise}")
     specs = default_specs(args.stars, args.regulars, args.noise)
-    path = args.csv or _path(cfg, "synthetic.csv")
+    path = args.csv or os.path.join(cfg.out_dir, "synthetic.csv")
     n_rows = write_synth_csv(path, specs, seed=cfg.seed, schema=_schema_for(cfg))
     n_players = sum(s.count for s in specs)
     print(f"wrote {n_rows} season rows for {n_players} players to {path}")
@@ -202,8 +154,8 @@ def cmd_ingest(args) -> int:
         )
     except FileNotFoundError:
         raise IngestError(f"input CSV not found: {cfg.input_csv}") from None
-    digest = artifacts.write_json(
-        _path(cfg, DATASET), artifacts.dataset_to_doc(dataset, summary)
+    digest = artifacts.write_artifact(
+        cfg.out_dir, DATASET, artifacts.dataset_to_doc(dataset, summary)
     )
     print(f"parsed {summary['rows_parsed']} season rows")
     print(
@@ -226,8 +178,8 @@ def cmd_ingest(args) -> int:
 def cmd_stage1(args) -> int:
     cfg = _config_from(args)
     _ensure_dirs(cfg)
-    dataset, _, dataset_hash = _load_dataset(cfg)
-    flat = flatten_batch(np.stack([s.input for s in dataset.train]))
+    dataset, chain = _chain(cfg)
+    flat = flatten_batch(_blocks(dataset.train))
     ae, result = ae_train(flat, seed=cfg.seed, config=cfg.train_config("autoencoder"))
     embeddings = ae.encode(flat)
     lo, hi = cfg.k_range
@@ -238,30 +190,18 @@ def cmd_stage1(args) -> int:
         restarts=cfg.kmeans_restarts,
         seed=cfg.seed,
     )
-    ae_hash = artifacts.write_json(
-        _path(cfg, AUTOENCODER),
-        wrap_doc(
-            KIND_EMBEDDER,
-            ae.to_doc(),
-            meta={
-                "dataset_sha256": dataset_hash,
-                "seed": cfg.seed,
-                "train": _result_doc(result),
-            },
-        ),
+    inputs = {DATASET: chain[DATASET].sha256}
+    ae_hash = artifacts.write_artifact(
+        cfg.out_dir,
+        AUTOENCODER,
+        {"model": ae.to_doc(), "seed": cfg.seed, "train": _result_doc(result)},
+        inputs,
     )
-    cl_hash = artifacts.write_json(
-        _path(cfg, CLUSTERS),
-        {
-            "format": CLUSTERS_FORMAT,
-            "version": 1,
-            "meta": {
-                "dataset_sha256": dataset_hash,
-                "autoencoder_sha256": ae_hash,
-                "seed": cfg.seed,
-            },
-            "clusters": clusters.to_doc(),
-        },
+    cl_hash = artifacts.write_artifact(
+        cfg.out_dir,
+        CLUSTERS,
+        {"clusters": clusters.to_doc(), "seed": cfg.seed},
+        {**inputs, AUTOENCODER: ae_hash},
     )
     artifacts.write_csv_table(
         _report_path(cfg, "silhouette.csv"),
@@ -290,25 +230,23 @@ def cmd_stage1(args) -> int:
 def cmd_stage2(args) -> int:
     cfg = _config_from(args)
     _ensure_dirs(cfg)
-    dataset, _, dataset_hash = _load_dataset(cfg)
+    dataset, chain = _chain(cfg, () if args.standard else (CLUSTERS,))
     blocks, targets = _train_arrays(dataset)
     train_cfg = cfg.train_config("forecaster")
-    meta = {"dataset_sha256": dataset_hash, "seed": cfg.seed}
+    inputs = {DATASET: chain[DATASET].sha256}
     if args.standard:
         model, result = forecaster_train(
             blocks, targets, k=0, seed=cfg.seed, config=train_cfg
         )
-        meta["k"] = 0
         out_name = FORECASTER_STANDARD
     else:
-        ae, clusters, clusters_hash = _load_stage1(cfg, dataset_hash)
+        ae, clusters = chain[AUTOENCODER].value, chain[CLUSTERS].value
         assignments = clusters.train_assignments
         if tuple(clusters.train_player_ids) != tuple(
             s.player_id for s in dataset.train
         ):
             # stored assignment order cannot be trusted; recompute from scratch
-            flat = flatten_batch(blocks)
-            assignments = clusters.assign(ae.encode(flat))
+            assignments = clusters.assign(ae.encode(flatten_batch(blocks)))
         model, result = forecaster_train(
             blocks,
             targets,
@@ -317,12 +255,13 @@ def cmd_stage2(args) -> int:
             seed=cfg.seed,
             config=train_cfg,
         )
-        meta["clusters_sha256"] = clusters_hash
-        meta["k"] = clusters.k
+        inputs[CLUSTERS] = chain[CLUSTERS].sha256
         out_name = FORECASTER
-    meta["train"] = _result_doc(result)
-    digest = artifacts.write_json(
-        _path(cfg, out_name), wrap_doc(KIND_FORECASTER, model.to_doc(), meta=meta)
+    digest = artifacts.write_artifact(
+        cfg.out_dir,
+        out_name,
+        {"model": model.to_doc(), "seed": cfg.seed, "train": _result_doc(result)},
+        inputs,
     )
     label = "standard" if args.standard else "cluster-conditioned"
     print(
@@ -333,7 +272,7 @@ def cmd_stage2(args) -> int:
     return EXIT_OK
 
 
-def _predict_fns(cfg: PipelineConfig, dataset, dataset_hash: str, models):
+def _predict_fns(cfg: PipelineConfig, dataset, chain, models):
     """One prediction closure per requested model name."""
     schema = dataset.schema
     blocks, targets = _train_arrays(dataset)
@@ -341,39 +280,25 @@ def _predict_fns(cfg: PipelineConfig, dataset, dataset_hash: str, models):
     fns = {}
     for name in models:
         if name == "proposed":
-            ae, clusters, clusters_hash = _load_stage1(cfg, dataset_hash)
-            model, meta = _load_forecaster(cfg, dataset_hash, standard=False)
-            if meta.get("clusters_sha256") != clusters_hash:
-                raise ArtifactError(
-                    "forecaster was trained against different clusters "
-                    "(hash mismatch); rerun stage2"
-                )
-
-            def proposed(seqs, ae=ae, clusters=clusters, model=model):
-                b = np.stack([s.input for s in seqs])
-                asg = clusters.assign(ae.encode(flatten_batch(b)))
-                return model.predict_batch(b, asg)
-
-            fns[name] = proposed
+            forecast = _proposed(chain)
+            fns[name] = lambda seqs, forecast=forecast: forecast(_blocks(seqs))
         elif name == "standard_lstm":
-            model, _ = _load_forecaster(cfg, dataset_hash, standard=True)
-            fns[name] = lambda seqs, model=model: model.predict_batch(
-                np.stack([s.input for s in seqs])
-            )
+            model = chain[FORECASTER_STANDARD].value
+            fns[name] = lambda seqs, model=model: model.predict_batch(_blocks(seqs))
         elif name == "last_value":
             fns[name] = lambda seqs: last_value_predict(seqs, schema.target_index)
         elif name in ("linear", "ridge"):
             lam = cfg.linear_lambda if name == "linear" else cfg.ridge_lambda
             model = linear_fit(flat_train, targets, lam)
             fns[name] = lambda seqs, model=model: linear_predict(
-                model, flatten_batch(np.stack([s.input for s in seqs]))
+                model, flatten_batch(_blocks(seqs))
             )
         elif name == "mlp":
             model, _ = mlp_baseline_train(
                 flat_train, targets, seed=cfg.seed, config=cfg.train_config("forecaster")
             )
             fns[name] = lambda seqs, model=model: model.forward(
-                flatten_batch(np.stack([s.input for s in seqs])), train=False
+                flatten_batch(_blocks(seqs)), train=False
             )
         else:
             raise ConfigError(f"unknown model {name!r}")
@@ -391,8 +316,9 @@ def cmd_evaluate(args) -> int:
     if unknown:
         raise ConfigError(f"unknown model(s) {unknown}; choose from {list(MODEL_NAMES)}")
     _ensure_dirs(cfg)
-    dataset, _, dataset_hash = _load_dataset(cfg)
-    fns = _predict_fns(cfg, dataset, dataset_hash, models)
+    needs = {"proposed": FORECASTER, "standard_lstm": FORECASTER_STANDARD}
+    dataset, chain = _chain(cfg, [needs[m] for m in models if m in needs])
+    fns = _predict_fns(cfg, dataset, chain, models)
 
     comparison_rows = []
     category_rows = []
@@ -513,15 +439,7 @@ def cmd_predict(args) -> int:
     if bool(args.player) == bool(args.rows):
         raise ConfigError("pass exactly one of --player or --rows")
     _ensure_dirs(cfg)
-    dataset, _, dataset_hash = _load_dataset(cfg)
-    ae, clusters, clusters_hash = _load_stage1(cfg, dataset_hash)
-    model, meta = _load_forecaster(cfg, dataset_hash, standard=False)
-    if meta.get("clusters_sha256") != clusters_hash:
-        raise ArtifactError(
-            "forecaster was trained against different clusters (hash mismatch); "
-            "rerun stage2"
-        )
-
+    dataset, chain = _chain(cfg, (FORECASTER,))
     if args.player:
         matches = [
             s for s in (*dataset.train, *dataset.test) if s.player_id == args.player
@@ -534,16 +452,9 @@ def cmd_predict(args) -> int:
         series = args.player
     else:
         raw = _parse_rows_csv(args.rows, dataset.schema)
-        keep = [
-            j
-            for j, name in enumerate(dataset.schema.names)
-            if name in set(dataset.norm_stats.names)
-        ]
-        block = dataset.norm_stats.apply(raw[:, keep])
+        block = dataset.norm_stats.apply(raw, dataset.schema.names)
         series = f"file:{os.path.basename(args.rows)}"
-
-    cluster = int(clusters.assign(ae.encode(flatten_batch(block[None])))[0])
-    predicted = model.predict(block, cluster)
+    predicted = _proposed(chain)(block[None])[0]
     for age, value in zip(TARGET_AGES, predicted):
         print(f"age {age}: {value:+.2f} BPM")
     pred_path = _report_path(cfg, PREDICTIONS)

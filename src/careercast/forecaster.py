@@ -129,14 +129,6 @@ class Forecaster:
             inputs = blocks
         return self.forward(inputs, train=False)
 
-    def predict(self, block: np.ndarray, cluster: int | None = None) -> np.ndarray:
-        """Inference on a single (steps, n_features) block."""
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2:
-            raise ShapeError(f"expected a 2-d block, got shape {block.shape}")
-        assignments = None if cluster is None else np.array([cluster])
-        return self.predict_batch(block[None, :, :], assignments)[0]
-
     def to_doc(self) -> dict:
         return {
             "n_features": self.n_features,

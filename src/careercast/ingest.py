@@ -89,8 +89,11 @@ class NormStats:
     std: np.ndarray
     dropped: tuple[str, ...] = ()
 
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        return (matrix - self.mean) / self.std
+    def apply(self, raw: np.ndarray, columns) -> np.ndarray:
+        """Z-score the kept columns of ``raw``, whose columns are named ``columns``."""
+        kept = set(self.names)
+        keep = [j for j, name in enumerate(columns) if name in kept]
+        return (raw[:, keep] - self.mean) / self.std
 
     def to_doc(self) -> dict:
         return {
@@ -475,7 +478,7 @@ def split_and_normalize(
     def normalized(seq: CareerSequence) -> CareerSequence:
         return CareerSequence(
             player_id=seq.player_id,
-            input=stats.apply(seq.raw_input[:, keep]),
+            input=stats.apply(seq.raw_input, schema.names),
             raw_input=seq.raw_input.copy(),
             target=seq.target.copy(),
             category=seq.category,

@@ -4,14 +4,7 @@ from .gradcheck import grad_check
 from .layers import LSTM, BatchNorm, Dense, Dropout, Layer, ReLU, Sequential
 from .losses import mse_loss
 from .optim import Adam
-from .serialize import (
-    layer_from_doc,
-    layer_to_doc,
-    load_doc,
-    save_doc,
-    unwrap_doc,
-    wrap_doc,
-)
+from .serialize import layer_from_doc, layer_to_doc
 from .training import TrainConfig, TrainResult, train_loop
 
 __all__ = [
@@ -28,10 +21,6 @@ __all__ = [
     "grad_check",
     "layer_from_doc",
     "layer_to_doc",
-    "load_doc",
     "mse_loss",
-    "save_doc",
     "train_loop",
-    "unwrap_doc",
-    "wrap_doc",
 ]

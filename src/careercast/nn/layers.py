@@ -177,11 +177,6 @@ class Dropout(Layer):
             return grad_out
         return grad_out * self._mask
 
-    @property
-    def kept_mask(self):
-        """Boolean mask of survivors from the last train-mode forward."""
-        return None if self._mask is None else self._mask > 0.0
-
 
 class LSTM(Layer):
     """Single LSTM layer over (batch, steps, n_in); returns the final hidden state.

@@ -1,24 +1,17 @@
-"""Versioned JSON persistence for models.
+"""JSON documents for layers and layer stacks.
 
-Documents carry a format tag, a version, a ``kind`` string identifying
-what the model is for, caller-provided metadata (artifact hashes and the
-like), and the layer stack with flat row-major value arrays. Floats are
-written with Python's shortest round-trip repr, so save -> load is
-value-exact for doubles.
+A layer becomes a dict of its hyperparameters plus flat row-major value
+arrays. Floats are written with Python's shortest round-trip repr, so
+save -> load is value-exact for doubles. The artifact envelope around a
+model document lives in ``careercast.artifacts``.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
 from ..errors import ArtifactError
 from .layers import LSTM, BatchNorm, Dense, Dropout, ReLU, Sequential
-
-FORMAT = "careercast-model"
-VERSION = 1
-
 
 def array_to_doc(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
@@ -93,45 +86,3 @@ def layer_from_doc(doc: dict):
     if kind == "sequential":
         return Sequential([layer_from_doc(d) for d in doc["layers"]])
     raise ArtifactError(f"unknown layer type {kind!r} in model document")
-
-
-def wrap_doc(kind: str, model_doc: dict, meta: dict | None = None) -> dict:
-    return {
-        "format": FORMAT,
-        "version": VERSION,
-        "kind": kind,
-        "meta": meta or {},
-        "model": model_doc,
-    }
-
-
-def unwrap_doc(doc: dict, expected_kind: str | None = None) -> tuple[dict, dict]:
-    """Validate the envelope and return (model_doc, meta)."""
-    if doc.get("format") != FORMAT:
-        raise ArtifactError(f"not a model document (format={doc.get('format')!r})")
-    if doc.get("version") != VERSION:
-        raise ArtifactError(
-            f"unsupported model document version {doc.get('version')!r} "
-            f"(this build reads version {VERSION})"
-        )
-    if expected_kind is not None and doc.get("kind") != expected_kind:
-        raise ArtifactError(
-            f"expected a {expected_kind!r} model, found {doc.get('kind')!r}"
-        )
-    return doc["model"], doc.get("meta", {})
-
-
-def save_doc(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def load_doc(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ArtifactError(f"missing artifact: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path}: corrupt artifact: {exc}") from exc

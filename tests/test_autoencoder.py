@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from careercast.autoencoder import Autoencoder, ae_train, flatten_batch, flatten_sequence
+from careercast.autoencoder import Autoencoder, ae_train, flatten_batch
 from careercast.errors import ShapeError
 from careercast.nn import BatchNorm, Dense, Dropout, ReLU, TrainConfig
 from careercast.rng import substream
@@ -31,18 +31,12 @@ def test_layer_layout():
 
 
 def test_flatten_is_age_major_and_invertible():
-    block = np.arange(12, dtype=float).reshape(4, 3)
-    flat = flatten_sequence(block)
-    assert np.array_equal(flat, np.arange(12, dtype=float))
-    assert np.array_equal(flat.reshape(4, 3), block)
-
     stack = np.arange(24, dtype=float).reshape(2, 4, 3)
-    flat2 = flatten_batch(stack)
-    assert flat2.shape == (2, 12)
-    assert np.array_equal(flat2[1], flatten_sequence(stack[1]))
+    flat = flatten_batch(stack)
+    assert flat.shape == (2, 12)
+    assert np.array_equal(flat[1], np.arange(12, 24, dtype=float))
+    assert np.array_equal(flat.reshape(2, 4, 3), stack)
 
-    with pytest.raises(ShapeError):
-        flatten_sequence(np.zeros(5))
     with pytest.raises(ShapeError):
         flatten_batch(np.zeros((4, 3)))
 

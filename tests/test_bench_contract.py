@@ -1,0 +1,56 @@
+"""What the benchmark harness relies on: the names it traces and the dataset fields it reads.
+
+``benchmarks/spans.py`` patches functions and methods by name, and
+``benchmarks/run.py`` picks predict players from ``dataset.json``. A
+refactor that renames either would break traced benchmark runs only, so
+this module checks both from the tier-1 suite.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+from careercast.cli import main
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("careercast_bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_exist():
+    spans = load_spans()
+    for name in spans.LAYER_MODULES:
+        importlib.import_module(name)
+    for module, attr in spans.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+    for module, cls, attr in spans.METHODS:
+        owner = getattr(importlib.import_module(module), cls)
+        # spans.py patches vars(cls)[attr], so the method must be defined on the class itself
+        assert callable(vars(owner).get(attr)), f"{module}.{cls}.{attr}"
+    for module in spans.TRAIN_LOOP_CALLERS:
+        assert callable(getattr(importlib.import_module(module), "train_loop", None)), module
+
+
+def test_dataset_json_lists_players_under_instrumentation(tmp_path):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    out = tmp_path / "run"
+    base = ["--out", str(out), "--seed", "0"]
+    with spans.instrument(tracer):
+        with tracer.command("synth"):
+            assert main(["synth", *base, "--stars", "3", "--regulars", "12"]) == 0
+        with tracer.command("ingest"):
+            assert main(["ingest", *base, "--input", str(out / "synthetic.csv")]) == 0
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["artifacts.write_json.bytes"] == (out / "dataset.json").stat().st_size
+
+    doc = json.loads((out / "dataset.json").read_text())
+    for split in ("train", "test"):
+        assert isinstance(doc[split], list) and doc[split]
+        assert all(isinstance(seq["player_id"], str) for seq in doc[split])

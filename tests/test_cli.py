@@ -1,11 +1,13 @@
 """End-to-end command-line pipeline on a small synthetic pool."""
 
+import hashlib
 import json
 import os
 import shutil
 
 import pytest
 
+from careercast import artifacts
 from careercast.cli import main
 from careercast.schema import default_schema
 from careercast.synth import default_specs, generate
@@ -113,6 +115,110 @@ def test_tampered_dataset_is_refused(pipeline, tmp_path, capsys):
     rc = main(["stage2", "--out", str(copy), "--seed", "0"])
     assert rc == 2
     assert "hash mismatch" in capsys.readouterr().err
+
+
+CHAINED = [
+    "dataset.json",
+    "autoencoder.json",
+    "clusters.json",
+    "forecaster.json",
+    "forecaster_standard.json",
+]
+
+
+def break_link(out_dir, consumer, upstream):
+    """Give ``consumer`` a wrong hash for ``upstream``; reseal everything built on it.
+
+    Only the one link is then broken: every other recorded hash matches.
+    """
+
+    def rewrite(name, key, digest):
+        doc = json.loads((out_dir / name).read_text())
+        doc["inputs"][key] = digest
+        new = artifacts.write_json(out_dir / name, doc)
+        for other in CHAINED:
+            if name in json.loads((out_dir / other).read_text())["inputs"]:
+                rewrite(other, name, new)
+
+    rewrite(consumer, upstream, "0" * 64)
+
+
+@pytest.mark.parametrize(
+    "consumer, upstream, commands",
+    [
+        ("autoencoder.json", "dataset.json", ("stage2", "evaluate", "predict")),
+        ("clusters.json", "dataset.json", ("stage2", "evaluate", "predict")),
+        ("clusters.json", "autoencoder.json", ("stage2", "evaluate", "predict")),
+        ("forecaster.json", "dataset.json", ("evaluate", "predict")),
+        ("forecaster.json", "clusters.json", ("evaluate", "predict")),
+        ("forecaster_standard.json", "dataset.json", ("evaluate",)),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(v),
+)
+def test_every_hash_link_is_checked(pipeline, tmp_path, capsys, consumer, upstream, commands):
+    out_dir, _ = pipeline
+    copy = tmp_path / "link"
+    shutil.copytree(out_dir, copy)
+    break_link(copy, consumer, upstream)
+    extra = {"predict": ["--player", "syn0000"]}
+    for command in commands:
+        rc = main([command, "--out", str(copy), "--seed", "0", *extra.get(command, [])])
+        err = capsys.readouterr().err
+        assert rc == 2, command
+        assert f"{consumer} was built from a different {upstream} (hash mismatch)" in err
+
+
+def parent_format(name, doc):
+    """The same artifact in the layout written before the shared envelope."""
+    body = {k: v for k, v in doc.items() if k not in ("format", "version", "kind", "inputs")}
+    if name == "dataset.json":
+        return {"format": "careercast-dataset", "version": 1, **body}
+    if name == "clusters.json":
+        return {"format": "careercast-clusters", "version": 1, "meta": {}, **body}
+    return {
+        "format": "careercast-model",
+        "version": 1,
+        "kind": "career-embedder",
+        "meta": {},
+        "model": body["model"],
+    }
+
+
+@pytest.mark.parametrize("name", ["dataset.json", "autoencoder.json", "clusters.json"])
+def test_parent_format_artifact_is_refused(pipeline, tmp_path, capsys, name):
+    out_dir, _ = pipeline
+    copy = tmp_path / "old"
+    shutil.copytree(out_dir, copy)
+    doc = json.loads((copy / name).read_text())
+    artifacts.write_json(copy / name, parent_format(name, doc))
+    rc = main(["stage2", "--out", str(copy), "--seed", "0"])
+    assert rc == 2
+    assert "not a careercast-artifact v1" in capsys.readouterr().err
+
+
+def test_evaluate_loads_only_what_the_models_need(pipeline, tmp_path):
+    out_dir, _ = pipeline
+    copy = tmp_path / "partial"
+    shutil.copytree(out_dir, copy)
+    base = ["--out", str(copy), "--seed", "0"]
+    (copy / "forecaster_standard.json").unlink()
+    assert main(["evaluate", *base, "--models", "proposed"]) == 0
+    for name in ("forecaster.json", "clusters.json", "autoencoder.json"):
+        (copy / name).unlink()
+    assert main(["evaluate", *base, "--models", "last_value"]) == 0
+    assert main(["evaluate", *base, "--models", "standard_lstm"]) == 2
+
+
+def test_load_chain_reads_each_file_once(pipeline, monkeypatch):
+    out_dir, _ = pipeline
+    reads = []
+    real = artifacts.read_json
+    monkeypatch.setattr(artifacts, "read_json", lambda path: reads.append(path) or real(path))
+    chain = artifacts.load_chain(out_dir, ["forecaster.json", "forecaster_standard.json"])
+    assert sorted(chain) == sorted(CHAINED)
+    assert sorted(os.path.basename(p) for p in reads) == sorted(CHAINED)
+    for name in CHAINED:
+        assert chain[name].sha256 == hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
 
 
 def test_stage1_prints_cluster_sizes(pipeline, tmp_path, capsys):

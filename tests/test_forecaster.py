@@ -65,19 +65,6 @@ def test_cluster_swap_symmetry():
     assert np.allclose(swapped.predict_batch(blocks, 1 - labels), base, atol=1e-12)
 
 
-def test_predict_matches_predict_batch():
-    model = Forecaster(3, k=2, rng=substream(6, "test.fc"))
-    blocks = seeded_blocks(7, n=4, features=3)
-    labels = np.array([1, 0, 1, 0])
-    batch = model.predict_batch(blocks, labels)
-    for i in range(4):
-        single = model.predict(blocks[i], cluster=int(labels[i]))
-        # blas kernels differ by batch shape, so agreement is to rounding,
-        # not bit-for-bit
-        assert np.allclose(single, batch[i], rtol=0.0, atol=1e-12)
-        assert single.shape == (3,)
-
-
 def test_input_validation():
     model = Forecaster(4, k=2)
     blocks = seeded_blocks(8)
@@ -92,8 +79,6 @@ def test_input_validation():
         plain.predict_batch(blocks, np.zeros(6, dtype=int))
     with pytest.raises(ShapeError):
         plain.forward(seeded_blocks(9, features=5))
-    with pytest.raises(ShapeError):
-        plain.predict(np.zeros((7, 4, 1)))
 
 
 def test_training_reduces_loss_and_fits_constants():

@@ -1,26 +1,31 @@
-"""Value-exact model persistence and envelope validation."""
+"""Value-exact persistence of models and datasets, and the artifact envelope."""
+
+import json
 
 import numpy as np
 import pytest
 
-from careercast.errors import ArtifactError
-from careercast.nn import LSTM, BatchNorm, Dense, Dropout, ReLU, Sequential
-from careercast.nn.serialize import (
-    layer_from_doc,
-    layer_to_doc,
-    load_doc,
-    save_doc,
-    unwrap_doc,
-    wrap_doc,
+from careercast.artifacts import (
+    DATASET,
+    dataset_to_doc,
+    envelope,
+    load_chain,
+    read_json,
+    write_artifact,
+    write_json,
 )
+from careercast.errors import ArtifactError
+from careercast.ingest import CareerSequence, split_and_normalize
+from careercast.nn import LSTM, BatchNorm, Dense, Dropout, ReLU, Sequential
+from careercast.nn.serialize import layer_from_doc, layer_to_doc
 from careercast.rng import substream
 
 
 def round_trip(layer, tmp_path):
     path = tmp_path / "model.json"
-    save_doc(path, wrap_doc("unit-test", layer_to_doc(layer)))
-    model_doc, _ = unwrap_doc(load_doc(path), expected_kind="unit-test")
-    return layer_from_doc(model_doc)
+    write_json(path, layer_to_doc(layer))
+    doc, _ = read_json(path)
+    return layer_from_doc(doc)
 
 
 def test_dense_round_trip_is_value_exact(tmp_path):
@@ -79,39 +84,96 @@ def test_nested_sequential_round_trip(tmp_path):
 
 
 def test_save_is_byte_deterministic(tmp_path):
-    doc = wrap_doc("unit-test", layer_to_doc(Dense(2, 2, substream(7, "test.ser"))))
+    doc = {"model": layer_to_doc(Dense(2, 2, substream(7, "test.ser"))), "note": "é"}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_doc(a, doc)
-    save_doc(b, doc)
+    digest = write_json(a, doc)
+    assert write_json(b, doc) == digest
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_envelope_rejects_wrong_format_version_kind():
-    doc = wrap_doc("career-embedder", {"type": "relu"})
-    unwrap_doc(doc, expected_kind="career-embedder")
-
-    with pytest.raises(ArtifactError, match="not a model document"):
-        unwrap_doc({**doc, "format": "something-else"})
-    with pytest.raises(ArtifactError, match="version"):
-        unwrap_doc({**doc, "version": 99})
-    with pytest.raises(ArtifactError, match="trend-forecaster"):
-        unwrap_doc(doc, expected_kind="trend-forecaster")
+    # compact, key-sorted, newline-terminated, and hashed over exactly those bytes
+    assert a.read_bytes() == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    assert read_json(a) == (doc, digest)
 
 
 def test_envelope_carries_meta():
-    doc = wrap_doc("unit-test", {"type": "relu"}, meta={"dataset_hash": "abc"})
-    model_doc, meta = unwrap_doc(doc)
-    assert model_doc == {"type": "relu"}
-    assert meta == {"dataset_hash": "abc"}
+    doc = envelope("clusters", {"clusters": {"k": 2}, "seed": 3}, {DATASET: "abc"})
+    assert doc == {
+        "format": "careercast-artifact",
+        "version": 1,
+        "kind": "clusters",
+        "inputs": {DATASET: "abc"},
+        "clusters": {"k": 2},
+        "seed": 3,
+    }
+    for key in ("format", "version", "kind", "inputs"):
+        with pytest.raises(ArtifactError, match="header key"):
+            envelope("clusters", {key: 1})
 
 
-def test_load_doc_errors(tmp_path):
+def test_read_json_errors(tmp_path):
     with pytest.raises(ArtifactError, match="missing artifact"):
-        load_doc(tmp_path / "absent.json")
+        read_json(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ArtifactError, match="corrupt artifact"):
-        load_doc(bad)
+        read_json(bad)
+    bad.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(ArtifactError, match="corrupt artifact"):
+        read_json(bad)
+
+
+def small_dataset(schema):
+    """A seeded split of 20 careers whose second column is constant (and so dropped)."""
+    rng = np.random.default_rng(11)
+    seqs = []
+    for i in range(20):
+        raw = rng.normal(size=(7, schema.n_features)) * 10.0 / 3.0
+        raw[:, 1] = 12.5  # a constant middle column, so the kept-column mask matters
+        seqs.append(
+            CareerSequence(
+                player_id=f"p{i:02d}",
+                input=raw,
+                raw_input=raw,
+                target=rng.normal(size=3),
+                category=("star", "regular", None)[i % 3],
+            )
+        )
+    return split_and_normalize(seqs, schema, test_fraction=0.25, seed=2)
+
+
+def test_load_chain_refuses_foreign_documents(small_schema, tmp_path):
+    body = dataset_to_doc(small_dataset(small_schema))
+    write_artifact(tmp_path, DATASET, body, {"../elsewhere.json": "0" * 64})
+    with pytest.raises(ArtifactError, match="unknown artifact"):
+        load_chain(tmp_path, [DATASET])
+    write_json(tmp_path / DATASET, envelope("clusters", body))
+    with pytest.raises(ArtifactError, match="'dataset' artifact.*rerun ingest"):
+        load_chain(tmp_path, [DATASET])
+    (tmp_path / DATASET).write_text("[]", encoding="utf-8")
+    with pytest.raises(ArtifactError, match="not a careercast-artifact"):
+        load_chain(tmp_path, [DATASET])
+
+
+def test_dataset_round_trip_recomputes_inputs_bit_exactly(small_schema, tmp_path):
+    ds = small_dataset(small_schema)
+    assert ds.norm_stats.dropped == ("PTS",)
+    write_artifact(tmp_path, DATASET, dataset_to_doc(ds, {"rows_parsed": 140}))
+    doc = json.loads((tmp_path / DATASET).read_text())
+    assert "input" not in doc["train"][0]
+    loaded = load_chain(tmp_path, [DATASET])[DATASET].value
+
+    assert loaded.seed == ds.seed and loaded.schema == ds.schema
+    for attr in ("names", "dropped"):
+        assert getattr(loaded.norm_stats, attr) == getattr(ds.norm_stats, attr)
+    for attr in ("mean", "std"):
+        assert getattr(loaded.norm_stats, attr).tobytes() == getattr(ds.norm_stats, attr).tobytes()
+    for split in ("train", "test"):
+        before, after = getattr(ds, split), getattr(loaded, split)
+        assert [s.player_id for s in after] == [s.player_id for s in before]
+        for a, b in zip(after, before):
+            assert a.input.shape == (7, 3)
+            for attr in ("input", "raw_input", "target"):
+                assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+            assert a.category == b.category
 
 
 def test_unknown_layer_types_are_rejected():
