@@ -41,7 +41,18 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid for each point (ties to the lowest index)."""
+    """Index of the nearest centroid for each point (ties to the lowest index).
+
+    The answer is the argmin of ``_sq_dists``, the exact-difference
+    distances, but most rows are settled by a cheaper screen. One matrix
+    product gives the Gram-form distances ||p||^2 + ||c||^2 - 2 p.c. Each
+    form is within (d + 2) * eps * (||p||^2 + max ||c||^2) of the true
+    distance (the dot-product rounding bound, Higham 2002, section 3.1), so
+    a row whose best Gram distance beats its runner-up by more than four
+    times that has the same argmin in both forms; ``slack`` is eight times
+    it. Every other row, exact ties and non-finite gaps included, is rerun
+    through ``_sq_dists``, so ties still go to the lowest index.
+    """
     points = _check_points(points)
     centroids = np.asarray(centroids, dtype=float)
     if centroids.ndim != 2 or centroids.shape[1] != points.shape[1]:
@@ -49,7 +60,29 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             f"centroid shape {centroids.shape} does not match points "
             f"{points.shape}"
         )
-    return np.argmin(_sq_dists(points, centroids), axis=1)
+    if centroids.shape[0] < 2:
+        return np.argmin(_sq_dists(points, centroids), axis=1)
+    d = points.shape[1]
+    rows = np.arange(points.shape[0])
+    # overflow is caught below: its rows get a non-finite gap or slack
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_sq = np.einsum("ij,ij->i", points, points)
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
+        gram = points @ centroids.T
+        gram *= -2.0
+        gram += c_sq
+        gram += p_sq[:, None]
+        best = np.argmin(gram, axis=1)
+        gap = -gram[rows, best]
+        gram[rows, best] = np.inf
+        gap += gram.min(axis=1)
+        # the floor covers the absolute error of products that underflow
+        info = np.finfo(float)
+        slack = 8.0 * (d + 2) * (info.eps * (p_sq + c_sq.max()) + info.tiny)
+    unsure = np.flatnonzero(~(np.isfinite(gap) & (gap > slack)))
+    if unsure.size:
+        best[unsure] = np.argmin(_sq_dists(points[unsure], centroids), axis=1)
+    return best
 
 
 def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -115,6 +115,10 @@ class Forecaster:
         items += [("head." + n, s) for n, s in self.head.state_items()]
         return items
 
+    def bind(self, views):
+        self.lstm.bind(views)
+        self.head.bind(views)
+
     def predict_batch(self, blocks: np.ndarray, assignments=None) -> np.ndarray:
         """Inference on (n, steps, n_features) blocks; assignments required if k > 0."""
         if self.k > 0:

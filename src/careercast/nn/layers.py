@@ -20,7 +20,15 @@ def _sigmoid(x):
 
 
 class Layer:
-    """Base interface: forward/backward plus named parameter access."""
+    """Base interface: forward/backward plus named parameter access.
+
+    ``params`` names the trainable attributes in a fixed order; each has a
+    ``grad_<name>`` twin of the same shape. ``backward`` writes gradients
+    into those twin arrays rather than rebinding them, because
+    ``train_loop`` binds both to views of one flat buffer each.
+    """
+
+    params: tuple[str, ...] = ()
 
     def forward(self, x, train: bool = False, rng=None):
         raise NotImplementedError
@@ -30,19 +38,35 @@ class Layer:
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """Trainable arrays, in a fixed order."""
-        return []
+        return [(name, getattr(self, name)) for name in self.params]
 
     def grad_items(self) -> list[tuple[str, np.ndarray]]:
         """Gradients aligned one-to-one with ``param_items``."""
-        return []
+        return [(name, getattr(self, "grad_" + name)) for name in self.params]
 
     def state_items(self) -> list[tuple[str, np.ndarray]]:
         """Non-trained arrays that still define inference behavior."""
         return []
 
+    def bind(self, views) -> None:
+        """Move each parameter and its gradient into the next pair of ``views``.
+
+        ``views`` yields (parameter, gradient) arrays in ``param_items``
+        order. Current values are copied in, so the layer computes exactly
+        as before, but from then on it reads and writes the given arrays.
+        """
+        for name in self.params:
+            param, grad = next(views)
+            param[...] = getattr(self, name)
+            grad[...] = getattr(self, "grad_" + name)
+            setattr(self, name, param)
+            setattr(self, "grad_" + name, grad)
+
 
 class Dense(Layer):
     """Affine map: ``y = x @ W.T + b`` with weight shape (out, in)."""
+
+    params = ("weight", "bias")
 
     def __init__(self, n_in: int, n_out: int, rng=None):
         self.n_in = n_in
@@ -66,15 +90,9 @@ class Dense(Layer):
         return x @ self.weight.T + self.bias
 
     def backward(self, grad_out):
-        self.grad_weight = grad_out.T @ self._x
-        self.grad_bias = grad_out.sum(axis=0)
+        np.matmul(grad_out.T, self._x, out=self.grad_weight)
+        np.sum(grad_out, axis=0, out=self.grad_bias)
         return grad_out @ self.weight
-
-    def param_items(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def grad_items(self):
-        return [("weight", self.grad_weight), ("bias", self.grad_bias)]
 
 
 class ReLU(Layer):
@@ -93,6 +111,8 @@ class BatchNorm(Layer):
     mean/variance by ``momentum``; inference uses the running statistics
     only and is deterministic.
     """
+
+    params = ("scale", "shift")
 
     def __init__(self, n: int, momentum: float = 0.9, eps: float = 1e-5):
         self.n = n
@@ -131,8 +151,8 @@ class BatchNorm(Layer):
     def backward(self, grad_out):
         if self._normed is None:
             raise ParameterError("batchnorm backward requires a train-mode forward first")
-        self.grad_scale = (grad_out * self._normed).sum(axis=0)
-        self.grad_shift = grad_out.sum(axis=0)
+        np.sum(grad_out * self._normed, axis=0, out=self.grad_scale)
+        np.sum(grad_out, axis=0, out=self.grad_shift)
         m = grad_out.shape[0]
         # d/dx of the batch-statistics normalization, in the usual
         # collapsed form over the normalized activations.
@@ -141,12 +161,6 @@ class BatchNorm(Layer):
             - self.grad_shift
             - self._normed * self.grad_scale
         )
-
-    def param_items(self):
-        return [("scale", self.scale), ("shift", self.shift)]
-
-    def grad_items(self):
-        return [("scale", self.grad_scale), ("shift", self.grad_shift)]
 
     def state_items(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
@@ -186,6 +200,8 @@ class LSTM(Layer):
     backward pass unrolls through time from a gradient on the final
     hidden state.
     """
+
+    params = ("w_input", "w_hidden", "bias")
 
     def __init__(self, n_in: int, n_hidden: int, rng=None):
         self.n_in = n_in
@@ -237,9 +253,9 @@ class LSTM(Layer):
     def backward(self, grad_out):
         x = self._x
         batch, steps, _ = x.shape
-        self.grad_w_input = np.zeros_like(self.w_input)
-        self.grad_w_hidden = np.zeros_like(self.w_hidden)
-        self.grad_bias = np.zeros_like(self.bias)
+        self.grad_w_input.fill(0.0)
+        self.grad_w_hidden.fill(0.0)
+        self.grad_bias.fill(0.0)
         grad_x = np.zeros_like(x)
         dh = grad_out
         dc = np.zeros_like(grad_out)
@@ -266,20 +282,6 @@ class LSTM(Layer):
             grad_x[:, t] = da @ self.w_input
             dh = da @ self.w_hidden
         return grad_x
-
-    def param_items(self):
-        return [
-            ("w_input", self.w_input),
-            ("w_hidden", self.w_hidden),
-            ("bias", self.bias),
-        ]
-
-    def grad_items(self):
-        return [
-            ("w_input", self.grad_w_input),
-            ("w_hidden", self.grad_w_hidden),
-            ("bias", self.grad_bias),
-        ]
 
 
 class Sequential(Layer):
@@ -318,3 +320,7 @@ class Sequential(Layer):
             for idx, layer in enumerate(self.layers)
             for name, arr in layer.state_items()
         ]
+
+    def bind(self, views):
+        for layer in self.layers:
+            layer.bind(views)

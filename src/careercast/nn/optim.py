@@ -10,9 +10,10 @@ from ..errors import NumericError, ParameterError
 class Adam:
     """Bias-corrected Adam over an ordered list of parameter arrays.
 
-    Moment slots are allocated on the first step and keyed by position, so
-    the caller must pass parameters and gradients in the same order every
-    time (layers guarantee this through ``param_items``/``grad_items``).
+    Moment slots and scratch buffers are allocated on the first step and
+    keyed by position, so the caller must pass parameters and gradients in
+    the same order every time. ``train_loop`` passes one flat array per
+    list, which makes a step a handful of whole-model array operations.
     Updates are applied in place.
     """
 
@@ -24,8 +25,7 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.step_count = 0
-        self._first_moment = None
-        self._second_moment = None
+        self._slots = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         if len(params) != len(grads):
@@ -37,23 +37,30 @@ class Adam:
                 raise ParameterError(
                     f"parameter {idx} has shape {p.shape} but its gradient {g.shape}"
                 )
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NumericError(
                     f"non-finite gradient in parameter slot {idx} "
                     f"(shape {g.shape}); aborting training"
                 )
-        if self._first_moment is None:
-            self._first_moment = [np.zeros_like(p) for p in params]
-            self._second_moment = [np.zeros_like(p) for p in params]
+        if self._slots is None:
+            # first moment, second moment, two scratch buffers
+            self._slots = [[np.zeros_like(p) for _ in range(4)] for p in params]
 
         self.step_count += 1
         correction1 = 1.0 - self.beta1**self.step_count
         correction2 = 1.0 - self.beta2**self.step_count
-        for p, g, m, v in zip(params, grads, self._first_moment, self._second_moment):
+        for p, g, (m, v, s, t) in zip(params, grads, self._slots):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            m += s
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / correction1) / (
-                np.sqrt(v / correction2) + self.epsilon
-            )
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
+            v += s
+            np.divide(v, correction2, out=s)
+            np.sqrt(s, out=s)
+            s += self.epsilon
+            np.divide(m, correction1, out=t)
+            t *= self.learning_rate
+            t /= s
+            p -= t

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,10 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng=None) -> TrainRe
     stops once validation loss has not improved for ``patience`` epochs or
     at ``max_epochs``, whichever comes first, and the parameters from the
     best validation epoch are restored. Fully deterministic given the seed.
+
+    The model's parameters and gradients are first moved into one flat
+    buffer each (see ``Layer.bind``) and stay there afterwards, so every
+    Adam step, snapshot and restore is one whole-model array operation.
     """
     config.validate()
     if rng is None:
@@ -102,7 +107,7 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng=None) -> TrainRe
     val_targets = targets[val_idx]
 
     optimizer = Adam(learning_rate=config.learning_rate)
-    params = [arr for _, arr in model.param_items()]
+    params, grads = _flatten(model)
     result = TrainResult()
     best_snapshot = None
     epochs_without_improvement = 0
@@ -115,7 +120,7 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng=None) -> TrainRe
             pred = model.forward(_take(inputs, batch_idx), train=True, rng=rng)
             loss, grad = mse_loss(pred, targets[batch_idx])
             model.backward(grad)
-            optimizer.step(params, [g for _, g in model.grad_items()])
+            optimizer.step([params], [grads])
             total += loss * batch_idx.size
         result.train_loss.append(total / train_idx.size)
 
@@ -127,27 +132,43 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng=None) -> TrainRe
         if val_loss < result.best_val_loss:
             result.best_val_loss = val_loss
             result.best_epoch = epoch
-            best_snapshot = _snapshot(model)
+            best_snapshot = _snapshot(model, params)
             epochs_without_improvement = 0
         else:
             epochs_without_improvement += 1
             if epochs_without_improvement >= config.patience:
                 break
 
-    _restore(model, best_snapshot)
+    _restore(model, params, best_snapshot)
     return result
 
 
-def _snapshot(model):
-    return [
-        arr.copy()
-        for _, arr in (*model.param_items(), *model.state_items())
-    ]
+def _flatten(model):
+    """One parameter buffer and one gradient buffer for the whole model.
+
+    Every layer's parameters and gradients are rebound to views of the two
+    buffers, in ``param_items`` order, so one optimizer step and one
+    snapshot copy cover the model.
+    """
+    shapes = [arr.shape for _, arr in model.param_items()]
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    params = np.empty(bounds[-1])
+    grads = np.empty(bounds[-1])
+    model.bind(
+        (params[lo:hi].reshape(shape), grads[lo:hi].reshape(shape))
+        for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes)
+    )
+    return params, grads
 
 
-def _restore(model, snapshot):
+def _snapshot(model, params):
+    return params.copy(), [arr.copy() for _, arr in model.state_items()]
+
+
+def _restore(model, params, snapshot):
     if snapshot is None:
         return
-    live = [arr for _, arr in (*model.param_items(), *model.state_items())]
-    for dst, src in zip(live, snapshot):
+    best_params, best_state = snapshot
+    np.copyto(params, best_params)
+    for (_, dst), src in zip(model.state_items(), best_state):
         np.copyto(dst, src)

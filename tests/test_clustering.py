@@ -159,6 +159,46 @@ def test_assign_breaks_ties_to_lowest_index():
     assert labels.tolist() == [0, 1]
 
 
+def exact_sq_dists(points, centroids):
+    """Squared distances from exact differences: the pre-screen assign's formula."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def assign_cases():
+    rng = np.random.default_rng(11)
+    base = rng.normal(size=(30, 5))
+    yield "duplicate centroids", base, base[[3, 7, 3, 7, 12]]
+    # far from the origin the Gram form cancels badly, while exact
+    # differences of these integers stay exact and tie
+    grid = np.stack(np.meshgrid(*[np.arange(-3.0, 4.0)] * 3), axis=-1).reshape(-1, 3)
+    offset = float(2**26)
+    yield "integer lattice", grid + offset, grid[rng.choice(len(grid), 9)] + offset
+    yield "single centroid", base, base[:1]
+    huge = 1e155 * (1.0 + 1e-4 * rng.normal(size=(40, 6)))
+    yield "near 1e155", huge, huge[[0, 5, 9]] * (1.0 + 1e-5)
+    # squares here are subnormal: rounding is absolute, not relative
+    tiny = 2e-162 * rng.normal(size=(4, 3))
+    pairs = rng.integers(0, 4, size=(60, 2))
+    near_ties = 0.5 * (tiny[pairs[:, 0]] + tiny[pairs[:, 1]])
+    yield "near 1e-162", near_ties + 2e-165 * rng.normal(size=(60, 3)), tiny
+    for trial in range(200):
+        scale = 10.0 ** rng.uniform(-3, 6)
+        n, d, k = rng.integers(1, 60), rng.integers(1, 9), rng.integers(2, 9)
+        centroids = scale * (1.0 + rng.normal(size=(k, d)))
+        points = scale * (1.0 + rng.normal(size=(n, d)))
+        # midpoints of centroid pairs sit within rounding of a tie
+        pairs = rng.integers(0, k, size=(n // 2, 2))
+        points[: n // 2] = 0.5 * (centroids[pairs[:, 0]] + centroids[pairs[:, 1]])
+        yield f"random set {trial}", points, centroids
+
+
+def test_assign_matches_exact_distance_oracle():
+    for name, points, centroids in assign_cases():
+        want = np.argmin(exact_sq_dists(points, centroids), axis=1)
+        assert np.array_equal(assign(points, centroids), want), name
+
+
 def test_one_hot():
     out = one_hot(np.array([2, 0, 1]), 3)
     assert np.array_equal(out, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from careercast.errors import ConfigError, NumericError
+from careercast.forecaster import Forecaster
 from careercast.nn import (
     Adam,
     BatchNorm,
@@ -41,6 +42,71 @@ def test_adam_zero_gradient_is_fixed_point():
 def test_adam_rejects_non_finite_gradients():
     with pytest.raises(NumericError):
         Adam().step([np.zeros(2)], [np.array([1.0, np.nan])])
+
+
+def textbook_adam(params, grad_fn, steps, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba 2015, Algorithm 1, one array at a time."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t in range(1, steps + 1):
+        for p, g, m_t, v_t in zip(params, grad_fn(t), m, v):
+            m_t[...] = beta1 * m_t + (1.0 - beta1) * g
+            v_t[...] = beta2 * v_t + (1.0 - beta2) * g**2
+            m_hat = m_t / (1.0 - beta1**t)
+            v_hat = v_t / (1.0 - beta2**t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_matches_textbook_algorithm():
+    rng = np.random.default_rng(6)
+    shapes = [(5, 3), (7,), (2, 3, 4), (1,)]
+    # magnitudes in [1, 2] keep every coordinate away from zero, so rtol is meaningful
+    start = [rng.uniform(1.0, 2.0, size=s) * rng.choice([-1.0, 1.0], size=s) for s in shapes]
+    grads = [
+        [rng.normal(size=s) * 10.0 ** rng.uniform(-4, 2) for s in shapes]
+        for _ in range(200)
+    ]
+    want = [p.copy() for p in start]
+    textbook_adam(want, lambda t: grads[t - 1], 200)
+    got = [p.copy() for p in start]
+    opt = Adam()
+    for step_grads in grads:
+        opt.step(got, step_grads)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["dense_batchnorm", "forecaster"])
+def test_train_loop_binds_every_array_to_one_buffer(kind):
+    rng = np.random.default_rng(7)
+    if kind == "forecaster":
+        model = Forecaster(4, k=2, rng=substream(8, "test.bind"))
+        onehot = np.eye(2)[rng.integers(0, 2, size=30)]
+        x, y = (rng.normal(size=(30, 5, 4)), onehot), rng.normal(size=(30, 3))
+    else:
+        model = Sequential([
+            Dense(4, 6, substream(8, "test.bind")), BatchNorm(6), ReLU(),
+            Dense(6, 2, substream(9, "test.bind")),
+        ])
+        x, y = rng.normal(size=(30, 4)), rng.normal(size=(30, 2))
+    train_loop(model, x, y, TrainConfig(max_epochs=2, seed=7))
+
+    params = [arr for _, arr in model.param_items()]
+    grads = [arr for _, arr in model.grad_items()]
+    total = sum(p.size for p in params)
+    for arrays in (params, grads):
+        flat = arrays[0].base
+        assert flat is not None and flat.shape == (total,)
+        assert all(np.shares_memory(a, flat) for a in arrays)
+    assert params[0].base is not grads[0].base
+    assert not np.shares_memory(params[0].base, grads[0].base)
+
+    # a later backward writes every gradient into those same arrays
+    grads[0].base.fill(np.nan)
+    _, grad_out = mse_loss(model.forward(x, train=True, rng=rng), y)
+    model.backward(grad_out)
+    assert all(a is b for (_, a), b in zip(model.grad_items(), grads))
+    assert np.isfinite(grads[0].base).all()
 
 
 def make_linear_data(seed, n=64, p=3):
