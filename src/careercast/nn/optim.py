@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import NumericError, ParameterError
 
 
 class Adam:
-    """Bias-corrected Adam over an ordered list of parameter arrays.
+    """Adam over an ordered list of parameter arrays, bias corrections folded.
 
-    Moment slots and scratch buffers are allocated on the first step and
+    Both bias corrections are folded into scalars, as in Kingma & Ba 2015
+    (arXiv:1412.6980, section 2): with c1 = 1 - beta1^t and
+    c2 = 1 - beta2^t, each step is
+    ``p -= lr * sqrt(c2) / c1 * m / (sqrt(v) + epsilon * sqrt(c2))``,
+    which equals the textbook ``lr * m_hat / (sqrt(v_hat) + epsilon)`` up to
+    rounding and costs two fewer passes over the parameters.
+
+    Moment slots and a scratch buffer are allocated on the first step and
     keyed by position, so the caller must pass parameters and gradients in
     the same order every time. ``train_loop`` passes one flat array per
     list, which makes a step a handful of whole-model array operations.
@@ -43,13 +52,14 @@ class Adam:
                     f"(shape {g.shape}); aborting training"
                 )
         if self._slots is None:
-            # first moment, second moment, two scratch buffers
-            self._slots = [[np.zeros_like(p) for _ in range(4)] for p in params]
+            # first moment, second moment, scratch
+            self._slots = [[np.zeros_like(p) for _ in range(3)] for p in params]
 
         self.step_count += 1
-        correction1 = 1.0 - self.beta1**self.step_count
-        correction2 = 1.0 - self.beta2**self.step_count
-        for p, g, (m, v, s, t) in zip(params, grads, self._slots):
+        root_c2 = math.sqrt(1.0 - self.beta2**self.step_count)
+        step_size = self.learning_rate * root_c2 / (1.0 - self.beta1**self.step_count)
+        epsilon_hat = self.epsilon * root_c2
+        for p, g, (m, v, s) in zip(params, grads, self._slots):
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=s)
             m += s
@@ -57,10 +67,8 @@ class Adam:
             np.multiply(g, g, out=s)
             s *= 1.0 - self.beta2
             v += s
-            np.divide(v, correction2, out=s)
-            np.sqrt(s, out=s)
-            s += self.epsilon
-            np.divide(m, correction1, out=t)
-            t *= self.learning_rate
-            t /= s
-            p -= t
+            np.sqrt(v, out=s)
+            s += epsilon_hat
+            np.divide(m, s, out=s)
+            s *= step_size
+            p -= s
