@@ -88,6 +88,8 @@ def _result_doc(result) -> dict:
         "stopped_epoch": result.stopped_epoch,
         "best_epoch": result.best_epoch,
         "best_val_loss": float(result.best_val_loss),
+        "train_loss": [float(v) for v in result.train_loss],
+        "val_loss": [float(v) for v in result.val_loss],
     }
 
 

@@ -51,7 +51,8 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     a row whose best Gram distance beats its runner-up by more than four
     times that has the same argmin in both forms; ``slack`` is eight times
     it. Every other row, exact ties and non-finite gaps included, is rerun
-    through ``_sq_dists``, so ties still go to the lowest index.
+    through ``_sq_dists``, so ties still go to the lowest index. With a
+    single centroid no row has a runner-up, and every row is rerun.
     """
     points = _check_points(points)
     centroids = np.asarray(centroids, dtype=float)
@@ -60,8 +61,6 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             f"centroid shape {centroids.shape} does not match points "
             f"{points.shape}"
         )
-    if centroids.shape[0] < 2:
-        return np.argmin(_sq_dists(points, centroids), axis=1)
     d = points.shape[1]
     rows = np.arange(points.shape[0])
     # overflow is caught below: its rows get a non-finite gap or slack

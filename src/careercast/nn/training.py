@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,13 +149,13 @@ def _flatten(model):
     buffers, in ``param_items`` order, so one optimizer step and one
     snapshot copy cover the model.
     """
-    shapes = [arr.shape for _, arr in model.param_items()]
-    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    arrays = [arr for _, arr in model.param_items()]
+    bounds = np.cumsum([0] + [arr.size for arr in arrays])
     params = np.empty(bounds[-1])
     grads = np.empty(bounds[-1])
     model.bind(
-        (params[lo:hi].reshape(shape), grads[lo:hi].reshape(shape))
-        for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes)
+        (params[lo:hi].reshape(arr.shape), grads[lo:hi].reshape(arr.shape))
+        for lo, hi, arr in zip(bounds[:-1], bounds[1:], arrays)
     )
     return params, grads
 

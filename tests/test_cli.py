@@ -95,6 +95,17 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
         assert a == b, f"{rel} differs between identical runs"
 
 
+@pytest.mark.parametrize(
+    "name", ["autoencoder.json", "forecaster.json", "forecaster_standard.json"]
+)
+def test_model_artifacts_carry_loss_curves(pipeline, name):
+    out_dir, _ = pipeline
+    train = json.loads((out_dir / name).read_text())["train"]
+    assert len(train["train_loss"]) == train["stopped_epoch"]
+    assert len(train["val_loss"]) == train["stopped_epoch"]
+    assert train["val_loss"][train["best_epoch"] - 1] == train["best_val_loss"]
+
+
 def test_stage2_requires_stage1(tmp_path, capsys):
     out = tmp_path / "partial"
     out.mkdir()
