@@ -26,7 +26,7 @@ from .autoencoder import Autoencoder
 from .clustering import ClusterModel
 from .errors import ArtifactError
 from .forecaster import Forecaster
-from .ingest import CareerSequence, Dataset, NormStats
+from .ingest import INPUT_AGES, TARGET_AGES, Dataset, NormStats, Split
 from .schema import FeatureSchema
 
 RUN_INFO = "run_info.json"
@@ -184,13 +184,13 @@ def write_run_info(out_dir, command: str, seed: int, artifact_hashes: dict) -> N
         fh.write("\n")
 
 
-def sequence_to_doc(seq: CareerSequence) -> dict:
-    return {
-        "player_id": seq.player_id,
-        "raw_input": seq.raw_input.tolist(),
-        "target": seq.target.tolist(),
-        "category": seq.category,
-    }
+def _split_to_doc(split: Split) -> list[dict]:
+    return [
+        {"player_id": pid, "raw_input": raw, "target": target, "category": category}
+        for pid, raw, target, category in zip(
+            split.player_ids, split.raw.tolist(), split.target.tolist(), split.category
+        )
+    ]
 
 
 def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
@@ -199,30 +199,41 @@ def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
         "seed": dataset.seed,
         "schema": dataset.schema.to_doc(),
         "norm_stats": dataset.norm_stats.to_doc(),
-        "train": [sequence_to_doc(s) for s in dataset.train],
-        "test": [sequence_to_doc(s) for s in dataset.test],
+        "train": _split_to_doc(dataset.train),
+        "test": _split_to_doc(dataset.test),
         "summary": summary or {},
     }
 
 
 def dataset_from_doc(doc: dict) -> Dataset:
-    """Rebuild a dataset from its document, re-normalizing ``raw_input``."""
+    """Rebuild a dataset from its document, re-normalizing each ``raw_input``.
+
+    A split whose rows do not stack into an (n, 7, features) block with an
+    (n, 3) target is refused as a corrupt artifact.
+    """
     schema = FeatureSchema.from_doc(doc["schema"])
     stats = NormStats.from_doc(doc["norm_stats"])
 
-    def sequence(d):
-        raw = np.array(d["raw_input"], dtype=float)
-        return CareerSequence(
-            player_id=d["player_id"],
-            input=stats.apply(raw, schema.names),
-            raw_input=raw,
-            target=d["target"],
-            category=d["category"],
-        )
+    def split(name) -> Split:
+        try:
+            rows = doc[name]
+            raw = np.array([d["raw_input"] for d in rows], dtype=float)
+            target = np.array([d["target"] for d in rows], dtype=float)
+            ids = tuple(d["player_id"] for d in rows)
+            categories = tuple(d["category"] for d in rows)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"{DATASET}: corrupt artifact: {exc}") from None
+        want = (len(rows), len(INPUT_AGES), schema.n_features), (len(rows), len(TARGET_AGES))
+        if (raw.shape, target.shape) != want:
+            raise ArtifactError(
+                f"{DATASET}: corrupt artifact: {name} career block {raw.shape} and "
+                f"target {target.shape}, expected {want[0]} and {want[1]}"
+            )
+        return Split(ids, categories, raw, target, stats.apply(raw, schema.names))
 
     return Dataset(
-        train=[sequence(d) for d in doc["train"]],
-        test=[sequence(d) for d in doc["test"]],
+        train=split("train"),
+        test=split("test"),
         norm_stats=stats,
         seed=int(doc["seed"]),
         schema=schema,

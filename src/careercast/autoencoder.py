@@ -84,16 +84,6 @@ class Autoencoder:
             )
         return self.encoder.forward(x, train=False)
 
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.model.forward(x, train=False)
-
-    def reconstruction_error(self, x: np.ndarray) -> np.ndarray:
-        """Per-row mean squared reconstruction error."""
-        x = np.asarray(x, dtype=float)
-        recon = self.reconstruct(x)
-        return np.mean((recon - x) ** 2, axis=1)
-
     def to_doc(self) -> dict:
         return {
             "n_inputs": self.n_inputs,

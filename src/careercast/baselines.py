@@ -19,18 +19,15 @@ from .nn import Dense, ReLU, Sequential, TrainConfig, TrainResult, train_loop
 MLP_HIDDEN = (64, 32)
 
 
-def last_value_predict(sequences, target_index: int) -> np.ndarray:
+def last_value_predict(raw: np.ndarray, target_index: int) -> np.ndarray:
     """Carry each player's final input-age target value across all horizons.
 
-    Reads the raw (unnormalized) block so the carried value is exactly
-    the one that appeared in the source data.
+    Reads the raw (unnormalized) (n, 7, features) block so the carried value
+    is exactly the one that appeared in the source data.
     """
-    if not sequences:
-        raise ParameterError("no sequences to predict")
-    out = np.empty((len(sequences), len(TARGET_AGES)), dtype=float)
-    for i, seq in enumerate(sequences):
-        out[i, :] = seq.raw_input[-1, target_index]
-    return out
+    if len(raw) == 0:
+        raise ParameterError("no careers to predict")
+    return np.repeat(raw[:, -1:, target_index], len(TARGET_AGES), axis=1)
 
 
 @dataclass
@@ -97,15 +94,6 @@ def linear_predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
             f"expected (n, {model.n_inputs}) input, got shape {x.shape}"
         )
     return x @ model.coef + model.intercept
-
-
-def penalized_objective(
-    model: LinearModel, x: np.ndarray, y: np.ndarray, l2: float
-) -> float:
-    """Sum of squared residuals plus ``l2`` times squared non-intercept weights."""
-    x, y = _check_xy(x, y)
-    resid = linear_predict(model, x) - y
-    return float((resid**2).sum() + l2 * (model.coef**2).sum())
 
 
 def mlp_baseline_train(

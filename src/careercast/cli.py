@@ -5,13 +5,14 @@ Artifacts live under the output directory with fixed names. Each is one
 from, and each command reads only the artifacts its request needs, through
 ``artifacts.load_chain``, which refuses inputs from a different run.
 Exit codes: 0 success, 1 usage or configuration error, 2 data or artifact
-error, 3 numeric failure.
+error, 3 numeric failure. Warnings from the package's loggers go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import os
 import sys
 
@@ -91,14 +92,6 @@ def _result_doc(result) -> dict:
         "train_loss": [float(v) for v in result.train_loss],
         "val_loss": [float(v) for v in result.val_loss],
     }
-
-
-def _blocks(seqs) -> np.ndarray:
-    return np.stack([s.input for s in seqs])
-
-
-def _train_arrays(dataset):
-    return _blocks(dataset.train), np.stack([s.target for s in dataset.train])
 
 
 def _chain(cfg: PipelineConfig, names=()):
@@ -181,13 +174,13 @@ def cmd_stage1(args) -> int:
     cfg = _config_from(args)
     _ensure_dirs(cfg)
     dataset, chain = _chain(cfg)
-    flat = flatten_batch(_blocks(dataset.train))
+    flat = flatten_batch(dataset.train.input)
     ae, result = ae_train(flat, seed=cfg.seed, config=cfg.train_config("autoencoder"))
     embeddings = ae.encode(flat)
     lo, hi = cfg.k_range
     clusters = select_k(
         embeddings,
-        player_ids=[s.player_id for s in dataset.train],
+        player_ids=dataset.train.player_ids,
         k_range=range(lo, hi + 1),
         restarts=cfg.kmeans_restarts,
         seed=cfg.seed,
@@ -233,7 +226,7 @@ def cmd_stage2(args) -> int:
     cfg = _config_from(args)
     _ensure_dirs(cfg)
     dataset, chain = _chain(cfg, () if args.standard else (CLUSTERS,))
-    blocks, targets = _train_arrays(dataset)
+    blocks, targets = dataset.train.input, dataset.train.target
     train_cfg = cfg.train_config("forecaster")
     inputs = {DATASET: chain[DATASET].sha256}
     if args.standard:
@@ -244,9 +237,7 @@ def cmd_stage2(args) -> int:
     else:
         ae, clusters = chain[AUTOENCODER].value, chain[CLUSTERS].value
         assignments = clusters.train_assignments
-        if tuple(clusters.train_player_ids) != tuple(
-            s.player_id for s in dataset.train
-        ):
+        if tuple(clusters.train_player_ids) != dataset.train.player_ids:
             # stored assignment order cannot be trusted; recompute from scratch
             assignments = clusters.assign(ae.encode(flatten_batch(blocks)))
         model, result = forecaster_train(
@@ -276,31 +267,31 @@ def cmd_stage2(args) -> int:
 
 def _predict_fns(cfg: PipelineConfig, dataset, chain, models):
     """One prediction closure per requested model name."""
-    schema = dataset.schema
-    blocks, targets = _train_arrays(dataset)
-    flat_train = flatten_batch(blocks)
+    target_index = dataset.schema.target_index
+    targets = dataset.train.target
+    flat_train = flatten_batch(dataset.train.input)
     fns = {}
     for name in models:
         if name == "proposed":
             forecast = _proposed(chain)
-            fns[name] = lambda seqs, forecast=forecast: forecast(_blocks(seqs))
+            fns[name] = lambda split, forecast=forecast: forecast(split.input)
         elif name == "standard_lstm":
             model = chain[FORECASTER_STANDARD].value
-            fns[name] = lambda seqs, model=model: model.predict_batch(_blocks(seqs))
+            fns[name] = lambda split, model=model: model.predict_batch(split.input)
         elif name == "last_value":
-            fns[name] = lambda seqs: last_value_predict(seqs, schema.target_index)
+            fns[name] = lambda split: last_value_predict(split.raw, target_index)
         elif name in ("linear", "ridge"):
             lam = cfg.linear_lambda if name == "linear" else cfg.ridge_lambda
             model = linear_fit(flat_train, targets, lam)
-            fns[name] = lambda seqs, model=model: linear_predict(
-                model, flatten_batch(_blocks(seqs))
+            fns[name] = lambda split, model=model: linear_predict(
+                model, flatten_batch(split.input)
             )
         elif name == "mlp":
             model, _ = mlp_baseline_train(
                 flat_train, targets, seed=cfg.seed, config=cfg.train_config("forecaster")
             )
-            fns[name] = lambda seqs, model=model: model.forward(
-                flatten_batch(_blocks(seqs)), train=False
+            fns[name] = lambda split, model=model: model.forward(
+                flatten_batch(split.input), train=False
             )
         else:
             raise ConfigError(f"unknown model {name!r}")
@@ -443,14 +434,14 @@ def cmd_predict(args) -> int:
     _ensure_dirs(cfg)
     dataset, chain = _chain(cfg, (FORECASTER,))
     if args.player:
-        matches = [
-            s for s in (*dataset.train, *dataset.test) if s.player_id == args.player
-        ]
-        if not matches:
+        split = next(
+            (s for s in (dataset.train, dataset.test) if args.player in s.player_ids), None
+        )
+        if split is None:
             raise ArtifactError(
                 f"player {args.player!r} not found in the dataset artifact"
             )
-        block = matches[0].input
+        block = split.input[split.player_ids.index(args.player)]
         series = args.player
     else:
         raw = _parse_rows_csv(args.rows, dataset.schema)
@@ -559,6 +550,11 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Package warnings go to this command's stderr, once, for its duration.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    logger = logging.getLogger("careercast")
+    logger.addHandler(handler)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -574,6 +570,8 @@ def main(argv=None) -> int:
     except CareerCastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

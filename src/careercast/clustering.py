@@ -346,21 +346,3 @@ def one_hot(assignments: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros((assignments.size, k), dtype=float)
     out[np.arange(assignments.size), assignments] = 1.0
     return out
-
-
-def purity(assignments: np.ndarray, labels) -> float:
-    """Fraction of points whose cluster's majority label matches their own."""
-    assignments = np.asarray(assignments)
-    labels = np.asarray(labels)
-    if assignments.shape != labels.shape or assignments.ndim != 1:
-        raise ShapeError(
-            f"assignments {assignments.shape} and labels {labels.shape} "
-            "must be matching 1-d arrays"
-        )
-    if assignments.size == 0:
-        raise ParameterError("purity of an empty assignment is undefined")
-    total = 0
-    for c in np.unique(assignments):
-        _, counts = np.unique(labels[assignments == c], return_counts=True)
-        total += int(counts.max())
-    return total / assignments.size

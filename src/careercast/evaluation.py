@@ -2,8 +2,8 @@
 
 MAE and R-squared are pooled over every predicted player-year (three
 values per player), giving one number per model. Reports also break the
-same metrics out by player category and keep per-player rows for the
-plot exports.
+same metrics out by player category and keep the per-player arrays for
+the plot exports.
 """
 
 from __future__ import annotations
@@ -57,17 +57,14 @@ class MetricBlock:
 
 
 @dataclass
-class EvalRow:
-    player_id: str
+class EvalReport:
+    """One predictor scored on one split: per-player arrays plus metric blocks."""
+
+    model_name: str
+    player_ids: tuple[str, ...]
+    category: tuple[str | None, ...]
     actual: np.ndarray
     predicted: np.ndarray
-    category: str | None
-
-
-@dataclass
-class EvalReport:
-    model_name: str
-    rows: list = field(default_factory=list)
     overall: MetricBlock | None = None
     per_category: dict = field(default_factory=dict)
 
@@ -89,34 +86,26 @@ def _block(pred: np.ndarray, actual: np.ndarray) -> MetricBlock:
     return MetricBlock(mae=mae(pred, actual), r2=score, n=pred.shape[0])
 
 
-def evaluate(model_name: str, predict_fn, sequences) -> EvalReport:
-    """Score one predictor on a list of career sequences.
+def evaluate(model_name: str, predict_fn, split) -> EvalReport:
+    """Score one predictor on a ``Split`` of careers.
 
-    ``predict_fn`` maps the sequence list to an (n, 3) prediction array.
+    ``predict_fn`` maps the split to an (n, 3) prediction array.
     Zero-variance actuals leave r2 as None rather than failing the run.
     """
-    if not sequences:
-        raise ParameterError("no sequences to evaluate")
-    pred = np.asarray(predict_fn(sequences), dtype=float)
-    n = len(sequences)
+    n = len(split.player_ids)
+    if n == 0:
+        raise ParameterError("no careers to evaluate")
+    pred = np.asarray(predict_fn(split), dtype=float)
     if pred.shape != (n, len(TARGET_AGES)):
         raise ShapeError(
             f"predictor returned shape {pred.shape}, expected ({n}, {len(TARGET_AGES)})"
         )
-    actual = np.stack([seq.target for seq in sequences])
-    rows = [
-        EvalRow(
-            player_id=seq.player_id,
-            actual=actual[i].copy(),
-            predicted=pred[i].copy(),
-            category=seq.category,
-        )
-        for i, seq in enumerate(sequences)
-    ]
-    report = EvalReport(model_name=model_name, rows=rows, overall=_block(pred, actual))
-    categories = sorted({r.category for r in rows if r.category is not None})
-    for cat in categories:
-        idx = [i for i, r in enumerate(rows) if r.category == cat]
+    actual = split.target
+    report = EvalReport(
+        model_name, split.player_ids, split.category, actual, pred, _block(pred, actual)
+    )
+    for cat in sorted({c for c in split.category if c is not None}):
+        idx = [i for i, c in enumerate(split.category) if c == cat]
         report.per_category[cat] = _block(pred[idx], actual[idx])
     return report
 
@@ -127,23 +116,21 @@ def export_curves(report: EvalReport, by: str = "player"):
     Player mode emits each player's three target ages; category mode
     emits the per-age arithmetic mean over each category's players.
     """
-    if not report.rows:
+    if not report.player_ids:
         raise ParameterError("report has no rows to export")
     columns = ("series", "age", "actual", "predicted")
     out = []
     if by == "player":
-        for row in report.rows:
+        for pid, actual, predicted in zip(report.player_ids, report.actual, report.predicted):
             for j, age in enumerate(TARGET_AGES):
-                out.append((row.player_id, age, row.actual[j], row.predicted[j]))
+                out.append((pid, age, actual[j], predicted[j]))
     elif by == "category":
         groups = {}
-        for row in report.rows:
-            key = row.category if row.category is not None else "uncategorized"
-            groups.setdefault(key, []).append(row)
+        for i, cat in enumerate(report.category):
+            groups.setdefault(cat if cat is not None else "uncategorized", []).append(i)
         for cat in sorted(groups):
-            members = groups[cat]
-            actual = np.stack([r.actual for r in members]).mean(axis=0)
-            predicted = np.stack([r.predicted for r in members]).mean(axis=0)
+            actual = report.actual[groups[cat]].mean(axis=0)
+            predicted = report.predicted[groups[cat]].mean(axis=0)
             for j, age in enumerate(TARGET_AGES):
                 out.append((cat, age, actual[j], predicted[j]))
     else:
@@ -153,12 +140,11 @@ def export_curves(report: EvalReport, by: str = "player"):
 
 def export_scatter(report: EvalReport):
     """One row per predicted player-year: (age, actual, predicted, category)."""
-    if not report.rows:
+    if not report.player_ids:
         raise ParameterError("report has no rows to export")
     columns = ("age", "actual", "predicted", "category")
     out = []
-    for row in report.rows:
-        cat = row.category if row.category is not None else ""
+    for cat, actual, predicted in zip(report.category, report.actual, report.predicted):
         for j, age in enumerate(TARGET_AGES):
-            out.append((age, row.actual[j], row.predicted[j], cat))
+            out.append((age, actual[j], predicted[j], cat if cat is not None else ""))
     return columns, out

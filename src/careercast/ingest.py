@@ -2,8 +2,9 @@
 
 Parses per-season rows, keeps players whose careers are complete enough to
 learn from, fills input-side gaps, and assembles the normalized train/test
-dataset of career sequences. Targets (BPM at ages 29-31) are never imputed
-and never normalized; eligibility requires them to be observed.
+dataset, one block of career arrays per split. Targets (BPM at ages 29-31)
+are never imputed and never normalized; eligibility requires them to be
+observed.
 """
 
 from __future__ import annotations
@@ -49,35 +50,39 @@ class SeasonRecord:
 
 
 @dataclass
-class CareerSequence:
-    """A 7-row development matrix (ages 22-28) with its 3-season BPM target.
+class Split:
+    """Careers as arrays, one player per leading index, in split order.
 
-    ``input`` is what models consume; after ``split_and_normalize`` it is
-    z-scored (and may have constant columns dropped). ``raw_input`` always
-    keeps every schema column in original units, which is what the
-    last-value baseline and report exports read.
+    ``raw`` is the (n, 7, features) block of ages 22-28 in original units,
+    every schema column kept; the last-value baseline and the dataset
+    artifact read it. ``input`` is what models consume: after
+    ``split_and_normalize`` it holds the z-scored kept columns, and before
+    that it is ``raw`` itself. ``target`` is the (n, 3) BPM at ages 29-31.
     """
 
-    player_id: str
-    input: np.ndarray
-    raw_input: np.ndarray
+    player_ids: tuple[str, ...]
+    category: tuple[str | None, ...]
+    raw: np.ndarray
     target: np.ndarray
-    category: str | None = None
+    input: np.ndarray | None = None
 
     def __post_init__(self):
-        self.input = np.asarray(self.input, dtype=float)
-        self.raw_input = np.asarray(self.raw_input, dtype=float)
+        self.raw = np.asarray(self.raw, dtype=float)
         self.target = np.asarray(self.target, dtype=float)
-        if self.input.ndim != 2 or self.input.shape[0] != len(INPUT_AGES):
+        self.input = self.raw if self.input is None else np.asarray(self.input, dtype=float)
+        n = len(self.player_ids)
+        if self.raw.ndim != 3 or self.raw.shape[:2] != (n, len(INPUT_AGES)):
             raise IngestError(
-                f"{self.player_id}: career matrix must have {len(INPUT_AGES)} rows, "
-                f"got shape {self.input.shape}"
+                f"career block must be ({n}, {len(INPUT_AGES)}, features), "
+                f"got shape {self.raw.shape}"
             )
-        if self.target.shape != (len(TARGET_AGES),):
+        if self.target.shape != (n, len(TARGET_AGES)):
             raise IngestError(
-                f"{self.player_id}: target must have {len(TARGET_AGES)} entries, "
-                f"got shape {self.target.shape}"
+                f"target must be ({n}, {len(TARGET_AGES)}), got shape {self.target.shape}"
             )
+
+    def __len__(self) -> int:
+        return len(self.player_ids)
 
 
 @dataclass
@@ -90,10 +95,10 @@ class NormStats:
     dropped: tuple[str, ...] = ()
 
     def apply(self, raw: np.ndarray, columns) -> np.ndarray:
-        """Z-score the kept columns of ``raw``, whose columns are named ``columns``."""
+        """Z-score the kept columns of ``raw``, whose last axis is named ``columns``."""
         kept = set(self.names)
         keep = [j for j, name in enumerate(columns) if name in kept]
-        return (raw[:, keep] - self.mean) / self.std
+        return (raw[..., keep] - self.mean) / self.std
 
     def to_doc(self) -> dict:
         return {
@@ -117,8 +122,8 @@ class NormStats:
 class Dataset:
     """Normalized train/test split plus the statistics that produced it."""
 
-    train: list[CareerSequence]
-    test: list[CareerSequence]
+    train: Split
+    test: Split
     norm_stats: NormStats
     seed: int
     schema: FeatureSchema
@@ -383,12 +388,13 @@ def _own_nearest_value(
 def build_sequences(
     complete: dict[str, list[SeasonRecord]],
     schema: FeatureSchema,
-) -> list[CareerSequence]:
-    """Assemble one career sequence per player from complete season rows."""
-    sequences = []
-    for pid, rows in complete.items():
+) -> Split:
+    """Stack complete season rows into one unnormalized split, players in order."""
+    raw = np.empty((len(complete), len(INPUT_AGES), schema.n_features), dtype=float)
+    target = np.empty((len(complete), len(TARGET_AGES)), dtype=float)
+    categories = []
+    for p, (pid, rows) in enumerate(complete.items()):
         by_age = {r.age: r for r in rows}
-        matrix = np.empty((len(INPUT_AGES), schema.n_features), dtype=float)
         for i, age in enumerate(INPUT_AGES):
             rec = by_age.get(age)
             if rec is None:
@@ -398,9 +404,8 @@ def build_sequences(
                     raise IngestError(
                         f"internal invariant violated: {pid} age {age} missing {name!r}"
                     )
-                matrix[i, j] = rec.features[name]
+                raw[p, i, j] = rec.features[name]
 
-        target = np.empty(len(TARGET_AGES), dtype=float)
         for i, age in enumerate(TARGET_AGES):
             rec = by_age.get(age)
             if rec is None or not rec.observed(schema.target_name):
@@ -408,22 +413,12 @@ def build_sequences(
                     f"internal invariant violated: {pid} has no observed "
                     f"{schema.target_name} at age {age}"
                 )
-            target[i] = rec.features[schema.target_name]
+            target[p, i] = rec.features[schema.target_name]
 
-        category = next(
-            (r.category for r in sorted(rows, key=lambda r: r.age) if r.category),
-            None,
+        categories.append(
+            next((r.category for r in sorted(rows, key=lambda r: r.age) if r.category), None)
         )
-        sequences.append(
-            CareerSequence(
-                player_id=pid,
-                input=matrix,
-                raw_input=matrix.copy(),
-                target=target,
-                category=category,
-            )
-        )
-    return sequences
+    return Split(tuple(complete), tuple(categories), raw, target)
 
 
 def _split_indices(
@@ -440,7 +435,7 @@ def _split_indices(
 
 
 def split_and_normalize(
-    sequences: list[CareerSequence],
+    careers: Split,
     schema: FeatureSchema,
     test_fraction: float = DEFAULT_TEST_FRACTION,
     seed: int = 0,
@@ -449,16 +444,14 @@ def split_and_normalize(
 
     Targets stay in raw BPM units. Constant train features are dropped from
     the normalized inputs with a warning (they carry no signal and would
-    divide by zero); ``raw_input`` keeps every column.
+    divide by zero); ``raw`` keeps every column.
     """
-    test_idx, train_idx = _split_indices(len(sequences), test_fraction, seed)
-    ids = [s.player_id for s in sequences]
+    test_idx, train_idx = _split_indices(len(careers), test_fraction, seed)
+    ids = careers.player_ids
     if len(set(ids)) != len(ids):
-        raise SplitError("duplicate player_id in sequences; cannot guarantee a leak-free split")
-    test_raw = [sequences[i] for i in test_idx]
-    train_raw = [sequences[i] for i in train_idx]
+        raise SplitError("duplicate player_id in careers; cannot guarantee a leak-free split")
 
-    stacked = np.vstack([s.raw_input for s in train_raw])
+    stacked = careers.raw[train_idx].reshape(-1, schema.n_features)
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)
     keep = std > 0.0
@@ -475,18 +468,15 @@ def split_and_normalize(
         dropped=dropped,
     )
 
-    def normalized(seq: CareerSequence) -> CareerSequence:
-        return CareerSequence(
-            player_id=seq.player_id,
-            input=stats.apply(seq.raw_input, schema.names),
-            raw_input=seq.raw_input.copy(),
-            target=seq.target.copy(),
-            category=seq.category,
+    def part(idx) -> Split:
+        raw = careers.raw[idx]
+        return Split(
+            tuple(ids[i] for i in idx), tuple(careers.category[i] for i in idx),
+            raw, careers.target[idx], stats.apply(raw, schema.names),
         )
 
-    train = [normalized(s) for s in train_raw]
-    test = [normalized(s) for s in test_raw]
-    overlap = {s.player_id for s in train} & {s.player_id for s in test}
+    train, test = part(train_idx), part(test_idx)
+    overlap = set(train.player_ids) & set(test.player_ids)
     if overlap:
         raise SplitError(f"players leaked into both splits: {sorted(overlap)}")
     return Dataset(train=train, test=test, norm_stats=stats, seed=seed, schema=schema)
@@ -535,8 +525,7 @@ def ingest_csv(
     complete = {
         pid: impute_missing(rows, schema, medians) for pid, rows in eligible.items()
     }
-    sequences = build_sequences(complete, schema)
-    dataset = split_and_normalize(sequences, schema, test_fraction, seed)
+    dataset = split_and_normalize(build_sequences(complete, schema), schema, test_fraction, seed)
     summary = {
         "rows_parsed": len(records),
         "players_total": len(grouped),

@@ -4,7 +4,7 @@ Each archetype follows a quadratic aging curve: the target peaks at
 ``peak_bpm`` around ``peak_age`` and falls off at rate ``curvature``.
 Every other feature is an affine function of the season's target value
 plus noise, with coefficients drawn once per archetype. Ground-truth
-archetype labels come back alongside the sequences, so clustering
+archetype labels come back alongside the careers, so clustering
 quality is checkable end to end.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .ingest import CATEGORIES, INPUT_AGES, TARGET_AGES, CareerSequence, SeasonRecord
+from .ingest import CATEGORIES, INPUT_AGES, TARGET_AGES, SeasonRecord, Split, build_sequences
 from .rng import substream
 from .schema import FeatureSchema, default_schema
 
@@ -159,11 +159,11 @@ def generate(
     specs: list[ArchetypeSpec],
     seed: int = 0,
     schema: FeatureSchema | None = None,
-) -> tuple[list[CareerSequence], np.ndarray]:
-    """Career sequences in raw units, plus archetype labels.
+) -> tuple[Split, np.ndarray]:
+    """Careers in raw units as one unnormalized ``Split``, plus archetype labels.
 
-    ``input`` equals ``raw_input`` here; normalization belongs to the
-    ingest split. Sequence order matches label order.
+    Normalization belongs to the ingest split. Player order matches label
+    order.
     """
     if schema is None:
         schema = default_schema()
@@ -171,26 +171,7 @@ def generate(
     per_player: dict[str, list[SeasonRecord]] = {}
     for rec in records:
         per_player.setdefault(rec.player_id, []).append(rec)
-
-    sequences = []
-    for pid, rows in per_player.items():
-        by_age = {r.age: r for r in rows}
-        matrix = np.array(
-            [[by_age[age].features[n] for n in schema.names] for age in INPUT_AGES]
-        )
-        target = np.array(
-            [by_age[age].features[schema.target_name] for age in TARGET_AGES]
-        )
-        sequences.append(
-            CareerSequence(
-                player_id=pid,
-                input=matrix,
-                raw_input=matrix.copy(),
-                target=target,
-                category=rows[0].category,
-            )
-        )
-    return sequences, labels
+    return build_sequences(per_player, schema), labels
 
 
 def write_csv(

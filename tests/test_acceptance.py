@@ -13,20 +13,17 @@ import numpy as np
 import pytest
 
 from careercast.autoencoder import ae_train, flatten_batch
-from careercast.baselines import (
-    LinearModel,
-    last_value_predict,
-    linear_fit,
-    penalized_objective,
-)
+from careercast.baselines import LinearModel, last_value_predict, linear_fit
 from careercast.checks import gradcheck_suite
 from careercast.cli import main as cli_main
-from careercast.clustering import kmeans_fit, purity, select_k, silhouette_score
+from careercast.clustering import kmeans_fit, select_k, silhouette_score
 from careercast.evaluation import mae, r2
 from careercast.forecaster import forecaster_train
-from careercast.ingest import CareerSequence, split_and_normalize
+from careercast.ingest import Split, split_and_normalize
 from careercast.schema import default_schema
 from careercast.synth import default_specs, generate
+
+from helpers import penalized_objective, purity
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -161,24 +158,22 @@ def test_cluster_conditioning_beats_standard_lstm():
     forecaster wins on test MAE in at least 8 of 10 seeds, under 5 minutes."""
     t0 = time.monotonic()
     schema = default_schema()
-    seqs, _ = generate(default_specs(), seed=0)
-    assert len(seqs) == 200
+    careers, _ = generate(default_specs(), seed=0)
+    assert len(careers) == 200
 
     wins = 0
     purities = []
     chosen_k = set()
     gaps = []
     for seed in range(10):
-        ds = split_and_normalize(seqs, schema, seed=seed)
-        blocks = np.stack([s.input for s in ds.train])
-        targets = np.stack([s.target for s in ds.train])
-        test_blocks = np.stack([s.input for s in ds.test])
-        test_targets = np.stack([s.target for s in ds.test])
+        ds = split_and_normalize(careers, schema, seed=seed)
+        blocks, targets = ds.train.input, ds.train.target
+        test_blocks, test_targets = ds.test.input, ds.test.target
 
         ae, _ = ae_train(flatten_batch(blocks), seed=seed)
         clusters = select_k(ae.encode(flatten_batch(blocks)), seed=seed)
         chosen_k.add(clusters.k)
-        truth = np.array([1 if s.category == "star" else 0 for s in ds.train])
+        truth = np.array([1 if c == "star" else 0 for c in ds.train.category])
         purities.append(purity(clusters.train_assignments, truth))
 
         conditioned, _ = forecaster_train(
@@ -208,19 +203,17 @@ def test_last_value_is_bit_exact_carry_forward():
     """The carry-forward baseline emits the raw age-28 target value
     triplicated, bit for bit, on hand-built and generated data alike."""
     awkward = 0.1 + 0.2
-    raw = np.zeros((7, 4))
-    raw[-1, 2] = awkward
-    seq = CareerSequence(
-        player_id="p", input=raw * 0.5, raw_input=raw, target=np.zeros(3)
-    )
-    pred = last_value_predict([seq], target_index=2)
+    raw = np.zeros((1, 7, 4))
+    raw[0, -1, 2] = awkward
+    split = Split(("p",), (None,), raw, np.zeros((1, 3)), input=raw * 0.5)
+    pred = last_value_predict(split.raw, target_index=2)
     assert np.array_equal(pred, np.array([[awkward, awkward, awkward]]))
 
     schema = default_schema()
-    seqs, _ = generate(default_specs(n_star=3, n_regular=5), seed=1)
-    pred = last_value_predict(seqs, schema.target_index)
-    for i, s in enumerate(seqs):
-        assert np.array_equal(pred[i], np.array([s.raw_input[-1, schema.target_index]] * 3))
+    careers, _ = generate(default_specs(n_star=3, n_regular=5), seed=1)
+    pred = last_value_predict(careers.raw, schema.target_index)
+    for i, raw in enumerate(careers.raw):
+        assert np.array_equal(pred[i], np.array([raw[-1, schema.target_index]] * 3))
     print("\nPASS carry-forward exactness: raw age-28 value triplicated bit-exact")
 
 

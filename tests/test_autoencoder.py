@@ -8,6 +8,8 @@ from careercast.errors import ShapeError
 from careercast.nn import BatchNorm, Dense, Dropout, ReLU, TrainConfig
 from careercast.rng import substream
 
+from helpers import reconstruction_error
+
 
 def low_rank_data(seed, n=120, dim=20, rank=5, noise=0.0):
     rng = np.random.default_rng(seed)
@@ -57,7 +59,7 @@ def test_encode_shape_and_determinism():
 def test_recovers_low_rank_structure():
     x = low_rank_data(0)
     ae, result = ae_train(x, seed=0, config=TrainConfig(max_epochs=200, patience=30, seed=0))
-    mse = float(np.mean(ae.reconstruction_error(x)))
+    mse = float(np.mean(reconstruction_error(ae, x)))
     assert mse < 0.05
     assert result.best_val_loss < 0.1
 
@@ -66,9 +68,9 @@ def test_recovers_low_rank_structure():
 def test_training_beats_untrained(seed):
     x = low_rank_data(seed + 10, n=80, dim=15)
     untrained = Autoencoder(15, rng=substream(seed, "autoencoder.init"))
-    before = float(np.mean(untrained.reconstruction_error(x)))
+    before = float(np.mean(reconstruction_error(untrained, x)))
     ae, _ = ae_train(x, seed=seed, config=TrainConfig(max_epochs=60, seed=seed))
-    after = float(np.mean(ae.reconstruction_error(x)))
+    after = float(np.mean(reconstruction_error(ae, x)))
     assert after < before
 
 

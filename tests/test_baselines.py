@@ -9,7 +9,6 @@ from careercast.baselines import (
     linear_fit,
     linear_predict,
     mlp_baseline_train,
-    penalized_objective,
 )
 from careercast.errors import (
     NumericError,
@@ -17,39 +16,44 @@ from careercast.errors import (
     RankDeficiencyError,
     ShapeError,
 )
-from careercast.ingest import CareerSequence
+from careercast.ingest import Split
 from careercast.nn import Dense, ReLU, TrainConfig
 
+from helpers import penalized_objective
 
-def make_sequence(pid, final_target_value, n_features=3, target_index=0):
-    raw = np.arange(7 * n_features, dtype=float).reshape(7, n_features)
-    raw[-1, target_index] = final_target_value
-    return CareerSequence(
-        player_id=pid,
+
+def make_split(final_target_values, n_features=3, target_index=0):
+    n = len(final_target_values)
+    raw = np.tile(np.arange(7 * n_features, dtype=float).reshape(7, n_features), (n, 1, 1))
+    raw[:, -1, target_index] = final_target_values
+    return Split(
+        player_ids=tuple(f"p{i}" for i in range(n)),
+        category=(None,) * n,
+        raw=raw,
+        target=np.zeros((n, 3)),
         input=raw * 0.1,
-        raw_input=raw,
-        target=np.zeros(3),
     )
 
 
 def test_last_value_is_bit_exact():
     awkward = 0.1 + 0.2  # 0.30000000000000004, survives only if untouched
-    seqs = [make_sequence("a", awkward), make_sequence("b", -7.25)]
-    pred = last_value_predict(seqs, target_index=0)
+    split = make_split([awkward, -7.25])
+    pred = last_value_predict(split.raw, target_index=0)
     assert pred.shape == (2, 3)
     assert np.array_equal(pred[0], np.array([awkward] * 3))
     assert np.array_equal(pred[1], np.array([-7.25] * 3))
 
 
 def test_last_value_reads_raw_not_normalized():
-    seq = make_sequence("a", 4.5, target_index=1)
-    pred = last_value_predict([seq], target_index=1)
+    split = make_split([4.5], target_index=1)
+    pred = last_value_predict(split.raw, target_index=1)
     assert pred[0, 0] == 4.5  # not the 0.45 sitting in the normalized block
+    assert split.input[0, -1, 1] == pytest.approx(0.45)
 
 
 def test_last_value_rejects_empty():
     with pytest.raises(ParameterError):
-        last_value_predict([], target_index=0)
+        last_value_predict(np.zeros((0, 7, 3)), target_index=0)
 
 
 def test_linear_fit_recovers_exact_planted_weights():

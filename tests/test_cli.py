@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline on a small synthetic pool."""
 
+import csv
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from careercast import artifacts
 from careercast.cli import main
 from careercast.schema import default_schema
-from careercast.synth import default_specs, generate
+from careercast.synth import default_specs, generate, write_csv
 
 SMALL_CONFIG = {
     "autoencoder": {"max_epochs": 8},
@@ -207,6 +208,61 @@ def test_parent_format_artifact_is_refused(pipeline, tmp_path, capsys, name):
     assert "not a careercast-artifact v1" in capsys.readouterr().err
 
 
+def malformed(doc, case):
+    """``doc`` with its first train career broken in one way."""
+    first = doc["train"][0]
+    raw = first["raw_input"]
+    if case == "ragged row":
+        first["raw_input"] = [raw[0][:-1]] + raw[1:]
+    elif case == "47 columns":
+        first["raw_input"] = [row[:-1] for row in raw]
+    elif case == "6 rows":
+        first["raw_input"] = raw[:-1]
+    else:
+        first["target"] = first["target"][:2]
+    return doc
+
+
+@pytest.mark.parametrize("case", ["ragged row", "47 columns", "6 rows", "2 targets"])
+def test_malformed_dataset_is_a_data_error(pipeline, tmp_path, capsys, case):
+    out_dir, _ = pipeline
+    copy = tmp_path / "malformed"
+    shutil.copytree(out_dir, copy)
+    doc = json.loads((copy / "dataset.json").read_text())
+    artifacts.write_json(copy / "dataset.json", malformed(doc, case))
+    rc = main(["stage1", "--config", str(copy / "config.json"), "--out", str(copy)])
+    assert rc == 2
+    assert "dataset.json: corrupt artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case, warning",
+    [
+        ("duplicate", "duplicate season for player syn0000 age 22; keeping first row"),
+        ("constant", "dropping constant train feature(s) before normalization: G"),
+    ],
+)
+def test_ingest_warnings_reach_stderr_once(tmp_path, capsys, case, warning):
+    path = tmp_path / "seasons.csv"
+    write_csv(path, default_specs(n_star=3, n_regular=12), seed=0)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        columns, rows = reader.fieldnames, list(reader)
+    if case == "duplicate":
+        rows.append(dict(rows[0]))
+    else:
+        for row in rows:
+            row["G"] = "70.0"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["ingest", "--out", str(tmp_path / "o"), "--input", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert err.count(warning) == 1
+    assert err.count("\n") == 1
+
+
 def test_evaluate_loads_only_what_the_models_need(pipeline, tmp_path):
     out_dir, _ = pipeline
     copy = tmp_path / "partial"
@@ -305,11 +361,11 @@ def test_predict_requires_exactly_one_source(pipeline, capsys):
 def test_predict_from_rows_csv(pipeline, tmp_path, capsys):
     out_dir, base = pipeline
     schema = default_schema()
-    seqs, _ = generate(default_specs(n_star=1, n_regular=1), seed=99)
+    careers, _ = generate(default_specs(n_star=1, n_regular=1), seed=99)
     rows_path = tmp_path / "rows.csv"
     with open(rows_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(schema.names) + "\n")
-        for row in seqs[0].raw_input:
+        for row in careers.raw[0]:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     rc = main(["predict", *base, "--rows", str(rows_path)])
     assert rc == 0

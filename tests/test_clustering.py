@@ -11,11 +11,12 @@ from careercast.clustering import (
     assign,
     kmeans_fit,
     one_hot,
-    purity,
     select_k,
     silhouette_score,
 )
 from careercast.errors import ParameterError, ShapeError
+
+from helpers import purity
 
 
 def exhaustive_two_cluster_sse(points):

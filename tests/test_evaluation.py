@@ -13,17 +13,23 @@ from careercast.evaluation import (
     mae,
     r2,
 )
-from careercast.ingest import CareerSequence
+from careercast.ingest import Split
 
 
-def make_sequence(pid, target, category=None):
-    block = np.zeros((7, 2))
-    return CareerSequence(
-        player_id=pid,
-        input=block,
-        raw_input=block,
-        target=np.asarray(target, dtype=float),
-        category=category,
+def make_split(*players):
+    """A split of (player_id, target) or (player_id, target, category) tuples."""
+    players = [p if len(p) == 3 else (*p, None) for p in players]
+    return Split(
+        player_ids=tuple(p[0] for p in players),
+        category=tuple(p[2] for p in players),
+        raw=np.zeros((len(players), 7, 2)),
+        target=np.array([p[1] for p in players], dtype=float).reshape(len(players), 3),
+    )
+
+
+def reversed_split(split):
+    return Split(
+        split.player_ids[::-1], split.category[::-1], split.raw[::-1], split.target[::-1]
     )
 
 
@@ -58,18 +64,18 @@ def test_metric_errors():
 
 
 def test_evaluate_pools_players_and_categories():
-    seqs = [
-        make_sequence("a", [1.0, 2.0, 3.0], "star"),
-        make_sequence("b", [0.0, 0.0, 6.0], "regular"),
-        make_sequence("c", [2.0, 2.0, 2.0], "regular"),
-        make_sequence("d", [4.0, 4.0, 4.0]),
-    ]
+    careers = make_split(
+        ("a", [1.0, 2.0, 3.0], "star"),
+        ("b", [0.0, 0.0, 6.0], "regular"),
+        ("c", [2.0, 2.0, 2.0], "regular"),
+        ("d", [4.0, 4.0, 4.0]),
+    )
     offset = np.array([1.0, -1.0, 0.5])
 
-    def predictor(sequences):
-        return np.stack([s.target for s in sequences]) + offset
+    def predictor(split):
+        return split.target + offset
 
-    report = evaluate("toy", predictor, seqs)
+    report = evaluate("toy", predictor, careers)
     assert report.model_name == "toy"
     expected_mae = np.abs(offset).mean()
     assert report.overall.mae == pytest.approx(expected_mae, abs=1e-12)
@@ -86,42 +92,39 @@ def test_evaluate_pools_players_and_categories():
 
 
 def test_evaluate_is_order_invariant():
-    seqs = [
-        make_sequence("a", [1.0, 2.0, 3.0], "star"),
-        make_sequence("b", [-2.0, 0.0, 1.0], "regular"),
-        make_sequence("c", [0.5, 0.5, 0.5], "star"),
-    ]
+    careers = make_split(
+        ("a", [1.0, 2.0, 3.0], "star"),
+        ("b", [-2.0, 0.0, 1.0], "regular"),
+        ("c", [0.5, 0.5, 0.5], "star"),
+    )
 
-    def predictor(sequences):
-        return np.stack([s.target * 0.9 for s in sequences])
+    def predictor(split):
+        return split.target * 0.9
 
-    forward = evaluate("m", predictor, seqs)
-    backward = evaluate("m", predictor, seqs[::-1])
+    forward = evaluate("m", predictor, careers)
+    backward = evaluate("m", predictor, reversed_split(careers))
     assert forward.overall.mae == pytest.approx(backward.overall.mae, abs=1e-12)
     assert forward.overall.r2 == pytest.approx(backward.overall.r2, abs=1e-12)
 
 
 def test_evaluate_handles_zero_variance_targets():
-    seqs = [make_sequence("a", [2.0, 2.0, 2.0]), make_sequence("b", [2.0, 2.0, 2.0])]
-    report = evaluate("m", lambda s: np.full((2, 3), 2.5), seqs)
+    careers = make_split(("a", [2.0, 2.0, 2.0]), ("b", [2.0, 2.0, 2.0]))
+    report = evaluate("m", lambda s: np.full((2, 3), 2.5), careers)
     assert report.overall.r2 is None
     assert report.overall.mae == 0.5
 
 
 def test_evaluate_validation():
     with pytest.raises(ParameterError):
-        evaluate("m", lambda s: np.zeros((0, 3)), [])
-    seqs = [make_sequence("a", [1.0, 2.0, 3.0])]
+        evaluate("m", lambda s: np.zeros((0, 3)), make_split())
+    careers = make_split(("a", [1.0, 2.0, 3.0]))
     with pytest.raises(ShapeError):
-        evaluate("m", lambda s: np.zeros((1, 2)), seqs)
+        evaluate("m", lambda s: np.zeros((1, 2)), careers)
 
 
 def test_export_curves_player_rows():
-    seqs = [
-        make_sequence("a", [1.0, 2.0, 3.0], "star"),
-        make_sequence("b", [4.0, 5.0, 6.0]),
-    ]
-    report = evaluate("m", lambda s: np.stack([q.target for q in s]) + 1.0, seqs)
+    careers = make_split(("a", [1.0, 2.0, 3.0], "star"), ("b", [4.0, 5.0, 6.0]))
+    report = evaluate("m", lambda s: s.target + 1.0, careers)
     columns, rows = export_curves(report, by="player")
     assert columns == ("series", "age", "actual", "predicted")
     assert len(rows) == 6
@@ -130,12 +133,12 @@ def test_export_curves_player_rows():
 
 
 def test_export_curves_category_means():
-    seqs = [
-        make_sequence("a", [1.0, 2.0, 3.0], "star"),
-        make_sequence("b", [3.0, 4.0, 5.0], "star"),
-        make_sequence("c", [0.0, 0.0, 0.0]),
-    ]
-    report = evaluate("m", lambda s: np.stack([q.target for q in s]) * 2.0, seqs)
+    careers = make_split(
+        ("a", [1.0, 2.0, 3.0], "star"),
+        ("b", [3.0, 4.0, 5.0], "star"),
+        ("c", [0.0, 0.0, 0.0]),
+    )
+    report = evaluate("m", lambda s: s.target * 2.0, careers)
     columns, rows = export_curves(report, by="category")
     by_series = {}
     for series, age, actual, predicted in rows:
@@ -146,12 +149,12 @@ def test_export_curves_category_means():
     with pytest.raises(ParameterError):
         export_curves(report, by="team")
     with pytest.raises(ParameterError):
-        export_curves(EvalReport(model_name="empty"))
+        export_curves(EvalReport("empty", (), (), np.empty((0, 3)), np.empty((0, 3))))
 
 
 def test_export_scatter():
-    seqs = [make_sequence("a", [1.0, 2.0, 3.0], "star"), make_sequence("b", [0.0, 0.0, 0.0])]
-    report = evaluate("m", lambda s: np.stack([q.target for q in s]) - 1.0, seqs)
+    careers = make_split(("a", [1.0, 2.0, 3.0], "star"), ("b", [0.0, 0.0, 0.0]))
+    report = evaluate("m", lambda s: s.target - 1.0, careers)
     columns, rows = export_scatter(report)
     assert columns == ("age", "actual", "predicted", "category")
     assert rows[0] == (29, 1.0, 0.0, "star")

@@ -12,7 +12,7 @@ from careercast.errors import (
 )
 from careercast.ingest import (
     INPUT_AGES,
-    CareerSequence,
+    Split,
     build_sequences,
     impute_missing,
     ingest_csv,
@@ -171,13 +171,15 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
     peers = [r for rs in eligible.values() for r in rs]
     medians = peer_medians(peers, small_schema)
     complete = {"great": impute_missing(eligible["great"], small_schema, medians)}
-    seqs = build_sequences(complete, small_schema)
-    assert len(seqs) == 1
-    seq = seqs[0]
-    assert seq.input.shape == (7, 4)
-    assert np.array_equal(seq.target, np.array([8.80, 7.10, 9.00]))
+    careers = build_sequences(complete, small_schema)
+    assert len(careers) == 1
+    assert careers.player_ids == ("great",)
+    assert careers.input.shape == (1, 7, 4)
+    assert np.array_equal(careers.target[0], np.array([8.80, 7.10, 9.00]))
     ti = small_schema.target_index
-    assert np.array_equal(seq.input[:, ti], np.array([4.1, 5.0, 5.5, 6.2, 6.8, 7.3, 7.9]))
+    assert np.array_equal(
+        careers.input[0, :, ti], np.array([4.1, 5.0, 5.5, 6.2, 6.8, 7.3, 7.9])
+    )
 
 
 def gappy_pool(schema, seed, cell_share=0.1, player_share=0.2):
@@ -328,82 +330,103 @@ def test_imputation_medians_ignore_test_players(small_schema, write_season_csv):
         return ingest_csv(path, small_schema, test_fraction=0.25, seed=0)[0]
 
     split = ingest()
-    test_ids = {s.player_id for s in split.test}
-    gap = split.train[0].player_id
+    test_ids = set(split.test.player_ids)
+    gap = split.train.player_ids[0]
     low = ingest(gap, 0.0, test_ids)
     high = ingest(gap, 1.0, test_ids)
     for ds in (low, high):
-        assert [s.player_id for s in ds.train] == [s.player_id for s in split.train]
-    for a, b in zip(low.train, high.train):
-        assert np.array_equal(a.raw_input, b.raw_input)
-    train_values = [0.40 + 0.01 * int(s.player_id[1:]) for s in split.train[1:]]
-    filled = low.train[0].raw_input[INPUT_AGES.index(24), small_schema.names.index("TS%")]
+        assert ds.train.player_ids == split.train.player_ids
+    assert np.array_equal(low.train.raw, high.train.raw)
+    train_values = [0.40 + 0.01 * int(pid[1:]) for pid in split.train.player_ids[1:]]
+    filled = low.train.raw[0, INPUT_AGES.index(24), small_schema.names.index("TS%")]
     assert filled == np.median(train_values)
 
 
-def make_sequences(n, n_features, rng):
-    seqs = []
-    for i in range(n):
-        block = rng.normal(size=(7, n_features))
-        seqs.append(
-            CareerSequence(
-                player_id=f"p{i:03d}",
-                input=block,
-                raw_input=block.copy(),
-                target=rng.normal(size=3),
-                category="star" if i % 4 == 0 else "regular",
-            )
-        )
-    return seqs
+def make_careers(n, n_features, rng, constant_column=None):
+    draws = [(rng.normal(size=(7, n_features)), rng.normal(size=3)) for _ in range(n)]
+    raw = np.stack([block for block, _ in draws])
+    target = np.stack([t for _, t in draws])
+    if constant_column is not None:
+        raw[:, :, constant_column] = 70.0
+    return Split(
+        player_ids=tuple(f"p{i:03d}" for i in range(n)),
+        category=tuple("star" if i % 4 == 0 else "regular" for i in range(n)),
+        raw=raw,
+        target=target,
+    )
+
+
+def take(careers, idx):
+    return Split(
+        tuple(careers.player_ids[i] for i in idx),
+        tuple(careers.category[i] for i in idx),
+        careers.raw[idx],
+        careers.target[idx],
+    )
 
 
 def test_split_normalizes_with_train_stats_only(small_schema):
     rng = np.random.default_rng(7)
-    seqs = make_sequences(30, small_schema.n_features, rng)
-    ds = split_and_normalize(seqs, small_schema, test_fraction=0.2, seed=3)
+    careers = make_careers(30, small_schema.n_features, rng)
+    ds = split_and_normalize(careers, small_schema, test_fraction=0.2, seed=3)
     assert len(ds.test) == 6
     assert len(ds.train) == 24
-    assert not {s.player_id for s in ds.train} & {s.player_id for s in ds.test}
+    assert not set(ds.train.player_ids) & set(ds.test.player_ids)
 
-    raw = {s.player_id: s for s in seqs}
-    stacked = np.vstack([raw[s.player_id].raw_input for s in ds.train])
+    row = {pid: i for i, pid in enumerate(careers.player_ids)}
+    stacked = np.vstack([careers.raw[row[pid]] for pid in ds.train.player_ids])
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)
     for split in (ds.train, ds.test):
-        for seq in split:
-            expected = (raw[seq.player_id].raw_input - mean) / std
-            assert np.allclose(seq.input, expected, atol=1e-12)
-            assert np.array_equal(seq.raw_input, raw[seq.player_id].raw_input)
+        for pid, raw, normalized, target in zip(
+            split.player_ids, split.raw, split.input, split.target
+        ):
+            expected = (careers.raw[row[pid]] - mean) / std
+            assert np.allclose(normalized, expected, atol=1e-12)
+            assert np.array_equal(raw, careers.raw[row[pid]])
+            assert np.array_equal(target, careers.target[row[pid]])
 
-    again = split_and_normalize(seqs, small_schema, test_fraction=0.2, seed=3)
-    assert [s.player_id for s in again.train] == [s.player_id for s in ds.train]
-    other = split_and_normalize(seqs, small_schema, test_fraction=0.2, seed=4)
-    assert [s.player_id for s in other.test] != [s.player_id for s in ds.test]
+    again = split_and_normalize(careers, small_schema, test_fraction=0.2, seed=3)
+    assert again.train.player_ids == ds.train.player_ids
+    other = split_and_normalize(careers, small_schema, test_fraction=0.2, seed=4)
+    assert other.test.player_ids != ds.test.player_ids
 
 
 def test_split_drops_constant_features(small_schema):
     rng = np.random.default_rng(0)
-    seqs = make_sequences(12, small_schema.n_features, rng)
-    for seq in seqs:
-        seq.raw_input[:, 3] = 70.0
-        seq.input[:, 3] = 70.0
-    ds = split_and_normalize(seqs, small_schema, seed=0)
+    careers = make_careers(12, small_schema.n_features, rng, constant_column=3)
+    ds = split_and_normalize(careers, small_schema, seed=0)
     assert ds.norm_stats.dropped == ("G",)
     assert ds.norm_stats.names == ("BPM", "PTS", "TS%")
-    assert ds.train[0].input.shape == (7, 3)
-    assert ds.train[0].raw_input.shape == (7, 4)
+    assert ds.train.input.shape[1:] == (7, 3)
+    assert ds.train.raw.shape[1:] == (7, 4)
 
 
 def test_split_rejects_degenerate_inputs(small_schema):
     rng = np.random.default_rng(1)
-    seqs = make_sequences(6, small_schema.n_features, rng)
+    careers = make_careers(6, small_schema.n_features, rng)
     with pytest.raises(SplitError):
-        split_and_normalize(seqs, small_schema, test_fraction=1.5)
+        split_and_normalize(careers, small_schema, test_fraction=1.5)
     with pytest.raises(SplitError):
-        split_and_normalize(seqs[:1], small_schema)
-    dupes = seqs + [seqs[0]]
+        split_and_normalize(take(careers, [0]), small_schema)
+    dupes = take(careers, [0, 1, 2, 3, 4, 5, 0])
     with pytest.raises(SplitError):
         split_and_normalize(dupes, small_schema)
+
+
+def test_split_rejects_wrong_shapes():
+    ids, cats = ("a", "b"), ("star", None)
+    Split(ids, cats, np.zeros((2, 7, 4)), np.zeros((2, 3)))
+    with pytest.raises(IngestError, match="career block"):
+        Split(ids, cats, np.zeros((2, 6, 4)), np.zeros((2, 3)))
+    with pytest.raises(IngestError, match="career block"):
+        Split(ids, cats, np.zeros((7, 4)), np.zeros((2, 3)))
+    with pytest.raises(IngestError, match="career block"):
+        Split(ids, cats, np.zeros((3, 7, 4)), np.zeros((2, 3)))
+    with pytest.raises(IngestError, match="target"):
+        Split(ids, cats, np.zeros((2, 7, 4)), np.zeros((2, 2)))
+    with pytest.raises(IngestError, match="target"):
+        Split(ids, cats, np.zeros((2, 7, 4)), np.zeros(6))
 
 
 def test_ingest_csv_summary(small_schema, write_season_csv):

@@ -1,5 +1,6 @@
 """Value-exact persistence of models and datasets, and the artifact envelope."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from careercast.artifacts import (
     DATASET,
+    canonical_json,
     dataset_to_doc,
     envelope,
     load_chain,
@@ -15,10 +17,12 @@ from careercast.artifacts import (
     write_json,
 )
 from careercast.errors import ArtifactError
-from careercast.ingest import CareerSequence, split_and_normalize
+from careercast.ingest import Split, ingest_csv, split_and_normalize
 from careercast.nn import LSTM, BatchNorm, Dense, Dropout, ReLU, Sequential
 from careercast.nn.serialize import layer_from_doc, layer_to_doc
 from careercast.rng import substream
+from careercast.schema import default_schema
+from careercast.synth import default_specs, write_csv
 
 
 def round_trip(layer, tmp_path):
@@ -124,20 +128,19 @@ def test_read_json_errors(tmp_path):
 def small_dataset(schema):
     """A seeded split of 20 careers whose second column is constant (and so dropped)."""
     rng = np.random.default_rng(11)
-    seqs = []
-    for i in range(20):
-        raw = rng.normal(size=(7, schema.n_features)) * 10.0 / 3.0
-        raw[:, 1] = 12.5  # a constant middle column, so the kept-column mask matters
-        seqs.append(
-            CareerSequence(
-                player_id=f"p{i:02d}",
-                input=raw,
-                raw_input=raw,
-                target=rng.normal(size=3),
-                category=("star", "regular", None)[i % 3],
-            )
-        )
-    return split_and_normalize(seqs, schema, test_fraction=0.25, seed=2)
+    draws = [
+        (rng.normal(size=(7, schema.n_features)) * 10.0 / 3.0, rng.normal(size=3))
+        for _ in range(20)
+    ]
+    raw = np.stack([block for block, _ in draws])
+    raw[:, :, 1] = 12.5  # a constant middle column, so the kept-column mask matters
+    careers = Split(
+        player_ids=tuple(f"p{i:02d}" for i in range(20)),
+        category=tuple(("star", "regular", None)[i % 3] for i in range(20)),
+        raw=raw,
+        target=np.stack([target for _, target in draws]),
+    )
+    return split_and_normalize(careers, schema, test_fraction=0.25, seed=2)
 
 
 def test_load_chain_refuses_foreign_documents(small_schema, tmp_path):
@@ -168,12 +171,21 @@ def test_dataset_round_trip_recomputes_inputs_bit_exactly(small_schema, tmp_path
         assert getattr(loaded.norm_stats, attr).tobytes() == getattr(ds.norm_stats, attr).tobytes()
     for split in ("train", "test"):
         before, after = getattr(ds, split), getattr(loaded, split)
-        assert [s.player_id for s in after] == [s.player_id for s in before]
-        for a, b in zip(after, before):
-            assert a.input.shape == (7, 3)
-            for attr in ("input", "raw_input", "target"):
-                assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
-            assert a.category == b.category
+        assert after.player_ids == before.player_ids
+        assert after.input.shape[1:] == (7, 3)
+        for attr in ("input", "raw", "target"):
+            assert getattr(after, attr).tobytes() == getattr(before, attr).tobytes()
+        assert after.category == before.category
+
+
+def test_dataset_document_bytes_are_pinned(tmp_path):
+    """The dataset document of a small seeded pool hashes to a fixed SHA-256."""
+    schema = default_schema()
+    path = tmp_path / "pool.csv"
+    write_csv(path, default_specs(n_star=3, n_regular=9), seed=5, schema=schema)
+    ds, summary = ingest_csv(path, schema, seed=5)
+    digest = hashlib.sha256(canonical_json(dataset_to_doc(ds, summary))).hexdigest()
+    assert digest == "462c61387a16cb5d64cc017b51c656efdeede14b411de1ade8aaae8d6ebd4089"
 
 
 def test_unknown_layer_types_are_rejected():

@@ -46,51 +46,48 @@ def test_generation_is_deterministic():
     a, labels_a = generate(small_specs(), seed=11)
     b, labels_b = generate(small_specs(), seed=11)
     assert np.array_equal(labels_a, labels_b)
-    for sa, sb in zip(a, b):
-        assert sa.player_id == sb.player_id
-        assert np.array_equal(sa.raw_input, sb.raw_input)
-        assert np.array_equal(sa.target, sb.target)
+    assert a.player_ids == b.player_ids
+    assert np.array_equal(a.raw, b.raw)
+    assert np.array_equal(a.target, b.target)
     c, _ = generate(small_specs(), seed=12)
-    assert not np.array_equal(a[0].raw_input, c[0].raw_input)
+    assert not np.array_equal(a.raw[0], c.raw[0])
 
 
 def test_counts_labels_and_categories():
-    seqs, labels = generate(small_specs(), seed=0)
-    assert len(seqs) == 8
+    careers, labels = generate(small_specs(), seed=0)
+    assert len(careers) == 8
     assert labels.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
-    assert [s.category for s in seqs] == ["star"] * 3 + ["regular"] * 5
-    assert len({s.player_id for s in seqs}) == 8
-    for s in seqs:
-        assert s.raw_input.shape == (7, 48)
-        assert np.array_equal(s.input, s.raw_input)
+    assert careers.category == ("star",) * 3 + ("regular",) * 5
+    assert len(set(careers.player_ids)) == 8
+    assert careers.raw.shape == (8, 7, 48)
+    assert np.array_equal(careers.input, careers.raw)
 
 
 def test_noiseless_careers_follow_the_curve_exactly():
     specs = small_specs(noise_std=0.0)
-    seqs, labels = generate(specs, seed=3)
+    careers, labels = generate(specs, seed=3)
     schema = default_schema()
     t = schema.target_index
     input_curve = {a: bpm_curve(specs[a], np.array(INPUT_AGES, dtype=float)) for a in (0, 1)}
     target_curve = {a: bpm_curve(specs[a], np.array(TARGET_AGES, dtype=float)) for a in (0, 1)}
-    for seq, label in zip(seqs, labels):
-        assert np.array_equal(seq.raw_input[:, t], input_curve[label])
-        assert np.array_equal(seq.target, target_curve[label])
+    for raw, target, label in zip(careers.raw, careers.target, labels):
+        assert np.array_equal(raw[:, t], input_curve[label])
+        assert np.array_equal(target, target_curve[label])
     # the star spec peaks at an input age, so its max sits exactly there
-    star = seqs[0]
-    assert star.raw_input[INPUT_AGES.index(25), t] == 4.0
+    assert careers.raw[0, INPUT_AGES.index(25), t] == 4.0
 
     # carry-forward error in closed form: |curve(29..31) - curve(28)|
-    pred = last_value_predict(seqs, t)
+    pred = last_value_predict(careers.raw, t)
     for i, label in enumerate(labels):
         expected = np.abs(target_curve[label] - input_curve[label][-1])
-        assert np.array_equal(np.abs(pred[i] - seqs[i].target), expected)
+        assert np.array_equal(np.abs(pred[i] - careers.target[i]), expected)
 
 
 def test_noiseless_players_of_one_archetype_are_identical():
-    seqs, _ = generate(small_specs(noise_std=0.0), seed=4)
-    assert np.array_equal(seqs[0].raw_input, seqs[1].raw_input)
-    assert np.array_equal(seqs[3].raw_input, seqs[4].raw_input)
-    assert not np.array_equal(seqs[0].raw_input, seqs[3].raw_input)
+    careers, _ = generate(small_specs(noise_std=0.0), seed=4)
+    assert np.array_equal(careers.raw[0], careers.raw[1])
+    assert np.array_equal(careers.raw[3], careers.raw[4])
+    assert not np.array_equal(careers.raw[0], careers.raw[3])
 
 
 def test_spec_validation():
@@ -151,11 +148,11 @@ def test_csv_round_trip_matches_direct_generation(tmp_path):
     }
     parsed = build_sequences(complete, schema)
 
-    direct_by_id = {s.player_id: s for s in direct}
-    assert sorted(direct_by_id) == sorted(s.player_id for s in parsed)
-    for seq in parsed:
-        ref = direct_by_id[seq.player_id]
+    row = {pid: i for i, pid in enumerate(direct.player_ids)}
+    assert sorted(row) == sorted(parsed.player_ids)
+    for i, pid in enumerate(parsed.player_ids):
+        ref = row[pid]
         # repr-formatted floats reparse to the identical doubles
-        assert np.array_equal(seq.raw_input, ref.raw_input)
-        assert np.array_equal(seq.target, ref.target)
-        assert seq.category == ref.category
+        assert np.array_equal(parsed.raw[i], direct.raw[ref])
+        assert np.array_equal(parsed.target[i], direct.target[ref])
+        assert parsed.category[i] == direct.category[ref]
