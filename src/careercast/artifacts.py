@@ -24,7 +24,7 @@ import numpy as np
 
 from .autoencoder import Autoencoder
 from .clustering import ClusterModel
-from .errors import ArtifactError
+from .errors import ArtifactError, SchemaError
 from .forecaster import Forecaster
 from .ingest import INPUT_AGES, TARGET_AGES, Dataset, NormStats, Split
 from .schema import FeatureSchema
@@ -208,11 +208,23 @@ def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
 def dataset_from_doc(doc: dict) -> Dataset:
     """Rebuild a dataset from its document, re-normalizing each ``raw_input``.
 
-    A split whose rows do not stack into an (n, 7, features) block with an
-    (n, 3) target is refused as a corrupt artifact.
+    A missing or malformed ``schema``, ``norm_stats`` or ``seed``, or a
+    split whose rows do not stack into an (n, 7, features) block with an
+    (n, 3) target, is refused as a corrupt artifact.
     """
-    schema = FeatureSchema.from_doc(doc["schema"])
-    stats = NormStats.from_doc(doc["norm_stats"])
+    try:
+        schema = FeatureSchema.from_doc(doc["schema"])
+        stats = NormStats.from_doc(doc["norm_stats"])
+        seed = int(doc["seed"])
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
+        raise ArtifactError(f"{DATASET}: corrupt artifact: {exc!r}") from None
+    kept = tuple(name for name in schema.names if name in stats.names)
+    if kept != stats.names or not stats.mean.shape == stats.std.shape == (len(kept),):
+        raise ArtifactError(
+            f"{DATASET}: corrupt artifact: norm_stats must name schema columns in "
+            f"schema order with one mean and one std each; found {len(stats.names)} "
+            f"names, {stats.mean.shape} means and {stats.std.shape} stds"
+        )
 
     def split(name) -> Split:
         try:
@@ -235,6 +247,6 @@ def dataset_from_doc(doc: dict) -> Dataset:
         train=split("train"),
         test=split("test"),
         norm_stats=stats,
-        seed=int(doc["seed"]),
+        seed=seed,
         schema=schema,
     )

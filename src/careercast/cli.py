@@ -235,15 +235,13 @@ def cmd_stage2(args) -> int:
         )
         out_name = FORECASTER_STANDARD
     else:
-        ae, clusters = chain[AUTOENCODER].value, chain[CLUSTERS].value
-        assignments = clusters.train_assignments
-        if tuple(clusters.train_player_ids) != dataset.train.player_ids:
-            # stored assignment order cannot be trusted; recompute from scratch
-            assignments = clusters.assign(ae.encode(flatten_batch(blocks)))
+        # load_chain has matched clusters.json to this dataset.json, so the
+        # stored assignments are in train-player order
+        clusters = chain[CLUSTERS].value
         model, result = forecaster_train(
             blocks,
             targets,
-            assignments=assignments,
+            assignments=clusters.train_assignments,
             k=clusters.k,
             seed=cfg.seed,
             config=train_cfg,
@@ -403,10 +401,12 @@ def _parse_rows_csv(path, schema):
             try:
                 matrix[i, j] = float(row[name])
             except (TypeError, ValueError):
+                matrix[i, j] = np.nan
+            if not np.isfinite(matrix[i, j]):
                 raise IngestError(
-                    f"{path}: row {i + 2}: column {name!r} is not a number "
+                    f"{path}: row {i + 2}: column {name!r} is not a finite number "
                     f"({row[name]!r})"
-                ) from None
+                )
     return matrix
 
 

@@ -16,6 +16,7 @@ from .errors import ConfigError, ShapeError
 from .nn import (
     LSTM,
     Dense,
+    Layer,
     ReLU,
     Sequential,
     TrainConfig,
@@ -29,7 +30,7 @@ N_HIDDEN = 64
 N_OUTPUTS = 3
 
 
-class Forecaster:
+class Forecaster(Layer):
     """LSTM encoder plus dense head; ``k`` > 0 adds a one-hot cluster input."""
 
     def __init__(self, n_features: int, k: int = 0, rng: np.random.Generator | None = None):
@@ -100,24 +101,8 @@ class Forecaster:
         self.lstm.backward(grad_hidden[:, : self.n_hidden])
         return None
 
-    def param_items(self):
-        items = [("lstm." + n, p) for n, p in self.lstm.param_items()]
-        items += [("head." + n, p) for n, p in self.head.param_items()]
-        return items
-
-    def grad_items(self):
-        items = [("lstm." + n, g) for n, g in self.lstm.grad_items()]
-        items += [("head." + n, g) for n, g in self.head.grad_items()]
-        return items
-
-    def state_items(self):
-        items = [("lstm." + n, s) for n, s in self.lstm.state_items()]
-        items += [("head." + n, s) for n, s in self.head.state_items()]
-        return items
-
-    def bind(self, views):
-        self.lstm.bind(views)
-        self.head.bind(views)
+    def children(self):
+        return [("lstm", self.lstm), ("head", self.head)]
 
     def predict_batch(self, blocks: np.ndarray, assignments=None) -> np.ndarray:
         """Inference on (n, steps, n_features) blocks; assignments required if k > 0."""

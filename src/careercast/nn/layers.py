@@ -4,6 +4,9 @@ Everything runs in float64 on plain numpy arrays. Each layer caches what
 its backward pass needs during ``forward(train=True)``; parameters are
 updated in place by the optimizer, so the arrays returned by
 ``param_items`` stay live across training steps.
+
+Each layer class names its arrays, constructor arguments and sub-layers
+once (see ``Layer``); parameter access, binding and ``nn.serialize`` read them.
 """
 
 from __future__ import annotations
@@ -20,15 +23,23 @@ def _sigmoid(x):
 
 
 class Layer:
-    """Base interface: forward/backward plus named parameter access.
+    """Base interface: forward/backward plus named array access.
 
     ``params`` names the trainable attributes in a fixed order; each has a
     ``grad_<name>`` twin of the same shape. ``backward`` writes gradients
     into those twin arrays rather than rebinding them, because
-    ``train_loop`` binds both to views of one flat buffer each.
+    ``train_loop`` binds both to views of one flat buffer each. ``state``
+    names arrays that are not trained but still shape inference, and
+    ``config`` names the constructor arguments, in order, so that
+    ``cls(*config values)`` rebuilds the layer's shape. ``children``
+    returns a composite's named sub-layers; every ``*_items`` list and
+    ``bind`` walk them after the layer's own arrays, prefixing each
+    child's names with ``"<name>."``.
     """
 
     params: tuple[str, ...] = ()
+    state: tuple[str, ...] = ()
+    config: tuple[str, ...] = ()
 
     def forward(self, x, train: bool = False, rng=None):
         raise NotImplementedError
@@ -36,17 +47,27 @@ class Layer:
     def backward(self, grad_out):
         raise NotImplementedError
 
+    def children(self) -> list[tuple[str, "Layer"]]:
+        """Named sub-layers, in the order their arrays are listed."""
+        return []
+
+    def _items(self, kind: str, attr_prefix: str = "") -> list[tuple[str, np.ndarray]]:
+        items = [(name, getattr(self, attr_prefix + name)) for name in getattr(self, kind)]
+        for child_name, child in self.children():
+            items += [(f"{child_name}.{n}", a) for n, a in child._items(kind, attr_prefix)]
+        return items
+
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """Trainable arrays, in a fixed order."""
-        return [(name, getattr(self, name)) for name in self.params]
+        return self._items("params")
 
     def grad_items(self) -> list[tuple[str, np.ndarray]]:
-        """Gradients aligned one-to-one with ``param_items``."""
-        return [(name, getattr(self, "grad_" + name)) for name in self.params]
+        """Gradients aligned one-to-one with ``param_items``, under the same names."""
+        return self._items("params", "grad_")
 
     def state_items(self) -> list[tuple[str, np.ndarray]]:
         """Non-trained arrays that still define inference behavior."""
-        return []
+        return self._items("state")
 
     def bind(self, views) -> None:
         """Move each parameter and its gradient into the next pair of ``views``.
@@ -61,12 +82,15 @@ class Layer:
             grad[...] = getattr(self, "grad_" + name)
             setattr(self, name, param)
             setattr(self, "grad_" + name, grad)
+        for _, child in self.children():
+            child.bind(views)
 
 
 class Dense(Layer):
     """Affine map: ``y = x @ W.T + b`` with weight shape (out, in)."""
 
     params = ("weight", "bias")
+    config = ("n_in", "n_out")
 
     def __init__(self, n_in: int, n_out: int, rng=None):
         self.n_in = n_in
@@ -113,6 +137,8 @@ class BatchNorm(Layer):
     """
 
     params = ("scale", "shift")
+    state = ("running_mean", "running_var")
+    config = ("n", "momentum", "eps")
 
     def __init__(self, n: int, momentum: float = 0.9, eps: float = 1e-5):
         self.n = n
@@ -162,13 +188,12 @@ class BatchNorm(Layer):
             - self._normed * self.grad_scale
         )
 
-    def state_items(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
 
 class Dropout(Layer):
     """Inverted dropout: zero with probability ``rate`` at train time and
     scale survivors by 1/(1-rate); inference is the identity."""
+
+    config = ("rate",)
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -202,6 +227,7 @@ class LSTM(Layer):
     """
 
     params = ("w_input", "w_hidden", "bias")
+    config = ("n_in", "n_hidden")
 
     def __init__(self, n_in: int, n_hidden: int, rng=None):
         self.n_in = n_in
@@ -300,27 +326,5 @@ class Sequential(Layer):
             grad_out = layer.backward(grad_out)
         return grad_out
 
-    def param_items(self):
-        return [
-            (f"{idx}.{name}", arr)
-            for idx, layer in enumerate(self.layers)
-            for name, arr in layer.param_items()
-        ]
-
-    def grad_items(self):
-        return [
-            (f"{idx}.{name}", arr)
-            for idx, layer in enumerate(self.layers)
-            for name, arr in layer.grad_items()
-        ]
-
-    def state_items(self):
-        return [
-            (f"{idx}.{name}", arr)
-            for idx, layer in enumerate(self.layers)
-            for name, arr in layer.state_items()
-        ]
-
-    def bind(self, views):
-        for layer in self.layers:
-            layer.bind(views)
+    def children(self):
+        return [(str(idx), layer) for idx, layer in enumerate(self.layers)]

@@ -209,10 +209,14 @@ def test_parent_format_artifact_is_refused(pipeline, tmp_path, capsys, name):
 
 
 def malformed(doc, case):
-    """``doc`` with its first train career broken in one way."""
+    """``doc`` with its header or its first train career broken in one way."""
     first = doc["train"][0]
     raw = first["raw_input"]
-    if case == "ragged row":
+    if case.startswith("no "):
+        del doc[case[3:]]
+    elif case == "short mean":
+        doc["norm_stats"]["mean"] = doc["norm_stats"]["mean"][:-1]
+    elif case == "ragged row":
         first["raw_input"] = [raw[0][:-1]] + raw[1:]
     elif case == "47 columns":
         first["raw_input"] = [row[:-1] for row in raw]
@@ -223,7 +227,13 @@ def malformed(doc, case):
     return doc
 
 
-@pytest.mark.parametrize("case", ["ragged row", "47 columns", "6 rows", "2 targets"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "ragged row", "47 columns", "6 rows", "2 targets",
+        "short mean", "no schema", "no norm_stats", "no seed",
+    ],
+)
 def test_malformed_dataset_is_a_data_error(pipeline, tmp_path, capsys, case):
     out_dir, _ = pipeline
     copy = tmp_path / "malformed"
@@ -372,6 +382,27 @@ def test_predict_from_rows_csv(pipeline, tmp_path, capsys):
     assert "age 30:" in capsys.readouterr().out
     table = (out_dir / "reports" / "predictions.csv").read_text()
     assert "file:rows.csv" in table
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_predict_refuses_non_finite_rows(pipeline, tmp_path, capsys, cell):
+    out_dir, base = pipeline
+    schema = default_schema()
+    careers, _ = generate(default_specs(n_star=1, n_regular=1), seed=99)
+    rows = careers.raw[0].astype(object)
+    rows[3, schema.names.index("PTS")] = cell
+    rows_path = tmp_path / "rows.csv"
+    with open(rows_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(schema.names) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
+    predictions = out_dir / "reports" / "predictions.csv"
+    before = predictions.read_bytes() if predictions.exists() else None
+    rc = main(["predict", *base, "--rows", str(rows_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"row 5: column 'PTS' is not a finite number ('{cell}')" in err
+    assert (predictions.read_bytes() if predictions.exists() else None) == before
 
 
 def test_gradcheck_command(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from careercast.errors import ParameterError, ShapeError
+from careercast.forecaster import Forecaster
 from careercast.nn import BatchNorm, Dense, Dropout, LSTM, ReLU, Sequential
 from careercast.rng import substream
 
@@ -154,5 +155,13 @@ def test_sequential_composes_and_prefixes_names():
     x = np.random.default_rng(4).normal(size=(5, 4))
     manual = d2.forward(ReLU().forward(d1.forward(x)))
     assert np.allclose(model.forward(x), manual, atol=1e-15)
-    names = [name for name, _ in model.param_items()]
-    assert names == ["0.weight", "0.bias", "2.weight", "2.bias"]
+    forecaster_names = ["lstm.w_input", "lstm.w_hidden", "lstm.bias"] + [
+        f"head.{i}.{name}" for i in (0, 2, 4) for name in ("weight", "bias")
+    ]
+    for composite, expected in [
+        (model, ["0.weight", "0.bias", "2.weight", "2.bias"]),
+        (Forecaster(3, k=2), forecaster_names),
+    ]:
+        # training flattens, and Adam keeps its slots, in this order
+        assert [name for name, _ in composite.param_items()] == expected
+        assert [name for name, _ in composite.grad_items()] == expected

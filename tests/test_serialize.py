@@ -16,10 +16,12 @@ from careercast.artifacts import (
     write_artifact,
     write_json,
 )
+from careercast.autoencoder import Autoencoder
 from careercast.errors import ArtifactError
+from careercast.forecaster import Forecaster
 from careercast.ingest import Split, ingest_csv, split_and_normalize
-from careercast.nn import LSTM, BatchNorm, Dense, Dropout, ReLU, Sequential
-from careercast.nn.serialize import layer_from_doc, layer_to_doc
+from careercast.nn import LSTM, BatchNorm, Dense, Dropout, Layer, ReLU, Sequential, layers
+from careercast.nn.serialize import LAYER_TYPES, layer_from_doc, layer_to_doc
 from careercast.rng import substream
 from careercast.schema import default_schema
 from careercast.synth import default_specs, write_csv
@@ -85,6 +87,37 @@ def test_nested_sequential_round_trip(tmp_path):
     assert np.array_equal(
         loaded.forward(x, train=False), model.forward(x, train=False)
     )
+
+
+def test_every_leaf_layer_round_trips_config_params_and_state(tmp_path):
+    """Each leaf class is in the type table and its document restores it exactly."""
+    leaves = {
+        cls
+        for cls in vars(layers).values()
+        if isinstance(cls, type) and issubclass(cls, Layer) and cls is not Layer
+        and cls.children is Layer.children
+    }
+    assert leaves == set(LAYER_TYPES.values())
+    examples = {
+        Dense: Dense(3, 2),
+        ReLU: ReLU(),
+        BatchNorm: BatchNorm(4, momentum=0.75, eps=1e-3),
+        Dropout: Dropout(0.25),
+        LSTM: LSTM(2, 3),
+    }
+    rng = np.random.default_rng(8)
+    for cls in leaves:
+        layer = examples[cls]
+        arrays = cls.params + cls.state
+        for name in arrays:
+            setattr(layer, name, rng.normal(size=getattr(layer, name).shape))
+        loaded = round_trip(layer, tmp_path)
+        assert type(loaded) is cls
+        for name in cls.config:
+            assert getattr(loaded, name) == getattr(layer, name), (cls, name)
+        for name in arrays:
+            before, after = getattr(layer, name), getattr(loaded, name)
+            assert after.shape == before.shape and after.tobytes() == before.tobytes()
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -186,6 +219,33 @@ def test_dataset_document_bytes_are_pinned(tmp_path):
     ds, summary = ingest_csv(path, schema, seed=5)
     digest = hashlib.sha256(canonical_json(dataset_to_doc(ds, summary))).hexdigest()
     assert digest == "462c61387a16cb5d64cc017b51c656efdeede14b411de1ade8aaae8d6ebd4089"
+
+
+def _trained_autoencoder():
+    ae = Autoencoder(14, n_hidden=8, n_code=4, rng=substream(3, "test.pin"))
+    x = np.random.default_rng(3).normal(size=(6, 14))
+    ae.model.forward(x, train=True, rng=substream(4, "test.pin"))  # moves the running stats
+    return ae
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (_trained_autoencoder, "2af4b20df4d753766b0f35abe663a3a74bb6b9c1f7ad83cfc9080304109d64cd"),
+        (
+            lambda: Forecaster(3, k=2, rng=substream(5, "test.pin")),
+            "09b02f0c6ba50f54d34c19cbbcf812cc44e6b2bcc07fb2551df1e2053bb28bbb",
+        ),
+        (
+            lambda: Forecaster(3, k=0, rng=substream(6, "test.pin")),
+            "cefecccaf40089595afb991c417feaa64f6539016e1c81c9a31dcfd698847aca",
+        ),
+    ],
+    ids=["autoencoder", "forecaster-k2", "forecaster-k0"],
+)
+def test_model_document_bytes_are_pinned(build, digest):
+    """Seeded model documents hash to fixed SHA-256s, so no saved model byte moves."""
+    assert hashlib.sha256(canonical_json(build().to_doc())).hexdigest() == digest
 
 
 def test_unknown_layer_types_are_rejected():
