@@ -24,7 +24,8 @@ logger = logging.getLogger(__name__)
 
 INPUT_AGES = tuple(range(22, 29))  # rows of a career matrix, in order
 TARGET_AGES = (29, 30, 31)
-MIN_SEASONS = 5  # observed seasons required inside ages 22-31
+CAREER_AGES = INPUT_AGES + TARGET_AGES  # the ages a career is read over, 22-31
+MIN_SEASONS = 5  # observed seasons required inside CAREER_AGES
 CATEGORIES = ("star", "regular")
 MANDATORY_COLUMNS = ("player_id", "player_name", "season", "age")
 
@@ -238,7 +239,7 @@ def select_eligible_players(
 
     eligible: dict[str, list[SeasonRecord]] = {}
     for pid, by_age in grouped.items():
-        window = [a for a in by_age if INPUT_AGES[0] <= a <= TARGET_AGES[-1]]
+        window = [a for a in by_age if a in CAREER_AGES]
         if len(window) < MIN_SEASONS:
             continue
         if not all(a in by_age and by_age[a].observed(target_name) for a in TARGET_AGES):
@@ -511,7 +512,7 @@ def ingest_csv(
     for pid, rows in grouped.items():
         if pid in eligible:
             continue
-        ages = {r.age for r in rows if INPUT_AGES[0] <= r.age <= TARGET_AGES[-1]}
+        ages = {r.age for r in rows if r.age in CAREER_AGES}
         if len(ages) < MIN_SEASONS:
             dropped_few += 1
         else:

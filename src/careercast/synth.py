@@ -3,9 +3,10 @@
 Each archetype follows a quadratic aging curve: the target peaks at
 ``peak_bpm`` around ``peak_age`` and falls off at rate ``curvature``.
 Every other feature is an affine function of the season's target value
-plus noise, with coefficients drawn once per archetype. Ground-truth
-archetype labels come back alongside the careers, so clustering
-quality is checkable end to end.
+plus noise, with coefficients drawn once per archetype. ``generate_block``
+builds every career as one (players, ages 22-31, features) array, which
+``write_csv`` prints as ingest-format season rows. Ground-truth archetype
+labels come back alongside, so clustering quality is checkable end to end.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .ingest import CATEGORIES, INPUT_AGES, TARGET_AGES, SeasonRecord, Split, build_sequences
+from .ingest import CAREER_AGES, CATEGORIES, INPUT_AGES, MANDATORY_COLUMNS, Split
 from .rng import substream
 from .schema import FeatureSchema, default_schema
-
-ALL_AGES = tuple(range(INPUT_AGES[0], TARGET_AGES[-1] + 1))
 
 # affine maps from the target to the other features, drawn per archetype
 SLOPE_RANGE = (-1.5, 1.5)
@@ -95,33 +94,36 @@ def default_specs(
     ]
 
 
-def generate_records(
+def generate_block(
     specs: list[ArchetypeSpec],
     seed: int = 0,
     schema: FeatureSchema | None = None,
-) -> tuple[list[SeasonRecord], np.ndarray]:
-    """Season rows for every synthetic player, plus per-player archetype labels.
+) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Every synthetic career as one block, plus ids, categories and labels.
 
-    Rows cover ages 22-31 with every feature present, so the generated
-    pool is fully eligible for ingestion without imputation.
+    The block has shape (players, 10, features): ages 22-31 in order and
+    the schema's columns in schema order, every cell present, so the pool
+    is fully eligible for ingestion without imputation. Player ``p`` is
+    ``syn{p:04d}``; labels are archetype indices into ``specs``.
     """
     if not specs:
         raise ParameterError("need at least one archetype spec")
     if schema is None:
         schema = default_schema()
-    other = [n for n in schema.names if n != schema.target_name]
-    ages = np.array(ALL_AGES, dtype=int)
-
-    records: list[SeasonRecord] = []
-    labels: list[int] = []
+    t = schema.target_index
+    other = [j for j in range(schema.n_features) if j != t]
+    ages = np.array(CAREER_AGES, dtype=float)
+    labels = np.repeat(np.arange(len(specs)), [s.count for s in specs])
+    block = np.empty((labels.size, ages.size, schema.n_features))
     idx = 0
     for a, spec in enumerate(specs):
         crng = substream(seed, f"synth.coeffs.{a}")
         slopes = crng.uniform(*SLOPE_RANGE, size=len(other))
         intercepts = crng.uniform(*INTERCEPT_RANGE, size=len(other))
+        curve = bpm_curve(spec, ages)
         for _ in range(spec.count):
             prng = substream(seed, f"synth.player.{idx}")
-            curve = bpm_curve(spec, ages)
+            bpm, feat_noise = curve, np.zeros((ages.size, len(other)))
             if spec.noise_std > 0:
                 bpm = curve + prng.normal(0.0, spec.noise_std, size=ages.size)
                 feat_noise = prng.normal(
@@ -129,30 +131,12 @@ def generate_records(
                     FEATURE_NOISE_SCALE * spec.noise_std,
                     size=(ages.size, len(other)),
                 )
-            else:
-                bpm = curve
-                feat_noise = np.zeros((ages.size, len(other)))
-            birth = BIRTH_BASE + idx % BIRTH_SPAN
-            pid = f"syn{idx:04d}"
-            for t, age in enumerate(ages):
-                features = {
-                    name: float(intercepts[j] + slopes[j] * bpm[t] + feat_noise[t, j])
-                    for j, name in enumerate(other)
-                }
-                features[schema.target_name] = float(bpm[t])
-                records.append(
-                    SeasonRecord(
-                        player_id=pid,
-                        player_name=f"Synth Player {idx:04d}",
-                        season_end_year=birth + int(age),
-                        age=int(age),
-                        features=features,
-                        category=spec.category,
-                    )
-                )
-            labels.append(a)
+            block[idx][:, other] = intercepts + slopes * bpm[:, None] + feat_noise
+            block[idx][:, t] = bpm
             idx += 1
-    return records, np.array(labels, dtype=int)
+    ids = tuple(f"syn{p:04d}" for p in range(labels.size))
+    categories = tuple(specs[a].category for a in labels)
+    return block, ids, categories, labels
 
 
 def generate(
@@ -167,11 +151,10 @@ def generate(
     """
     if schema is None:
         schema = default_schema()
-    records, labels = generate_records(specs, seed, schema)
-    per_player: dict[str, list[SeasonRecord]] = {}
-    for rec in records:
-        per_player.setdefault(rec.player_id, []).append(rec)
-    return build_sequences(per_player, schema), labels
+    block, ids, categories, labels = generate_block(specs, seed, schema)
+    n_in = len(INPUT_AGES)  # C-contiguous copies, not strided views of the block
+    raw, target = block[:, :n_in].copy(), block[:, n_in:, schema.target_index].copy()
+    return Split(ids, categories, raw, target), labels
 
 
 def write_csv(
@@ -183,20 +166,14 @@ def write_csv(
     """Emit season rows in the ingest CSV format; returns the row count."""
     if schema is None:
         schema = default_schema()
-    records, _ = generate_records(specs, seed, schema)
-    header = ["player_id", "player_name", "season", "age", "category", *schema.names]
+    block, ids, categories, _ = generate_block(specs, seed, schema)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.player_id,
-                    rec.player_name,
-                    rec.season_end_year,
-                    rec.age,
-                    rec.category,
-                    *[repr(rec.features[n]) for n in schema.names],
-                ]
-            )
-    return len(records)
+        writer.writerow([*MANDATORY_COLUMNS, "category", *schema.names])
+        for p, (pid, category, career) in enumerate(zip(ids, categories, block.tolist())):
+            birth = BIRTH_BASE + p % BIRTH_SPAN
+            for age, row in zip(CAREER_AGES, career):
+                writer.writerow(
+                    [pid, f"Synth Player {p:04d}", birth + age, age, category, *map(repr, row)]
+                )
+    return block.shape[0] * block.shape[1]

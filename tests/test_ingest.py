@@ -1,5 +1,8 @@
 """CSV parsing, eligibility, imputation, and the normalized split."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from careercast.ingest import (
     split_and_normalize,
 )
 from careercast.schema import COUNTING, default_schema
-from careercast.synth import default_specs, generate_records
+from careercast.synth import default_specs, write_csv
 
 from conftest import career_rows
 
@@ -189,7 +192,10 @@ def gappy_pool(schema, seed, cell_share=0.1, player_share=0.2):
     leaves at least 8 seasons in ages 22-31, so every player stays eligible.
     Returns the records and one dict row per record for ``write_season_csv``.
     """
-    records, _ = generate_records(default_specs(6, 34), seed=seed, schema=schema)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pool.csv")
+        write_csv(path, default_specs(6, 34), seed=seed, schema=schema)
+        records = parse_season_csv(path, schema)
     rng = np.random.default_rng(seed)
     deleted = set()
     for pid in sorted({r.player_id for r in records}):

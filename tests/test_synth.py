@@ -1,5 +1,8 @@
 """Synthetic career generator: closed-form checks and ingest compatibility."""
 
+import csv
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from careercast.synth import (
     bpm_curve,
     default_specs,
     generate,
-    generate_records,
+    generate_block,
     write_csv,
 )
 
@@ -104,7 +107,7 @@ def test_spec_validation():
         ArchetypeSpec(count=1, peak_age=25, peak_bpm=0, curvature=-0.1,
                       noise_std=1.0, category="bench")
     with pytest.raises(ParameterError):
-        generate_records([], seed=0)
+        generate_block([], seed=0)
 
 
 def test_default_specs_shape():
@@ -115,21 +118,46 @@ def test_default_specs_shape():
     assert default_specs(n_star=5, n_regular=7, noise_std=0.25)[1].noise_std == 0.25
 
 
-def test_records_cover_all_ages_with_full_features():
+def test_records_cover_all_ages_with_full_features(tmp_path):
     schema = default_schema()
-    records, labels = generate_records(small_specs(), seed=6, schema=schema)
-    assert len(records) == 8 * 10  # ages 22..31 for every player
+    path = tmp_path / "synthetic.csv"
+    assert write_csv(path, small_specs(), seed=6, schema=schema) == 8 * 10
+    block, _, _, labels = generate_block(small_specs(), seed=6, schema=schema)
+    assert block.shape == (8, 10, schema.n_features)
     assert labels.shape == (8,)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == [
+            "player_id", "player_name", "season", "age", "category", *schema.names
+        ]
+        rows = list(reader)
+    assert len(rows) == 8 * 10  # ages 22..31 for every player
     by_pid = {}
-    for rec in records:
-        by_pid.setdefault(rec.player_id, []).append(rec)
-        assert set(rec.features) == set(schema.names)
-        assert rec.category in ("star", "regular")
-        assert 1973 <= rec.season_end_year - rec.age <= 1990
-    for rows in by_pid.values():
-        assert sorted(r.age for r in rows) == list(range(22, 32))
-        birth = {r.season_end_year - r.age for r in rows}
+    for row in rows:
+        by_pid.setdefault(row["player_id"], []).append(row)
+        assert all(np.isfinite(float(row[name])) for name in schema.names)
+        assert row["category"] in ("star", "regular")
+        assert 1973 <= int(row["season"]) - int(row["age"]) <= 1990
+    assert len(by_pid) == 8
+    for player_rows in by_pid.values():
+        assert sorted(int(r["age"]) for r in player_rows) == list(range(22, 32))
+        birth = {int(r["season"]) - int(r["age"]) for r in player_rows}
         assert len(birth) == 1  # consistent synthetic birth year
+
+
+@pytest.mark.parametrize(
+    "noise_std, digest",
+    [
+        (1.0, "eb7f6a00a25e59a6b86f8e697d29c656ffa22725e3620571818f0de9378147c4"),
+        (0.0, "49b6cda1d8b8bdcaac63987ff233277613332e9238bb1ca63410e60644f4c355"),
+    ],
+    ids=["noise-1", "noise-0"],
+)
+def test_csv_bytes_are_pinned(tmp_path, noise_std, digest):
+    """The season CSV, identity columns included, hashes to fixed SHA-256s."""
+    path = tmp_path / "synthetic.csv"
+    assert write_csv(path, default_specs(3, 9, noise_std), seed=5) == 12 * 10
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_csv_round_trip_matches_direct_generation(tmp_path):
