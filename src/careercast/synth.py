@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .ingest import CAREER_AGES, CATEGORIES, INPUT_AGES, MANDATORY_COLUMNS, Split
+from .ingest import CAREER_AGES, CATEGORIES, MANDATORY_COLUMNS
 from .rng import substream
 from .schema import FeatureSchema, default_schema
 
@@ -137,24 +137,6 @@ def generate_block(
     ids = tuple(f"syn{p:04d}" for p in range(labels.size))
     categories = tuple(specs[a].category for a in labels)
     return block, ids, categories, labels
-
-
-def generate(
-    specs: list[ArchetypeSpec],
-    seed: int = 0,
-    schema: FeatureSchema | None = None,
-) -> tuple[Split, np.ndarray]:
-    """Careers in raw units as one unnormalized ``Split``, plus archetype labels.
-
-    Normalization belongs to the ingest split. Player order matches label
-    order.
-    """
-    if schema is None:
-        schema = default_schema()
-    block, ids, categories, labels = generate_block(specs, seed, schema)
-    n_in = len(INPUT_AGES)  # C-contiguous copies, not strided views of the block
-    raw, target = block[:, :n_in].copy(), block[:, n_in:, schema.target_index].copy()
-    return Split(ids, categories, raw, target), labels
 
 
 def write_csv(

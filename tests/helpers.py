@@ -4,6 +4,9 @@ import numpy as np
 
 from careercast.baselines import LinearModel, _check_xy, linear_predict
 from careercast.errors import ParameterError, ShapeError
+from careercast.ingest import INPUT_AGES, Split
+from careercast.schema import default_schema
+from careercast.synth import generate_block
 
 
 def penalized_objective(
@@ -43,3 +46,17 @@ def reconstruction_error(ae, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     recon = reconstruct(ae, x)
     return np.mean((recon - x) ** 2, axis=1)
+
+
+def generate(specs, seed: int = 0, schema=None) -> tuple[Split, np.ndarray]:
+    """``synth`` careers in raw units as one unnormalized ``Split``, plus labels.
+
+    Normalization belongs to the ingest split. Player order matches label
+    order.
+    """
+    if schema is None:
+        schema = default_schema()
+    block, ids, categories, labels = generate_block(specs, seed, schema)
+    n_in = len(INPUT_AGES)  # C-contiguous copies, not strided views of the block
+    raw, target = block[:, :n_in].copy(), block[:, n_in:, schema.target_index].copy()
+    return Split(ids, categories, raw, target), labels

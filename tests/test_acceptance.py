@@ -21,9 +21,9 @@ from careercast.evaluation import mae, r2
 from careercast.forecaster import forecaster_train
 from careercast.ingest import Split, split_and_normalize
 from careercast.schema import default_schema
-from careercast.synth import default_specs, generate
+from careercast.synth import default_specs
 
-from helpers import penalized_objective, purity
+from helpers import generate, penalized_objective, purity
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -11,7 +11,9 @@ import pytest
 from careercast import artifacts
 from careercast.cli import main
 from careercast.schema import default_schema
-from careercast.synth import default_specs, generate, write_csv
+from careercast.synth import default_specs, write_csv
+
+from helpers import generate
 
 SMALL_CONFIG = {
     "autoencoder": {"max_epochs": 8},

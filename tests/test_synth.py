@@ -22,10 +22,11 @@ from careercast.synth import (
     ArchetypeSpec,
     bpm_curve,
     default_specs,
-    generate,
     generate_block,
     write_csv,
 )
+
+from helpers import generate
 
 
 def small_specs(noise_std=1.0):
