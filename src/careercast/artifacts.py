@@ -24,7 +24,7 @@ import numpy as np
 
 from .autoencoder import Autoencoder
 from .clustering import ClusterModel
-from .errors import ArtifactError, SchemaError
+from .errors import ArtifactError, CareerCastError
 from .forecaster import Forecaster
 from .ingest import INPUT_AGES, TARGET_AGES, Dataset, NormStats, Split
 from .schema import FeatureSchema
@@ -117,9 +117,10 @@ def load_chain(out_dir, names) -> dict[str, Artifact]:
     Each file is read once and hashed from the bytes parsed, and each
     document is decoded (a ``Dataset``, ``Autoencoder``, ``ClusterModel``
     or ``Forecaster``) before the next file is read, so only one parsed
-    document is alive at a time. A missing, corrupt or foreign artifact, or
-    an ``inputs`` hash that differs from the file on disk, raises
-    ``ArtifactError`` naming the command to rerun.
+    document is alive at a time. A missing, corrupt or foreign artifact, a
+    document that does not decode, or an ``inputs`` hash that differs from
+    the file on disk, raises ``ArtifactError`` naming the file or the
+    command to rerun.
     """
     loaded = {}
 
@@ -142,7 +143,11 @@ def load_chain(out_dir, names) -> dict[str, Artifact]:
                 f"(found format, version, kind {header}); rerun {rerun}"
             )
         inputs = doc["inputs"]
-        loaded[name] = Artifact(decode(doc), digest)
+        try:
+            loaded[name] = Artifact(decode(doc), digest)
+        except (CareerCastError, LookupError, TypeError, ValueError) as exc:
+            detail = exc if isinstance(exc, CareerCastError) else repr(exc)
+            raise ArtifactError(f"{path}: corrupt artifact: {detail}; rerun {rerun}") from None
         del doc  # before any upstream file is parsed
         for upstream, expected in inputs.items():
             if load(upstream).sha256 != expected:
@@ -208,45 +213,39 @@ def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
 def dataset_from_doc(doc: dict) -> Dataset:
     """Rebuild a dataset from its document, re-normalizing each ``raw_input``.
 
-    A missing or malformed ``schema``, ``norm_stats`` or ``seed``, or a
-    split whose rows do not stack into an (n, 7, features) block with an
-    (n, 3) target, is refused as a corrupt artifact.
+    ``norm_stats`` that do not name the schema's kept columns with one mean
+    and one std each, or a split whose rows do not stack into an
+    (n, 7, features) block with an (n, 3) target, raise ``ArtifactError``;
+    ``load_chain`` refuses those and any missing key as a corrupt artifact.
     """
-    try:
-        schema = FeatureSchema.from_doc(doc["schema"])
-        stats = NormStats.from_doc(doc["norm_stats"])
-        seed = int(doc["seed"])
-    except (KeyError, TypeError, ValueError, SchemaError) as exc:
-        raise ArtifactError(f"{DATASET}: corrupt artifact: {exc!r}") from None
+    schema = FeatureSchema.from_doc(doc["schema"])
+    stats = NormStats.from_doc(doc["norm_stats"])
     kept = tuple(name for name in schema.names if name in stats.names)
     if kept != stats.names or not stats.mean.shape == stats.std.shape == (len(kept),):
         raise ArtifactError(
-            f"{DATASET}: corrupt artifact: norm_stats must name schema columns in "
-            f"schema order with one mean and one std each; found {len(stats.names)} "
-            f"names, {stats.mean.shape} means and {stats.std.shape} stds"
+            f"norm_stats must name schema columns in schema order with one mean and "
+            f"one std each; found {len(stats.names)} names, {stats.mean.shape} means "
+            f"and {stats.std.shape} stds"
         )
 
     def split(name) -> Split:
-        try:
-            rows = doc[name]
-            raw = np.array([d["raw_input"] for d in rows], dtype=float)
-            target = np.array([d["target"] for d in rows], dtype=float)
-            ids = tuple(d["player_id"] for d in rows)
-            categories = tuple(d["category"] for d in rows)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"{DATASET}: corrupt artifact: {exc}") from None
+        rows = doc[name]
+        raw = np.array([d["raw_input"] for d in rows], dtype=float)
+        target = np.array([d["target"] for d in rows], dtype=float)
         want = (len(rows), len(INPUT_AGES), schema.n_features), (len(rows), len(TARGET_AGES))
         if (raw.shape, target.shape) != want:
             raise ArtifactError(
-                f"{DATASET}: corrupt artifact: {name} career block {raw.shape} and "
-                f"target {target.shape}, expected {want[0]} and {want[1]}"
+                f"{name} career block {raw.shape} and target {target.shape}, "
+                f"expected {want[0]} and {want[1]}"
             )
+        ids = tuple(d["player_id"] for d in rows)
+        categories = tuple(d["category"] for d in rows)
         return Split(ids, categories, raw, target, stats.apply(raw, schema.names))
 
     return Dataset(
         train=split("train"),
         test=split("test"),
         norm_stats=stats,
-        seed=seed,
+        seed=int(doc["seed"]),
         schema=schema,
     )

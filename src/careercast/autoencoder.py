@@ -21,6 +21,8 @@ from .nn import (
     TrainResult,
     layer_from_doc,
     layer_to_doc,
+    layout,
+    require_layout,
     train_loop,
 )
 
@@ -102,11 +104,7 @@ class Autoencoder:
             dropout_rate=doc["dropout_rate"],
         )
         net = layer_from_doc(doc["net"])
-        if len(net.layers) != len(ae.model.layers):
-            raise ShapeError(
-                f"model document has {len(net.layers)} layers, expected "
-                f"{len(ae.model.layers)}"
-            )
+        require_layout(net, layout(ae.model))
         ae.model = net
         ae.encoder = Sequential(net.layers[: ae.n_encoder_layers])
         return ae

@@ -23,6 +23,8 @@ from .nn import (
     TrainResult,
     layer_from_doc,
     layer_to_doc,
+    layout,
+    require_layout,
     train_loop,
 )
 
@@ -129,8 +131,10 @@ class Forecaster(Layer):
     @classmethod
     def from_doc(cls, doc: dict) -> "Forecaster":
         model = cls(doc["n_features"], k=doc["k"])
+        expected = layout(model)
         model.lstm = layer_from_doc(doc["lstm"])
         model.head = layer_from_doc(doc["head"])
+        require_layout(model, expected)
         return model
 
 

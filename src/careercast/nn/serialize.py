@@ -11,6 +11,8 @@ doubles. The artifact envelope around a model document lives in
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import numpy as np
 
 from ..errors import ArtifactError
@@ -37,14 +39,43 @@ def layer_to_doc(layer) -> dict:
 
 
 def layer_from_doc(doc: dict):
-    kind = doc.get("type")
+    """Rebuild a layer, refusing a document that lacks a config value or an
+    array, or whose array shape or length differs from what its config builds."""
+    kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "sequential":
         return Sequential([layer_from_doc(d) for d in doc["layers"]])
     cls = LAYER_TYPES.get(kind)
     if cls is None:
         raise ArtifactError(f"unknown layer type {kind!r} in model document")
+    missing = [name for name in cls.config + cls.params + cls.state if name not in doc]
+    if missing:
+        raise ArtifactError(f"{kind} layer document lacks {missing}")
     layer = cls(*(doc[name] for name in cls.config))
     for name in cls.params + cls.state:
-        arr = doc[name]
-        setattr(layer, name, np.array(arr["data"], dtype=float).reshape(arr["shape"]))
+        arr, want = doc[name], getattr(layer, name).shape
+        data = np.array(arr["data"], dtype=float)
+        if arr["shape"] != list(want) or data.shape != (int(np.prod(want)),):
+            raise ArtifactError(
+                f"{kind} {name} has shape {arr['shape']} and {data.size} values; "
+                f"its config builds {list(want)}"
+            )
+        setattr(layer, name, data.reshape(want))
     return layer
+
+
+def layout(layer, prefix: str = "") -> list[tuple[str, object]]:
+    """The type of ``layer`` and of each sub-layer, and each array's name and
+    shape, in order: what a model's top-level config determines."""
+    items = [(prefix, type(layer).__name__)]
+    items += [(prefix + n, getattr(layer, n).shape) for n in layer.params + layer.state]
+    for name, child in layer.children():
+        items += layout(child, f"{prefix}{name}.")
+    return items
+
+
+def require_layout(layer, expected: list) -> None:
+    """Refuse a loaded model whose ``layout`` differs from ``expected``."""
+    found = layout(layer)
+    if found != expected:
+        got, want = next(pair for pair in zip_longest(found, expected) if pair[0] != pair[1])
+        raise ArtifactError(f"model layers differ from what its config builds: {got} for {want}")

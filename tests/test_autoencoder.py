@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from careercast.autoencoder import Autoencoder, ae_train, flatten_batch
-from careercast.errors import ShapeError
+from careercast.errors import ArtifactError, ShapeError
 from careercast.nn import BatchNorm, Dense, Dropout, ReLU, TrainConfig
 from careercast.rng import substream
 
@@ -99,5 +99,5 @@ def test_doc_round_trip_preserves_encode():
     assert loaded.n_code == ae.n_code
     bad = ae.to_doc()
     bad["net"]["layers"] = bad["net"]["layers"][:-1]
-    with pytest.raises(ShapeError):
+    with pytest.raises(ArtifactError, match="differ from what its config builds"):
         Autoencoder.from_doc(bad)

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from careercast import artifacts
@@ -319,6 +320,42 @@ def test_corrupt_forecaster_is_refused(pipeline, tmp_path, capsys):
     rc = main(["evaluate", "--out", str(copy), "--models", "proposed"])
     assert rc == 2
     assert "corrupt artifact" in capsys.readouterr().err
+
+
+def widen_head(model):
+    """Give the head's first layer one more input column, consistently with its config."""
+    first = model["head"]["layers"][0]
+    weight = np.array(first["weight"]["data"]).reshape(first["weight"]["shape"])
+    weight = np.hstack([weight, np.zeros((weight.shape[0], 1))])
+    first["n_in"] += 1
+    first["weight"] = {"shape": list(weight.shape), "data": weight.ravel().tolist()}
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("missing array", "lstm layer document lacks ['w_input']"),
+        ("wrong shape", "lstm w_input has shape [256, 3] and 768 values"),
+        ("head width", "model layers differ from what its config builds"),
+    ],
+)
+def test_misshapen_forecaster_is_refused(pipeline, tmp_path, capsys, case, reason):
+    out_dir, _ = pipeline
+    copy = tmp_path / "misshapen"
+    shutil.copytree(out_dir, copy)
+    doc = json.loads((copy / "forecaster.json").read_text())
+    lstm = doc["model"]["lstm"]
+    if case == "missing array":
+        del lstm["w_input"]
+    elif case == "wrong shape":
+        lstm["w_input"] = {"shape": [256, 3], "data": [0.0] * 768}
+    else:
+        widen_head(doc["model"])
+    artifacts.write_json(copy / "forecaster.json", doc)
+    rc = main(["predict", "--out", str(copy), "--seed", "0", "--player", "syn0000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{copy / 'forecaster.json'}: corrupt artifact: {reason}" in err
 
 
 def test_usage_errors(tmp_path, capsys):
