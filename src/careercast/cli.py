@@ -419,8 +419,15 @@ def _upsert_predictions(path, series: str, predicted) -> None:
             header = next(reader, None)
             if header != ["series", "age", "predicted"]:
                 raise ArtifactError(f"{path}: unexpected predictions file format")
-            for row in reader:
-                table[(row[0], int(row[1]))] = row[2]
+            for line_no, row in enumerate(reader, start=2):
+                try:
+                    series_id, age, value = row
+                    table[(series_id, int(age))] = value
+                except ValueError:
+                    raise ArtifactError(
+                        f"{path}:{line_no}: expected series, integer age and "
+                        f"predicted value, got {row}"
+                    ) from None
     for age, value in zip(TARGET_AGES, predicted):
         table[(series, age)] = repr(float(value))
     rows = [(s, a, v) for (s, a), v in sorted(table.items())]

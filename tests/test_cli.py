@@ -358,6 +358,20 @@ def test_misshapen_forecaster_is_refused(pipeline, tmp_path, capsys, case, reaso
     assert f"{copy / 'forecaster.json'}: corrupt artifact: {reason}" in err
 
 
+@pytest.mark.parametrize("row", ["syn0000,29", "syn0000,abc,1.0"])
+def test_malformed_predictions_row_is_refused(pipeline, tmp_path, capsys, row):
+    out_dir, _ = pipeline
+    copy = tmp_path / "rows"
+    shutil.copytree(out_dir, copy)
+    predictions = copy / "reports" / "predictions.csv"
+    text = f"series,age,predicted\nsyn0001,29,0.5\n{row}\n"
+    predictions.write_text(text, encoding="utf-8")
+    rc = main(["predict", "--out", str(copy), "--seed", "0", "--player", "syn0000"])
+    assert rc == 2
+    assert f"{predictions}:3: expected series, integer age" in capsys.readouterr().err
+    assert predictions.read_text(encoding="utf-8") == text
+
+
 def test_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "u")
     assert main(["ingest", "--out", out]) == 1  # no --input
