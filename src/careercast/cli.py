@@ -264,7 +264,7 @@ def cmd_stage2(args) -> int:
 
 
 def _predict_fns(cfg: PipelineConfig, dataset, chain, models):
-    """One prediction closure per requested model name."""
+    """One prediction closure per model name; ``PipelineConfig.validate`` vets the names."""
     target_index = dataset.schema.target_index
     targets = dataset.train.target
     flat_train = flatten_batch(dataset.train.input)
@@ -291,8 +291,6 @@ def _predict_fns(cfg: PipelineConfig, dataset, chain, models):
             fns[name] = lambda split, model=model: model.forward(
                 flatten_batch(split.input), train=False
             )
-        else:
-            raise ConfigError(f"unknown model {name!r}")
     return fns
 
 
@@ -301,11 +299,8 @@ def _fmt_r2(value) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config_from(args)
-    models = tuple(args.models) if args.models else tuple(cfg.models)
-    unknown = [m for m in models if m not in MODEL_NAMES]
-    if unknown:
-        raise ConfigError(f"unknown model(s) {unknown}; choose from {list(MODEL_NAMES)}")
+    cfg = _config_from(args, models=tuple(args.models) if args.models else None)
+    models = cfg.models
     _ensure_dirs(cfg)
     needs = {"proposed": FORECASTER, "standard_lstm": FORECASTER_STANDARD}
     dataset, chain = _chain(cfg, [needs[m] for m in models if m in needs])
