@@ -78,4 +78,4 @@ def require_layout(layer, expected: list) -> None:
     found = layout(layer)
     if found != expected:
         got, want = next(pair for pair in zip_longest(found, expected) if pair[0] != pair[1])
-        raise ArtifactError(f"model layers differ from what its config builds: {got} for {want}")
+        raise ArtifactError(f"model layers differ from its config: {got} where it builds {want}")

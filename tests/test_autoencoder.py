@@ -99,5 +99,5 @@ def test_doc_round_trip_preserves_encode():
     assert loaded.n_code == ae.n_code
     bad = ae.to_doc()
     bad["net"]["layers"] = bad["net"]["layers"][:-1]
-    with pytest.raises(ArtifactError, match="differ from what its config builds"):
+    with pytest.raises(ArtifactError, match="differ from its config"):
         Autoencoder.from_doc(bad)

@@ -336,8 +336,9 @@ def widen_head(model):
     [
         ("missing array", "lstm layer document lacks ['w_input']"),
         ("wrong shape", "lstm w_input has shape [256, 3] and 768 values"),
-        ("head width", "model layers differ from what its config builds"),
+        ("head width", "model layers differ from its config: ('head.0.weight'"),
     ],
+    ids=["missing-array", "wrong-shape", "head-width"],
 )
 def test_misshapen_forecaster_is_refused(pipeline, tmp_path, capsys, case, reason):
     out_dir, _ = pipeline
