@@ -87,7 +87,7 @@ CONFIGS = (
 )
 
 
-def gradcheck_suite(n_seeds: int = 20, base_seed: int = 0) -> list[dict]:
+def gradcheck_suite(n_seeds: int = 20) -> list[dict]:
     """Run every configuration over ``n_seeds`` seeded draws.
 
     Returns one row per configuration with the worst relative error seen
@@ -97,7 +97,7 @@ def gradcheck_suite(n_seeds: int = 20, base_seed: int = 0) -> list[dict]:
     for name, build, threshold, max_coords in CONFIGS:
         worst = 0.0
         for s in range(n_seeds):
-            rng = substream(base_seed, f"gradcheck.{name}.{s}")
+            rng = substream(0, f"gradcheck.{name}.{s}")
             model, inputs, targets = build(rng)
             _jitter_biases(model, rng)
             # eps small enough that relu kink crossings are vanishingly

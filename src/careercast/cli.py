@@ -226,28 +226,23 @@ def cmd_stage2(args) -> int:
     cfg = _config_from(args)
     _ensure_dirs(cfg)
     dataset, chain = _chain(cfg, () if args.standard else (CLUSTERS,))
-    blocks, targets = dataset.train.input, dataset.train.target
-    train_cfg = cfg.train_config("forecaster")
     inputs = {DATASET: chain[DATASET].sha256}
     if args.standard:
-        model, result = forecaster_train(
-            blocks, targets, k=0, seed=cfg.seed, config=train_cfg
-        )
-        out_name = FORECASTER_STANDARD
+        assignments, k, out_name = None, 0, FORECASTER_STANDARD
     else:
         # load_chain has matched clusters.json to this dataset.json, so the
         # stored assignments are in train-player order
         clusters = chain[CLUSTERS].value
-        model, result = forecaster_train(
-            blocks,
-            targets,
-            assignments=clusters.train_assignments,
-            k=clusters.k,
-            seed=cfg.seed,
-            config=train_cfg,
-        )
+        assignments, k, out_name = clusters.train_assignments, clusters.k, FORECASTER
         inputs[CLUSTERS] = chain[CLUSTERS].sha256
-        out_name = FORECASTER
+    model, result = forecaster_train(
+        dataset.train.input,
+        dataset.train.target,
+        assignments=assignments,
+        k=k,
+        seed=cfg.seed,
+        config=cfg.train_config("forecaster"),
+    )
     digest = artifacts.write_artifact(
         cfg.out_dir,
         out_name,

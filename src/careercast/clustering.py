@@ -20,7 +20,7 @@ from .errors import ParameterError, ShapeError
 
 DEFAULT_K_RANGE = range(2, 9)
 DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITERS = 300
+MAX_ITERS = 300
 # floats per row-chunk temporary in pairwise_distances (16 MB)
 _CHUNK_ELEMENTS = 1 << 21
 
@@ -123,9 +123,9 @@ def _repair_empty(points, centroids, assignments, k):
     return centroids, assignments
 
 
-def _lloyd(points, centroids, k, max_iters):
+def _lloyd(points, centroids, k):
     prev = None
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         assignments = assign(points, centroids)
         centroids, assignments = _repair_empty(points, centroids, assignments, k)
         if prev is not None and np.array_equal(assignments, prev):
@@ -152,7 +152,6 @@ def kmeans_fit(
     points: np.ndarray,
     k: int,
     restarts: int = DEFAULT_RESTARTS,
-    max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = 0,
 ) -> KMeansResult:
     """Best of ``restarts`` k-means++ runs by inertia (earlier run wins ties)."""
@@ -162,13 +161,13 @@ def kmeans_fit(
         raise ParameterError(f"k must be at least 1, got {k}")
     if n < k:
         raise ParameterError(f"need at least k={k} points, got {n}")
-    if restarts < 1 or max_iters < 1:
-        raise ParameterError("restarts and max_iters must be at least 1")
+    if restarts < 1:
+        raise ParameterError(f"restarts must be at least 1, got {restarts}")
     best = None
     for r in range(restarts):
         rng = rngmod.substream(seed, f"kmeans.restart.{r}")
         init = _plus_plus_init(points, k, rng)
-        centroids, assignments, inertia = _lloyd(points, init, k, max_iters)
+        centroids, assignments, inertia = _lloyd(points, init, k)
         if best is None or inertia < best.inertia:
             best = KMeansResult(centroids, assignments, inertia)
     return best
@@ -290,7 +289,6 @@ def select_k(
     player_ids=(),
     k_range=DEFAULT_K_RANGE,
     restarts: int = DEFAULT_RESTARTS,
-    max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = 0,
 ) -> ClusterModel:
     """Fit k-means for each candidate K and keep the best mean silhouette.
@@ -312,9 +310,7 @@ def select_k(
     for k in sorted(ks):
         if k > embeddings.shape[0]:
             continue
-        fit = kmeans_fit(
-            embeddings, k, restarts=restarts, max_iters=max_iters, seed=seed
-        )
+        fit = kmeans_fit(embeddings, k, restarts=restarts, seed=seed)
         score = silhouette_score(embeddings, fit.assignments, dists=dists)
         table[k] = score
         if best_k is None or score > table[best_k]:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import ConfigError
 from .ingest import DEFAULT_TEST_FRACTION
 from .nn import TrainConfig
+from .nn.training import is_int, is_real
 
 MODEL_NAMES = ("proposed", "standard_lstm", "last_value", "linear", "ridge", "mlp")
 
@@ -46,22 +47,33 @@ class PipelineConfig:
     models: tuple = MODEL_NAMES
 
     def validate(self) -> "PipelineConfig":
-        lo, hi = (int(v) for v in self.k_range)
-        if not 1 <= lo <= hi:
-            raise ConfigError(f"k_range must satisfy 1 <= lo <= hi, got {self.k_range}")
-        if not 0.0 < self.test_fraction < 1.0:
+        for name in ("input_csv", "schema_json", "out_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and (value is not None or name == "out_dir"):
+                raise ConfigError(f"{name} must be a path string, got {value!r}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        kr = self.k_range
+        if not (len(kr) == 2 and all(is_int(v) for v in kr) and 1 <= kr[0] <= kr[1]):
+            raise ConfigError(f"k_range must be integers with 1 <= lo <= hi, got {kr!r}")
+        if not (is_real(self.test_fraction) and 0.0 < self.test_fraction < 1.0):
             raise ConfigError(
-                f"test_fraction must be in (0, 1), got {self.test_fraction}"
+                f"test_fraction must be in (0, 1), got {self.test_fraction!r}"
             )
-        if self.kmeans_restarts < 1:
-            raise ConfigError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
-        if self.ridge_lambda < 0 or self.linear_lambda < 0:
-            raise ConfigError("regression penalties must be non-negative")
+        if not (is_int(self.kmeans_restarts) and self.kmeans_restarts >= 1):
+            raise ConfigError(
+                f"kmeans_restarts must be an integer >= 1, got {self.kmeans_restarts!r}"
+            )
+        if not all(is_real(v) and v >= 0 for v in (self.ridge_lambda, self.linear_lambda)):
+            raise ConfigError("regression penalties must be non-negative numbers")
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise ConfigError(
                 f"unknown model(s) {unknown}; choose from {list(MODEL_NAMES)}"
             )
+        repeated = sorted({m for m in self.models if self.models.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"model(s) {repeated} listed more than once")
         for block_name in ("autoencoder", "forecaster"):
             self.train_config(block_name)
         return self
@@ -69,6 +81,8 @@ class PipelineConfig:
     def train_config(self, block_name: str) -> TrainConfig:
         """Build the training configuration for one stage."""
         block = getattr(self, block_name)
+        if not isinstance(block, dict):
+            raise ConfigError(f"{block_name!r} block must be a JSON object, got {block!r}")
         bad = [k for k in block if k not in TRAIN_KEYS]
         if bad:
             raise ConfigError(
@@ -96,9 +110,9 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     if "k_range" in doc:
         kr = doc["k_range"]
-        if not (isinstance(kr, list) and len(kr) == 2):
-            raise ConfigError(f"{path}: k_range must be a [lo, hi] pair")
-        doc["k_range"] = tuple(int(v) for v in kr)
+        if not (isinstance(kr, list) and len(kr) == 2 and all(is_int(v) for v in kr)):
+            raise ConfigError(f"{path}: k_range must be a [lo, hi] pair of integers")
+        doc["k_range"] = tuple(kr)
     if "models" in doc:
         if not isinstance(doc["models"], list):
             raise ConfigError(f"{path}: models must be a list")

@@ -1,9 +1,10 @@
 """Sequence model for the age 29-31 outlook.
 
 An LSTM reads the seven normalized input rows in age order; its final
-hidden state, optionally concatenated with a one-hot career-type
-indicator, feeds a small dense head that emits the three target values
-at once.
+hidden state, concatenated with a one-hot career-type indicator of width
+``k``, feeds a small dense head that emits the three target values at
+once. The standard forecaster is the same model at ``k`` = 0: its
+indicator has no columns, so the head sees the hidden state alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ N_OUTPUTS = 3
 
 
 class Forecaster(Layer):
-    """LSTM encoder plus dense head; ``k`` > 0 adds a one-hot cluster input."""
+    """LSTM encoder plus dense head fed the final hidden state and ``k`` one-hot columns."""
 
     def __init__(self, n_features: int, k: int = 0, rng: np.random.Generator | None = None):
         if k < 0:
@@ -58,44 +59,22 @@ class Forecaster(Layer):
             ]
         )
 
-    def _split_inputs(self, inputs):
-        if self.k > 0:
-            if not isinstance(inputs, tuple) or len(inputs) != 2:
-                raise ShapeError(
-                    "a cluster-conditioned model takes (blocks, onehot) input pairs"
-                )
-            blocks, extras = inputs
-        else:
-            if isinstance(inputs, tuple):
-                if len(inputs) != 1:
-                    raise ShapeError(
-                        "an unconditioned model takes blocks only, got a "
-                        f"{len(inputs)}-tuple"
-                    )
-                blocks = inputs[0]
-            else:
-                blocks = inputs
-            extras = None
-        blocks = np.asarray(blocks, dtype=float)
+    def forward(self, inputs, train: bool = False, rng=None) -> np.ndarray:
+        """Forecast from a (blocks, indicators) pair, shaped (n, steps, n_features) and (n, k)."""
+        if not isinstance(inputs, tuple) or len(inputs) != 2:
+            raise ShapeError("a forecaster takes (blocks, indicators) input pairs")
+        blocks, extras = (np.asarray(a, dtype=float) for a in inputs)
         if blocks.ndim != 3 or blocks.shape[2] != self.n_features:
             raise ShapeError(
                 f"expected (n, steps, {self.n_features}) blocks, got {blocks.shape}"
             )
-        if extras is not None:
-            extras = np.asarray(extras, dtype=float)
-            if extras.shape != (blocks.shape[0], self.k):
-                raise ShapeError(
-                    f"expected ({blocks.shape[0]}, {self.k}) cluster indicators, "
-                    f"got {extras.shape}"
-                )
-        return blocks, extras
-
-    def forward(self, inputs, train: bool = False, rng=None) -> np.ndarray:
-        blocks, extras = self._split_inputs(inputs)
+        if extras.shape != (blocks.shape[0], self.k):
+            raise ShapeError(
+                f"expected ({blocks.shape[0]}, {self.k}) cluster indicators, "
+                f"got {extras.shape}"
+            )
         hidden = self.lstm.forward(blocks, train=train, rng=rng)
-        if extras is not None:
-            hidden = np.concatenate([hidden, extras], axis=1)
-        return self.head.forward(hidden, train=train, rng=rng)
+        return self.head.forward(np.concatenate([hidden, extras], axis=1), train=train, rng=rng)
 
     def backward(self, grad_out: np.ndarray):
         grad_hidden = self.head.backward(grad_out)
@@ -108,17 +87,7 @@ class Forecaster(Layer):
 
     def predict_batch(self, blocks: np.ndarray, assignments=None) -> np.ndarray:
         """Inference on (n, steps, n_features) blocks; assignments required if k > 0."""
-        if self.k > 0:
-            if assignments is None:
-                raise ConfigError(
-                    "this model is cluster-conditioned; pass cluster assignments"
-                )
-            inputs = (blocks, one_hot(np.asarray(assignments), self.k))
-        else:
-            if assignments is not None:
-                raise ConfigError("this model takes no cluster assignments")
-            inputs = blocks
-        return self.forward(inputs, train=False)
+        return self.forward((blocks, cluster_indicators(assignments, self.k, len(blocks))))
 
     def to_doc(self) -> dict:
         return {
@@ -138,6 +107,20 @@ class Forecaster(Layer):
         return model
 
 
+def cluster_indicators(assignments, k: int, n: int) -> np.ndarray:
+    """The (n, k) one-hot cluster input of n rows; (n, 0) for the standard model."""
+    if k == 0:
+        if assignments is not None:
+            raise ConfigError("assignments were given but k is 0")
+        return np.zeros((n, 0))
+    if assignments is None:
+        raise ConfigError("k > 0 requires cluster assignments for every row")
+    indicator = one_hot(np.asarray(assignments), k)
+    if indicator.shape[0] != n:
+        raise ShapeError(f"{indicator.shape[0]} assignments for {n} rows")
+    return indicator
+
+
 def forecaster_train(
     blocks: np.ndarray,
     targets: np.ndarray,
@@ -155,29 +138,14 @@ def forecaster_train(
         raise ShapeError(
             f"expected ({blocks.shape[0]}, {N_OUTPUTS}) targets, got {targets.shape}"
         )
-    if k > 0:
-        if assignments is None:
-            raise ConfigError("k > 0 requires cluster assignments for every row")
-        indicator = one_hot(np.asarray(assignments), k)
-        if indicator.shape[0] != blocks.shape[0]:
-            raise ShapeError(
-                f"{indicator.shape[0]} assignments for {blocks.shape[0]} rows"
-            )
-        inputs = (blocks, indicator)
-    else:
-        if assignments is not None:
-            raise ConfigError("assignments were given but k is 0")
-        inputs = blocks
-    if config is None:
-        config = TrainConfig(seed=seed)
     model = Forecaster(
         blocks.shape[2], k=k, rng=rngmod.substream(seed, "forecaster.init")
     )
     result = train_loop(
         model,
-        inputs,
+        (blocks, cluster_indicators(assignments, k, blocks.shape[0])),
         targets,
-        config,
+        config if config is not None else TrainConfig(seed=seed),
         rng=rngmod.substream(seed, "forecaster.train"),
     )
     return model, result

@@ -29,8 +29,8 @@ MIN_SEASONS = 5  # observed seasons required inside CAREER_AGES
 CATEGORIES = ("star", "regular")
 MANDATORY_COLUMNS = ("player_id", "player_name", "season", "age")
 
-DEFAULT_AGE_BOUNDS = (18, 45)
-DEFAULT_SEASON_BOUNDS = (1995, 2023)
+AGE_BOUNDS = (18, 45)
+SEASON_BOUNDS = (1995, 2023)
 DEFAULT_TEST_FRACTION = 36.0 / 177.0
 
 
@@ -130,13 +130,7 @@ class Dataset:
     schema: FeatureSchema
 
 
-def parse_season_csv(
-    path: str,
-    schema: FeatureSchema,
-    *,
-    age_bounds: tuple[int, int] = DEFAULT_AGE_BOUNDS,
-    season_bounds: tuple[int, int] = DEFAULT_SEASON_BOUNDS,
-) -> list[SeasonRecord]:
+def parse_season_csv(path: str, schema: FeatureSchema) -> list[SeasonRecord]:
     """Read season rows from a CSV file.
 
     The header must name player_id, player_name, season, age and every
@@ -166,13 +160,13 @@ def parse_season_csv(
                     f"{path}:{line_no}: season/age must be integers "
                     f"(got {row.get('season')!r}, {row.get('age')!r})"
                 ) from None
-            if not age_bounds[0] <= age <= age_bounds[1]:
+            if not AGE_BOUNDS[0] <= age <= AGE_BOUNDS[1]:
                 raise IngestError(
-                    f"{path}:{line_no}: age {age} outside bounds {age_bounds}"
+                    f"{path}:{line_no}: age {age} outside bounds {AGE_BOUNDS}"
                 )
-            if not season_bounds[0] <= season <= season_bounds[1]:
+            if not SEASON_BOUNDS[0] <= season <= SEASON_BOUNDS[1]:
                 raise IngestError(
-                    f"{path}:{line_no}: season {season} outside bounds {season_bounds}"
+                    f"{path}:{line_no}: season {season} outside bounds {SEASON_BOUNDS}"
                 )
 
             features = {}
@@ -488,9 +482,6 @@ def ingest_csv(
     schema: FeatureSchema,
     test_fraction: float = DEFAULT_TEST_FRACTION,
     seed: int = 0,
-    *,
-    age_bounds: tuple[int, int] = DEFAULT_AGE_BOUNDS,
-    season_bounds: tuple[int, int] = DEFAULT_SEASON_BOUNDS,
 ) -> tuple[Dataset, dict]:
     """Run the whole ingestion chain and return the dataset plus a summary.
 
@@ -499,9 +490,7 @@ def ingest_csv(
     The summary counts players kept and dropped by reason, which the CLI
     prints and persists next to the dataset artifact.
     """
-    records = parse_season_csv(
-        path, schema, age_bounds=age_bounds, season_bounds=season_bounds
-    )
+    records = parse_season_csv(path, schema)
     grouped: dict[str, list[SeasonRecord]] = {}
     for rec in records:
         grouped.setdefault(rec.player_id, []).append(rec)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,18 +23,28 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 < self.validation_fraction < 1.0:
+        for name in ("max_epochs", "batch_size", "patience"):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (is_real(self.validation_fraction) and 0.0 < self.validation_fraction < 1.0):
             raise ConfigError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
+                f"validation_fraction must be in (0, 1), got {self.validation_fraction!r}"
             )
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (is_real(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
+
+
+def is_int(value) -> bool:
+    """An integer, but not a bool: JSON ``true`` is no count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """An integer or a float, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -71,8 +82,8 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng=None) -> TrainRe
     """Train ``model`` on (inputs, targets) and restore its best weights.
 
     ``inputs`` is an array or a tuple of arrays sliced along axis 0 in
-    parallel (the conditioned forecaster passes a (sequences, one-hots)
-    pair). A ``validation_fraction`` slice is held out up front; training
+    parallel (every forecaster passes a (blocks, indicators) pair, whose
+    indicators have zero columns for the standard model). A ``validation_fraction`` slice is held out up front; training
     stops once validation loss has not improved for ``patience`` epochs or
     at ``max_epochs``, whichever comes first, and the parameters from the
     best validation epoch are restored. Fully deterministic given the seed.

@@ -11,7 +11,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from careercast import forecaster
 from careercast.cli import main
+from careercast.nn import TrainConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -54,3 +58,22 @@ def test_dataset_json_lists_players_under_instrumentation(tmp_path):
     for split in ("train", "test"):
         assert isinstance(doc[split], list) and doc[split]
         assert all(isinstance(seq["player_id"], str) for seq in doc[split])
+
+
+def test_traced_forecasters_are_told_apart_by_k():
+    """The epochs hook names a forecaster by ``Forecaster.k``: k=0 is the standard model."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    rng = np.random.default_rng(0)
+    blocks = rng.normal(size=(10, 7, 3))
+    targets = rng.normal(size=(10, 3))
+    config = TrainConfig(max_epochs=2, patience=2)
+    with spans.instrument(tracer):
+        with tracer.command("stage2"):
+            forecaster.forecaster_train(blocks, targets, k=0, config=config)
+            forecaster.forecaster_train(
+                blocks, targets, assignments=np.arange(10) % 2, k=2, config=config
+            )
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["nn.train_loop.forecaster_standard.epochs"] == 2
+    assert metrics["nn.train_loop.forecaster.epochs"] == 2

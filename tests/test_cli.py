@@ -381,7 +381,51 @@ def test_usage_errors(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
     assert main(["evaluate", "--out", out, "--models", "nonsense"]) == 1
     assert "unknown model" in capsys.readouterr().err
+    assert main(["evaluate", "--out", out, "--models", "last_value", "last_value"]) == 1
+    assert "['last_value'] listed more than once" in capsys.readouterr().err
     assert main(["definitely-not-a-command"]) == 1
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        (None, ["--seed", "-1"]),
+        ({"seed": -1}, []),
+        ({"k_range": ["a", 3]}, []),
+        ({"k_range": [2.5, 3]}, []),
+        ({"kmeans_restarts": "3"}, []),
+        ({"test_fraction": "0.2"}, []),
+        ({"ridge_lambda": "1"}, []),
+        ({"autoencoder": {"max_epochs": "5"}}, []),
+        ({"forecaster": {"patience": True}}, []),
+        ({"forecaster": 5}, []),
+        ({"input_csv": 5}, []),
+    ],
+    ids=[
+        "seed-flag",
+        "seed-key",
+        "k_range-str",
+        "k_range-float",
+        "kmeans_restarts-str",
+        "test_fraction-str",
+        "ridge_lambda-str",
+        "max_epochs-str",
+        "patience-bool",
+        "block-int",
+        "input_csv-int",
+    ],
+)
+def test_mistyped_config_is_a_config_error(tmp_path, capsys, config, flags):
+    """A negative seed or a value of the wrong type exits 1 with a config error."""
+    argv = ["synth", "--out", str(tmp_path / "o"), *flags]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "o" / "synthetic.csv").exists()
 
 
 def test_empty_csv_is_a_data_error(tmp_path, capsys):

@@ -43,7 +43,7 @@ def test_conditioned_model_starts_as_the_plain_one():
     onehot = np.zeros((len(blocks), 2))
     onehot[np.arange(len(blocks)), np.arange(len(blocks)) % 2] = 1.0
     assert np.allclose(
-        conditioned.forward((blocks, onehot)), plain.forward(blocks),
+        conditioned.forward((blocks, onehot)), plain.forward((blocks, np.zeros((6, 0)))),
         rtol=0.0, atol=1e-12,
     )
 
@@ -78,7 +78,11 @@ def test_input_validation():
     with pytest.raises(ConfigError):
         plain.predict_batch(blocks, np.zeros(6, dtype=int))
     with pytest.raises(ShapeError):
-        plain.forward(seeded_blocks(9, features=5))
+        plain.forward((seeded_blocks(9, features=5), np.zeros((6, 0))))  # feature width
+    with pytest.raises(ShapeError):
+        plain.forward(blocks)  # a bare block, even at k=0
+    with pytest.raises(ShapeError):
+        plain.forward((blocks, np.zeros((6, 1))))  # indicator columns at k=0
 
 
 def test_training_reduces_loss_and_fits_constants():

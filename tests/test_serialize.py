@@ -18,9 +18,19 @@ from careercast.artifacts import (
 )
 from careercast.autoencoder import Autoencoder
 from careercast.errors import ArtifactError
-from careercast.forecaster import Forecaster
+from careercast.forecaster import Forecaster, forecaster_train
 from careercast.ingest import Split, ingest_csv, split_and_normalize
-from careercast.nn import LSTM, BatchNorm, Dense, Dropout, Layer, ReLU, Sequential, layers
+from careercast.nn import (
+    LSTM,
+    BatchNorm,
+    Dense,
+    Dropout,
+    Layer,
+    ReLU,
+    Sequential,
+    TrainConfig,
+    layers,
+)
 from careercast.nn.serialize import LAYER_TYPES, layer_from_doc, layer_to_doc
 from careercast.rng import substream
 from careercast.schema import default_schema
@@ -228,6 +238,22 @@ def _trained_autoencoder():
     return ae
 
 
+def _trained_forecaster(k):
+    """A forecaster after three epochs on seeded data; k=0 is the standard model."""
+    rng = np.random.default_rng(7)
+    blocks = rng.normal(size=(12, 7, 3))
+    targets = rng.normal(size=(12, 3))
+    model, _ = forecaster_train(
+        blocks,
+        targets,
+        assignments=np.arange(12) % 2 if k else None,
+        k=k,
+        seed=8,
+        config=TrainConfig(max_epochs=3, patience=3, seed=8),
+    )
+    return model
+
+
 @pytest.mark.parametrize(
     "build, digest",
     [
@@ -240,8 +266,22 @@ def _trained_autoencoder():
             lambda: Forecaster(3, k=0, rng=substream(6, "test.pin")),
             "cefecccaf40089595afb991c417feaa64f6539016e1c81c9a31dcfd698847aca",
         ),
+        (
+            lambda: _trained_forecaster(2),
+            "796b4c32e1a96545fc9d4e6d8bc1338f9fa7ad44c77758fc76886e5a8746e5cf",
+        ),
+        (
+            lambda: _trained_forecaster(0),
+            "6d8d6ddf7408c5e00659f6fca8507005a3a845baa7ace26ee8863a33703d5091",
+        ),
     ],
-    ids=["autoencoder", "forecaster-k2", "forecaster-k0"],
+    ids=[
+        "autoencoder",
+        "forecaster-k2",
+        "forecaster-k0",
+        "trained-forecaster-k2",
+        "trained-forecaster-k0",
+    ],
 )
 def test_model_document_bytes_are_pinned(build, digest):
     """Seeded model documents hash to fixed SHA-256s, so no saved model byte moves."""
