@@ -1,15 +1,15 @@
 """Artifact persistence: canonical JSON, one envelope, the hash-chained loader.
 
-JSON artifacts are written compact with sorted keys, so the same
-document always produces the same bytes and a stable SHA-256. Every
-pipeline artifact is one flat envelope: the header keys ``format``,
-``version``, ``kind`` and ``inputs`` (the SHA-256 of each artifact it was
-built from, by file name) sit beside the body keys. ``load_chain`` reads
-the artifacts a command needs plus everything they were built from, refuses
-the chain unless every recorded hash matches the bytes it read, and decodes
-each document into the object it holds. Anything time-dependent goes in
-the ``run_info.json`` sidecar, which is excluded from hashing and from
-determinism comparisons.
+JSON artifacts are written compact with sorted keys, so the same document
+always produces the same bytes and a stable SHA-256. Weights and career rows
+are bit-exact ``nn.serialize.encode_f8`` text. Every pipeline artifact is
+one flat envelope: the header keys ``format``, ``version``, ``kind`` and
+``inputs`` (the SHA-256 of each artifact it was built from, by file name)
+sit beside the body keys. ``load_chain`` reads the artifacts a command needs
+plus everything they were built from, refuses the chain unless every
+recorded hash matches the bytes it read, and decodes each document into the
+object it holds. Anything time-dependent goes in the ``run_info.json``
+sidecar, which is excluded from hashing and from determinism comparisons.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from .clustering import ClusterModel
 from .errors import ArtifactError, CareerCastError
 from .forecaster import Forecaster
 from .ingest import INPUT_AGES, TARGET_AGES, Dataset, NormStats, Split
+from .nn.serialize import decode_f8, encode_f8
 from .schema import FeatureSchema
 
 RUN_INFO = "run_info.json"
 FORMAT = "careercast-artifact"
-VERSION = 1
+VERSION = 2
 HEADER = ("format", "version", "kind", "inputs")
 
 DATASET = "dataset.json"
@@ -191,10 +192,8 @@ def write_run_info(out_dir, command: str, seed: int, artifact_hashes: dict) -> N
 
 def _split_to_doc(split: Split) -> list[dict]:
     return [
-        {"player_id": pid, "raw_input": raw, "target": target, "category": category}
-        for pid, raw, target, category in zip(
-            split.player_ids, split.raw.tolist(), split.target.tolist(), split.category
-        )
+        {"player_id": pid, "raw_input": encode_f8(raw), "target": encode_f8(y), "category": c}
+        for pid, raw, y, c in zip(split.player_ids, split.raw, split.target, split.category)
     ]
 
 
@@ -214,8 +213,8 @@ def dataset_from_doc(doc: dict) -> Dataset:
     """Rebuild a dataset from its document, re-normalizing each ``raw_input``.
 
     ``norm_stats`` that do not name the schema's kept columns with one mean
-    and one std each, or a split whose rows do not stack into an
-    (n, 7, features) block with an (n, 3) target, raise ``ArtifactError``;
+    and one std each, or a player whose ``encode_f8`` ``raw_input`` and
+    ``target`` do not hold 7 x features and 3 values, raise ``ArtifactError``;
     ``load_chain`` refuses those and any missing key as a corrupt artifact.
     """
     schema = FeatureSchema.from_doc(doc["schema"])
@@ -230,14 +229,16 @@ def dataset_from_doc(doc: dict) -> Dataset:
 
     def split(name) -> Split:
         rows = doc[name]
-        raw = np.array([d["raw_input"] for d in rows], dtype=float)
-        target = np.array([d["target"] for d in rows], dtype=float)
-        want = (len(rows), len(INPUT_AGES), schema.n_features), (len(rows), len(TARGET_AGES))
-        if (raw.shape, target.shape) != want:
-            raise ArtifactError(
-                f"{name} career block {raw.shape} and target {target.shape}, "
-                f"expected {want[0]} and {want[1]}"
-            )
+
+        def block(key, *shape) -> np.ndarray:
+            arrays = [decode_f8(d[key], f"{name} {key}") for d in rows]
+            sizes = sorted({a.size for a in arrays})
+            if rows and sizes != [int(np.prod(shape))]:
+                raise ArtifactError(f"{name} {key} holds {sizes} values a player, expected {shape}")
+            return np.reshape(arrays, (len(rows), *shape))
+
+        raw = block("raw_input", len(INPUT_AGES), schema.n_features)
+        target = block("target", len(TARGET_AGES))
         ids = tuple(d["player_id"] for d in rows)
         categories = tuple(d["category"] for d in rows)
         return Split(ids, categories, raw, target, stats.apply(raw, schema.names))

@@ -15,6 +15,7 @@ import csv
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -84,16 +85,6 @@ def _schema_for(cfg: PipelineConfig):
     return default_schema()
 
 
-def _result_doc(result) -> dict:
-    return {
-        "stopped_epoch": result.stopped_epoch,
-        "best_epoch": result.best_epoch,
-        "best_val_loss": float(result.best_val_loss),
-        "train_loss": [float(v) for v in result.train_loss],
-        "val_loss": [float(v) for v in result.val_loss],
-    }
-
-
 def _chain(cfg: PipelineConfig, names=()):
     """The checked artifact chain behind ``names``, plus its dataset."""
     chain = artifacts.load_chain(cfg.out_dir, (DATASET, *names))
@@ -116,11 +107,11 @@ def _proposed(chain):
 
 def cmd_synth(args) -> int:
     cfg = _config_from(args)
-    _ensure_dirs(cfg)
     if args.stars < 1 or args.regulars < 1:
         raise ConfigError("player counts must be at least 1")
     if args.noise < 0:
         raise ConfigError(f"noise must be non-negative, got {args.noise}")
+    _ensure_dirs(cfg)
     specs = default_specs(args.stars, args.regulars, args.noise)
     path = args.csv or os.path.join(cfg.out_dir, "synthetic.csv")
     n_rows = write_synth_csv(path, specs, seed=cfg.seed, schema=_schema_for(cfg))
@@ -179,17 +170,13 @@ def cmd_stage1(args) -> int:
     embeddings = ae.encode(flat)
     lo, hi = cfg.k_range
     clusters = select_k(
-        embeddings,
-        player_ids=dataset.train.player_ids,
-        k_range=range(lo, hi + 1),
-        restarts=cfg.kmeans_restarts,
-        seed=cfg.seed,
+        embeddings, k_range=range(lo, hi + 1), restarts=cfg.kmeans_restarts, seed=cfg.seed
     )
     inputs = {DATASET: chain[DATASET].sha256}
     ae_hash = artifacts.write_artifact(
         cfg.out_dir,
         AUTOENCODER,
-        {"model": ae.to_doc(), "seed": cfg.seed, "train": _result_doc(result)},
+        {"model": ae.to_doc(), "seed": cfg.seed, "train": asdict(result)},
         inputs,
     )
     cl_hash = artifacts.write_artifact(
@@ -246,7 +233,7 @@ def cmd_stage2(args) -> int:
     digest = artifacts.write_artifact(
         cfg.out_dir,
         out_name,
-        {"model": model.to_doc(), "seed": cfg.seed, "train": _result_doc(result)},
+        {"model": model.to_doc(), "seed": cfg.seed, "train": asdict(result)},
         inputs,
     )
     label = "standard" if args.standard else "cluster-conditioned"
@@ -459,6 +446,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # the audit draws from fixed seeds and writes nothing
+    ignored = [f"--{name}" for name in ("config", "seed", "out") if hasattr(args, name)]
+    if ignored:
+        raise ConfigError(f"gradcheck takes no {', '.join(ignored)}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     rows = gradcheck_suite(n_seeds=args.seeds)

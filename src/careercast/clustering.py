@@ -253,9 +253,7 @@ class ClusterModel:
     k: int
     centroids: np.ndarray
     train_assignments: np.ndarray
-    inertia: float
     silhouette_by_k: dict = field(default_factory=dict)
-    train_player_ids: tuple = ()
 
     def assign(self, points: np.ndarray) -> np.ndarray:
         return assign(points, self.centroids)
@@ -265,11 +263,9 @@ class ClusterModel:
             "k": int(self.k),
             "centroids": [[float(v) for v in row] for row in self.centroids],
             "train_assignments": [int(a) for a in self.train_assignments],
-            "inertia": float(self.inertia),
             "silhouette_by_k": {
                 str(kk): float(s) for kk, s in sorted(self.silhouette_by_k.items())
             },
-            "train_player_ids": list(self.train_player_ids),
         }
 
     @classmethod
@@ -278,15 +274,12 @@ class ClusterModel:
             k=int(doc["k"]),
             centroids=np.array(doc["centroids"], dtype=float),
             train_assignments=np.array(doc["train_assignments"], dtype=int),
-            inertia=float(doc["inertia"]),
             silhouette_by_k={int(kk): float(s) for kk, s in doc["silhouette_by_k"].items()},
-            train_player_ids=tuple(doc["train_player_ids"]),
         )
 
 
 def select_k(
     embeddings: np.ndarray,
-    player_ids=(),
     k_range=DEFAULT_K_RANGE,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
@@ -324,9 +317,7 @@ def select_k(
         k=best_k,
         centroids=best_fit.centroids,
         train_assignments=best_fit.assignments,
-        inertia=best_fit.inertia,
         silhouette_by_k=table,
-        train_player_ids=tuple(player_ids),
     )
 
 

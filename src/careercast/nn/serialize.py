@@ -1,16 +1,17 @@
 """JSON documents for layers and layer stacks.
 
 A layer's document is its ``type`` name, its ``config`` values, and each
-of its ``params`` and ``state`` arrays as a flat row-major list with its
-shape; the layer class supplies all three name lists. A ``sequential``
-document lists its layers' documents in order. Floats are written with
-Python's shortest round-trip repr, so save -> load is value-exact for
-doubles. The artifact envelope around a model document lives in
-``careercast.artifacts``.
+of its ``params`` and ``state`` arrays as its ``shape`` beside ``f8``, the
+``encode_f8`` text of its values; the layer class supplies all three name
+lists. A ``sequential`` document lists its layers' documents in order.
+``encode_f8`` keeps every bit, so save -> load is value-exact for doubles.
+The artifact envelope around a model document, which also stores career
+rows with ``encode_f8``, lives in ``careercast.artifacts``.
 """
 
 from __future__ import annotations
 
+import base64
 from itertools import zip_longest
 
 import numpy as np
@@ -25,6 +26,20 @@ LAYER_TYPES = {
 _TYPE_NAMES = {cls: kind for kind, cls in LAYER_TYPES.items()}
 
 
+def encode_f8(arr) -> str:
+    """The values of ``arr``, row-major, as base64 of their little-endian float64 bytes."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_f8(text, what: str) -> np.ndarray:
+    """The flat array ``encode_f8`` wrote, as owned native float64; text that is not
+    strict base64 of whole 8-byte values raises ``ArtifactError`` naming ``what``."""
+    try:
+        return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(f"{what} is not base64 of whole float64 values: {exc}") from None
+
+
 def layer_to_doc(layer) -> dict:
     if isinstance(layer, Sequential):
         return {"type": "sequential", "layers": [layer_to_doc(l) for l in layer.layers]}
@@ -34,7 +49,7 @@ def layer_to_doc(layer) -> dict:
     doc = {"type": kind, **{name: getattr(layer, name) for name in layer.config}}
     for name in layer.params + layer.state:
         arr = getattr(layer, name)
-        doc[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+        doc[name] = {"shape": list(arr.shape), "f8": encode_f8(arr)}
     return doc
 
 
@@ -53,7 +68,7 @@ def layer_from_doc(doc: dict):
     layer = cls(*(doc[name] for name in cls.config))
     for name in cls.params + cls.state:
         arr, want = doc[name], getattr(layer, name).shape
-        data = np.array(arr["data"], dtype=float)
+        data = decode_f8(arr["f8"], f"{kind} {name}")
         if arr["shape"] != list(want) or data.shape != (int(np.prod(want)),):
             raise ArtifactError(
                 f"{kind} {name} has shape {arr['shape']} and {data.size} values; "

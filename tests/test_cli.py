@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline on a small synthetic pool."""
 
+import base64
 import csv
 import hashlib
 import json
@@ -11,6 +12,7 @@ import pytest
 
 from careercast import artifacts
 from careercast.cli import main
+from careercast.nn.serialize import decode_f8, encode_f8, layout
 from careercast.schema import default_schema
 from careercast.synth import default_specs, write_csv
 
@@ -208,35 +210,79 @@ def test_parent_format_artifact_is_refused(pipeline, tmp_path, capsys, name):
     artifacts.write_json(copy / name, parent_format(name, doc))
     rc = main(["stage2", "--out", str(copy), "--seed", "0"])
     assert rc == 2
-    assert "not a careercast-artifact v1" in capsys.readouterr().err
+    assert "not a careercast-artifact v2" in capsys.readouterr().err
+
+
+def as_v1(node):
+    """``node`` as format version 1 wrote it: every array a list of decimal floats."""
+    if isinstance(node, list):
+        return [as_v1(v) for v in node]
+    if not isinstance(node, dict):
+        return node
+    node = {key: as_v1(value) for key, value in node.items()}
+    if "f8" in node:
+        node["data"] = decode_f8(node.pop("f8"), "f8").tolist()
+    if "raw_input" in node:
+        node["raw_input"] = decode_f8(node["raw_input"], "raw").reshape(7, -1).tolist()
+        node["target"] = decode_f8(node["target"], "target").tolist()
+    if "version" in node:
+        node["version"] = 1
+    return node
+
+
+@pytest.mark.parametrize(
+    "name, kind, rerun",
+    [("dataset.json", "dataset", "ingest"), ("forecaster.json", "forecaster", "stage2")],
+)
+def test_v1_artifact_is_refused(pipeline, tmp_path, capsys, name, kind, rerun):
+    """An artifact of decimal lists, as version 1 wrote it, is refused, not read."""
+    out_dir, _ = pipeline
+    copy = tmp_path / "v1"
+    shutil.copytree(out_dir, copy)
+    doc = as_v1(json.loads((copy / name).read_text()))
+    assert "f8" not in json.dumps(doc)
+    artifacts.write_json(copy / name, doc)
+    rc = main(["predict", "--out", str(copy), "--seed", "0", "--player", "syn0000"])
+    assert rc == 2
+    assert (
+        f"{copy / name}: not a careercast-artifact v2 {kind!r} artifact (found format, "
+        f"version, kind ['careercast-artifact', 1, {kind!r}]); rerun {rerun}"
+    ) in capsys.readouterr().err
 
 
 def malformed(doc, case):
     """``doc`` with its header or its first train career broken in one way."""
     first = doc["train"][0]
-    raw = first["raw_input"]
+    raw = decode_f8(first["raw_input"], "raw_input").reshape(7, -1)
     if case.startswith("no "):
         del doc[case[3:]]
     elif case == "short mean":
         doc["norm_stats"]["mean"] = doc["norm_stats"]["mean"][:-1]
     elif case == "ragged row":
-        first["raw_input"] = [raw[0][:-1]] + raw[1:]
+        first["raw_input"] = encode_f8(np.concatenate([raw[0, :-1], raw[1:].ravel()]))
     elif case == "47 columns":
-        first["raw_input"] = [row[:-1] for row in raw]
+        first["raw_input"] = encode_f8(raw[:, :-1])
     elif case == "6 rows":
-        first["raw_input"] = raw[:-1]
+        first["raw_input"] = encode_f8(raw[:-1])
     else:
-        first["target"] = first["target"][:2]
+        first["target"] = encode_f8(decode_f8(first["target"], "target")[:2])
     return doc
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "ragged row", "47 columns", "6 rows", "2 targets",
-        "short mean", "no schema", "no norm_stats", "no seed",
-    ],
-)
+# each malformed case -> the refusal it must reach
+MALFORMED = {
+    "ragged row": "train raw_input holds [335, 336] values a player, expected (7, 48)",
+    "47 columns": "train raw_input holds [329, 336] values a player, expected (7, 48)",
+    "6 rows": "train raw_input holds [288, 336] values a player, expected (7, 48)",
+    "2 targets": "train target holds [2, 3] values a player, expected (3,)",
+    "short mean": "norm_stats must name schema columns in schema order",
+    "no schema": "KeyError('schema')",
+    "no norm_stats": "KeyError('norm_stats')",
+    "no seed": "KeyError('seed')",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_dataset_is_a_data_error(pipeline, tmp_path, capsys, case):
     out_dir, _ = pipeline
     copy = tmp_path / "malformed"
@@ -245,7 +291,7 @@ def test_malformed_dataset_is_a_data_error(pipeline, tmp_path, capsys, case):
     artifacts.write_json(copy / "dataset.json", malformed(doc, case))
     rc = main(["stage1", "--config", str(copy / "config.json"), "--out", str(copy)])
     assert rc == 2
-    assert "dataset.json: corrupt artifact" in capsys.readouterr().err
+    assert f"dataset.json: corrupt artifact: {MALFORMED[case]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -325,10 +371,10 @@ def test_corrupt_forecaster_is_refused(pipeline, tmp_path, capsys):
 def widen_head(model):
     """Give the head's first layer one more input column, consistently with its config."""
     first = model["head"]["layers"][0]
-    weight = np.array(first["weight"]["data"]).reshape(first["weight"]["shape"])
+    weight = decode_f8(first["weight"]["f8"], "weight").reshape(first["weight"]["shape"])
     weight = np.hstack([weight, np.zeros((weight.shape[0], 1))])
     first["n_in"] += 1
-    first["weight"] = {"shape": list(weight.shape), "data": weight.ravel().tolist()}
+    first["weight"] = {"shape": list(weight.shape), "f8": encode_f8(weight)}
 
 
 @pytest.mark.parametrize(
@@ -337,8 +383,13 @@ def widen_head(model):
         ("missing array", "lstm layer document lacks ['w_input']"),
         ("wrong shape", "lstm w_input has shape [256, 3] and 768 values"),
         ("head width", "model layers differ from its config: ('head.0.weight'"),
+        ("not base64", "lstm w_input is not base64 of whole float64 values: Only base64"),
+        ("partial value", "lstm w_input is not base64 of whole float64 values: buffer size"),
+        ("wrong count", "lstm w_input has shape [256, 48] and 12287 values; its config "
+         "builds [256, 48]"),
     ],
-    ids=["missing-array", "wrong-shape", "head-width"],
+    ids=["missing-array", "wrong-shape", "head-width", "not-base64", "partial-value",
+         "wrong-count"],
 )
 def test_misshapen_forecaster_is_refused(pipeline, tmp_path, capsys, case, reason):
     out_dir, _ = pipeline
@@ -349,7 +400,14 @@ def test_misshapen_forecaster_is_refused(pipeline, tmp_path, capsys, case, reaso
     if case == "missing array":
         del lstm["w_input"]
     elif case == "wrong shape":
-        lstm["w_input"] = {"shape": [256, 3], "data": [0.0] * 768}
+        lstm["w_input"] = {"shape": [256, 3], "f8": encode_f8(np.zeros(768))}
+    elif case == "not base64":
+        lstm["w_input"]["f8"] = "*" + lstm["w_input"]["f8"][1:]
+    elif case == "partial value":
+        data = decode_f8(lstm["w_input"]["f8"], "w_input").tobytes()
+        lstm["w_input"]["f8"] = base64.b64encode(data[:-1]).decode("ascii")
+    elif case == "wrong count":
+        lstm["w_input"]["f8"] = encode_f8(decode_f8(lstm["w_input"]["f8"], "w_input")[:-1])
     else:
         widen_head(doc["model"])
     artifacts.write_json(copy / "forecaster.json", doc)
@@ -508,3 +566,53 @@ def test_gradcheck_command(capsys):
     out = capsys.readouterr().out
     assert out.count(" ok") == 7
     assert main(["gradcheck", "--seeds", "0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--seeds", "1", "--seed", "5"],
+        ["gradcheck", "--seeds", "1", "--config", "config.json"],
+        ["gradcheck", "--seeds", "1", "--out", "audit"],
+        ["--seed", "5", "gradcheck", "--seeds", "1"],
+    ],
+    ids=["seed", "config", "out", "seed-before-command"],
+)
+def test_gradcheck_refuses_flags_it_would_ignore(tmp_path, capsys, argv):
+    """The audit's seeds are fixed and it writes nothing, so these flags are refused."""
+    argv = [str(tmp_path / a) if a in ("config.json", "audit") else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    flag = next(a for a in argv if a in ("--seed", "--config", "--out"))
+    assert captured.err == f"config error: gradcheck takes no {flag}\n"
+    assert captured.out == "" and not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--stars", "0"], "player counts must be at least 1"),
+        (["--regulars", "0"], "player counts must be at least 1"),
+        (["--noise", "-1"], "noise must be non-negative, got -1.0"),
+    ],
+    ids=["stars", "regulars", "noise"],
+)
+def test_refused_synth_writes_nothing(tmp_path, capsys, flags, reason):
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"config error: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["autoencoder.json", "forecaster.json", "forecaster_standard.json"])
+def test_model_artifacts_store_weights_as_binary(pipeline, name):
+    """A model file holds at most 11 bytes per stored value plus 16 KB.
+
+    Base64 float64 takes 10.67 bytes a value; decimal lists take about twice that.
+    """
+    out_dir, _ = pipeline
+    model = artifacts.load_chain(out_dir, [name])[name].value
+    net = model.model if name == "autoencoder.json" else model
+    values = sum(int(np.prod(shape)) for _, shape in layout(net) if isinstance(shape, tuple))
+    assert values > 10_000
+    assert (out_dir / name).stat().st_size <= 11 * values + 16 * 1024

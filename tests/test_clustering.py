@@ -136,7 +136,7 @@ def test_select_k_finds_three_blobs_and_breaks_ties_low():
     points = np.vstack(
         [rng.normal(size=(15, 4)) * 0.2 + c for c in (-6.0, 0.0, 6.0)]
     )
-    model = select_k(points, player_ids=[f"p{i}" for i in range(45)], k_range=range(2, 6), seed=0)
+    model = select_k(points, k_range=range(2, 6), seed=0)
     assert model.k == 3
     assert sorted(model.silhouette_by_k) == [2, 3, 4, 5]
     best = max(model.silhouette_by_k.values())
@@ -262,12 +262,11 @@ def test_kmeans_parameter_errors():
 def test_cluster_model_doc_round_trip():
     rng = np.random.default_rng(3)
     points = np.vstack([rng.normal(size=(10, 2)) - 3, rng.normal(size=(10, 2)) + 3])
-    model = select_k(points, player_ids=[str(i) for i in range(20)], k_range=range(2, 5), seed=1)
+    model = select_k(points, k_range=range(2, 5), seed=1)
     loaded = ClusterModel.from_doc(model.to_doc())
     assert loaded.k == model.k
     assert np.array_equal(loaded.centroids, model.centroids)
     assert np.array_equal(loaded.train_assignments, model.train_assignments)
     assert loaded.silhouette_by_k == model.silhouette_by_k
-    assert loaded.train_player_ids == model.train_player_ids
     probe = rng.normal(size=(6, 2))
     assert np.array_equal(loaded.assign(probe), model.assign(probe))

@@ -31,7 +31,13 @@ from careercast.nn import (
     TrainConfig,
     layers,
 )
-from careercast.nn.serialize import LAYER_TYPES, layer_from_doc, layer_to_doc
+from careercast.nn.serialize import (
+    LAYER_TYPES,
+    decode_f8,
+    encode_f8,
+    layer_from_doc,
+    layer_to_doc,
+)
 from careercast.rng import substream
 from careercast.schema import default_schema
 from careercast.synth import default_specs, write_csv
@@ -130,6 +136,38 @@ def test_every_leaf_layer_round_trips_config_params_and_state(tmp_path):
             assert after.shape == before.shape and after.tobytes() == before.tobytes()
 
 
+def test_f8_encoding_keeps_every_bit():
+    values = np.array(
+        [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 1.0 / 3.0]
+    )
+    for arr in (values, values.reshape(2, 4)[:, ::-1], np.zeros((0, 3))):
+        back = decode_f8(encode_f8(arr), "probe")
+        assert back.shape == (arr.size,) and back.dtype == np.float64
+        assert back.tobytes() == np.ascontiguousarray(arr).tobytes()
+        assert np.array_equal(back, arr.ravel(), equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(arr.ravel()))
+        # owned and writeable, not a read-only view of the decoded bytes
+        assert back.flags.owndata and back.flags.writeable
+    assert encode_f8(np.zeros(0)) == ""
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("AAAA AAAAAAA=", "Only base64 data is allowed"),
+        ("AAAAé", "contain only ASCII characters"),
+        ("AAAAAAAAAA==", "buffer size must be a multiple of element size"),
+        ([0.5, 1.5], "bytes-like object or ASCII string, not 'list'"),
+    ],
+    ids=["not-base64", "not-ascii", "partial-value", "decimal-list"],
+)
+def test_f8_decoding_refuses_malformed_text(text, reason):
+    with pytest.raises(ArtifactError) as refusal:
+        decode_f8(text, "probe")
+    assert str(refusal.value).startswith("probe is not base64 of whole float64 values: ")
+    assert reason in str(refusal.value)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     doc = {"model": layer_to_doc(Dense(2, 2, substream(7, "test.ser"))), "note": "é"}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -145,7 +183,7 @@ def test_envelope_carries_meta():
     doc = envelope("clusters", {"clusters": {"k": 2}, "seed": 3}, {DATASET: "abc"})
     assert doc == {
         "format": "careercast-artifact",
-        "version": 1,
+        "version": 2,
         "kind": "clusters",
         "inputs": {DATASET: "abc"},
         "clusters": {"k": 2},
@@ -228,7 +266,7 @@ def test_dataset_document_bytes_are_pinned(tmp_path):
     write_csv(path, default_specs(n_star=3, n_regular=9), seed=5, schema=schema)
     ds, summary = ingest_csv(path, schema, seed=5)
     digest = hashlib.sha256(canonical_json(dataset_to_doc(ds, summary))).hexdigest()
-    assert digest == "462c61387a16cb5d64cc017b51c656efdeede14b411de1ade8aaae8d6ebd4089"
+    assert digest == "19f170b690b61746a1a8e37f6a5ee086bb1a5ee97506a8c2e2d28cd3e8e3bb29"
 
 
 def _trained_autoencoder():
@@ -257,22 +295,22 @@ def _trained_forecaster(k):
 @pytest.mark.parametrize(
     "build, digest",
     [
-        (_trained_autoencoder, "2af4b20df4d753766b0f35abe663a3a74bb6b9c1f7ad83cfc9080304109d64cd"),
+        (_trained_autoencoder, "d567dca34471f1192e70734a8fce9a3a5855dc78dee30cb54050dc17ab2f152a"),
         (
             lambda: Forecaster(3, k=2, rng=substream(5, "test.pin")),
-            "09b02f0c6ba50f54d34c19cbbcf812cc44e6b2bcc07fb2551df1e2053bb28bbb",
+            "749f73e314256cc94a9e36b24d6397cee940fc65a8e3199698462b96079c1cc5",
         ),
         (
             lambda: Forecaster(3, k=0, rng=substream(6, "test.pin")),
-            "cefecccaf40089595afb991c417feaa64f6539016e1c81c9a31dcfd698847aca",
+            "e375354d2bafcaae57164fe073f299413685a378565fdce212c9b026acce7ef6",
         ),
         (
             lambda: _trained_forecaster(2),
-            "796b4c32e1a96545fc9d4e6d8bc1338f9fa7ad44c77758fc76886e5a8746e5cf",
+            "59de4b6a9f7447e627c3aaf62e2a7891eff2511c67b5131661adb82dca5006a0",
         ),
         (
             lambda: _trained_forecaster(0),
-            "6d8d6ddf7408c5e00659f6fca8507005a3a845baa7ace26ee8863a33703d5091",
+            "57c7682151277225d823dc0d8c204b37af9d35e35c527b0de5983b33acbc985d",
         ),
     ],
     ids=[
