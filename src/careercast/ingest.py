@@ -289,6 +289,7 @@ def impute_missing(
     """
     by_age = {r.age: r for r in seasons}
     own_ages = sorted(by_age)
+    observed_ages: dict[str, list[int]] = {}  # per counting feature, built on first need
     out = []
     for age in INPUT_AGES:
         if age in by_age:
@@ -309,7 +310,7 @@ def impute_missing(
                 category=src.category,
                 imputed=set(src.features),
             )
-        _fill_cells(rec, schema, by_age, medians[INPUT_AGES.index(age)])
+        _fill_cells(rec, schema, by_age, observed_ages, medians[INPUT_AGES.index(age)])
         out.append(rec)
     out.extend(
         _copy_record(by_age[a]) for a in TARGET_AGES if a in by_age
@@ -330,7 +331,7 @@ def _copy_record(rec: SeasonRecord) -> SeasonRecord:
 
 
 def _nearest_age(ages: list[int], age: int) -> int | None:
-    """Nearest age in the list, preferring earlier seasons on a tie."""
+    """The nearest earlier age in ``ages`` (in any order), else the nearest later one."""
     earlier = [a for a in ages if a < age]
     later = [a for a in ages if a > age]
     if earlier:
@@ -344,6 +345,7 @@ def _fill_cells(
     rec: SeasonRecord,
     schema: FeatureSchema,
     own_by_age: dict[int, SeasonRecord],
+    observed_ages: dict[str, list[int]],
     medians_at_age: np.ndarray,
 ) -> None:
     for j, name in enumerate(schema.names):
@@ -358,7 +360,7 @@ def _fill_cells(
                 )
         else:
             assert kind == COUNTING
-            value = _own_nearest_value(own_by_age, name, rec.age)
+            value = _own_nearest_value(own_by_age, observed_ages, name, rec.age)
             if value is None:
                 # Never observed anywhere in this career; fall back to peers.
                 value = float(medians_at_age[j])
@@ -371,10 +373,11 @@ def _fill_cells(
 
 
 def _own_nearest_value(
-    own_by_age: dict[int, SeasonRecord], name: str, age: int
+    own_by_age: dict[int, SeasonRecord], observed_ages: dict[str, list[int]], name: str, age: int
 ) -> float | None:
-    observed_ages = sorted(a for a, r in own_by_age.items() if r.observed(name))
-    nearest = _nearest_age(observed_ages, age)
+    if name not in observed_ages:
+        observed_ages[name] = [a for a, r in own_by_age.items() if r.observed(name)]
+    nearest = _nearest_age(observed_ages[name], age)
     if nearest is None:
         return None
     return own_by_age[nearest].features[name]
@@ -394,12 +397,12 @@ def build_sequences(
             rec = by_age.get(age)
             if rec is None:
                 raise IngestError(f"internal invariant violated: {pid} lacks an age-{age} row")
-            for j, name in enumerate(schema.names):
-                if name not in rec.features:
-                    raise IngestError(
-                        f"internal invariant violated: {pid} age {age} missing {name!r}"
-                    )
-                raw[p, i, j] = rec.features[name]
+            try:
+                raw[p, i] = [rec.features[name] for name in schema.names]
+            except KeyError as exc:
+                raise IngestError(
+                    f"internal invariant violated: {pid} age {age} missing {exc.args[0]!r}"
+                ) from None
 
         for i, age in enumerate(TARGET_AGES):
             rec = by_age.get(age)
@@ -506,20 +509,23 @@ def ingest_csv(
             dropped_few += 1
         else:
             dropped_targets += 1
+    rows_parsed, players_total = len(records), len(grouped)
+    del records, grouped  # from here on, ``eligible`` holds the only parsed rows
 
     if not eligible:
         raise IngestError("no eligible players")
     pids = list(eligible)
     _, train_idx = _split_indices(len(pids), test_fraction, seed)
     medians = peer_medians([r for i in sorted(train_idx) for r in eligible[pids[i]]], schema)
-    complete = {
-        pid: impute_missing(rows, schema, medians) for pid, rows in eligible.items()
-    }
-    dataset = split_and_normalize(build_sequences(complete, schema), schema, test_fraction, seed)
+    # Each player's parsed rows are freed once its completed rows exist.
+    complete = {pid: impute_missing(eligible.pop(pid), schema, medians) for pid in pids}
+    careers = build_sequences(complete, schema)
+    del complete
+    dataset = split_and_normalize(careers, schema, test_fraction, seed)
     summary = {
-        "rows_parsed": len(records),
-        "players_total": len(grouped),
-        "players_kept": len(eligible),
+        "rows_parsed": rows_parsed,
+        "players_total": players_total,
+        "players_kept": len(pids),
         "dropped_too_few_seasons": dropped_few,
         "dropped_unobserved_targets": dropped_targets,
         "train_players": len(dataset.train),

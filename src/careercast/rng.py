@@ -7,6 +7,8 @@ in isolation and reproduce its draws bit for bit, independent of what ran
 before it.
 """
 
+from __future__ import annotations
+
 import hashlib
 
 import numpy as np

@@ -6,10 +6,13 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import careercast
 from careercast import artifacts
 from careercast.cli import main
 from careercast.nn.serialize import decode_f8, encode_f8, layout
@@ -616,3 +619,12 @@ def test_model_artifacts_store_weights_as_binary(pipeline, name):
     values = sum(int(np.prod(shape)) for _, shape in layout(net) if isinstance(shape, tuple))
     assert values > 10_000
     assert (out_dir / name).stat().st_size <= 11 * values + 16 * 1024
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """``predict`` draws nothing, so starting the CLI must not load numpy.random."""
+    src = os.path.dirname(os.path.dirname(careercast.__file__))
+    code = "import sys, careercast.cli; assert 'numpy.random' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from careercast.errors import (
 from careercast.ingest import (
     INPUT_AGES,
     Split,
+    _nearest_age,
     build_sequences,
     impute_missing,
     ingest_csv,
@@ -135,6 +137,13 @@ def test_impute_counting_copies_own_nearest(small_schema, write_season_csv):
     assert filled.features["PTS"] == by_age[24].features["PTS"]
 
 
+def test_nearest_age_takes_any_earlier_age_first():
+    assert _nearest_age([22, 27], 26) == 22  # 27 is nearer, but later
+    assert _nearest_age([27, 22, 24], 26) == 24  # input order does not matter
+    assert _nearest_age([29, 27], 26) == 27
+    assert _nearest_age([26], 26) is None
+
+
 def test_impute_creates_missing_input_age_row(small_schema, write_season_csv):
     by_age = {age: 1.0 for age in range(22, 32) if age != 25}
     rows = career_rows("gap", by_age)
@@ -183,6 +192,18 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
     assert np.array_equal(
         careers.input[0, :, ti], np.array([4.1, 5.0, 5.5, 6.2, 6.8, 7.3, 7.9])
     )
+
+
+def test_build_sequences_refuses_a_row_missing_a_feature(small_schema, write_season_csv):
+    records = parse_season_csv(write_season_csv(full_career("hole", 1.0)), small_schema)
+    eligible = select_eligible_players(records, "BPM")
+    medians = peer_medians(eligible["hole"], small_schema)
+    complete = {"hole": impute_missing(eligible["hole"], small_schema, medians)}
+    first, second = small_schema.names[1], small_schema.names[2]
+    row = next(r for r in complete["hole"] if r.age == 25)
+    del row.features[second], row.features[first]
+    with pytest.raises(IngestError, match=f"hole age 25 missing '{first}'"):
+        build_sequences(complete, small_schema)
 
 
 def gappy_pool(schema, seed, cell_share=0.1, player_share=0.2):
@@ -456,3 +477,21 @@ def test_ingest_csv_no_eligible_players(small_schema, write_season_csv):
     path = write_season_csv(career_rows("only", {22: 1.0, 23: 2.0}))
     with pytest.raises(IngestError, match="no eligible players"):
         ingest_csv(path, small_schema)
+
+
+def test_ingest_holds_one_copy_of_the_rows(tmp_path):
+    schema = default_schema()
+    path = str(tmp_path / "pool.csv")
+    write_csv(path, default_specs(30, 170), seed=1, schema=schema)
+    ingest_csv(path, schema)  # lazy imports and first-call caches are not rows
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    parse_peak = peak(lambda: parse_season_csv(path, schema))
+    assert peak(lambda: ingest_csv(path, schema)) <= 1.5 * parse_peak
