@@ -27,12 +27,12 @@ from .clustering import ClusterModel
 from .errors import ArtifactError, CareerCastError
 from .forecaster import Forecaster
 from .ingest import INPUT_AGES, TARGET_AGES, Dataset, NormStats, Split
-from .nn.serialize import decode_f8, encode_f8
+from .nn.serialize import decode_f8, encode_f8, layer_from_doc
 from .schema import FeatureSchema
 
 RUN_INFO = "run_info.json"
 FORMAT = "careercast-artifact"
-VERSION = 2
+VERSION = 3
 HEADER = ("format", "version", "kind", "inputs")
 
 DATASET = "dataset.json"
@@ -43,13 +43,16 @@ FORECASTER_STANDARD = "forecaster_standard.json"
 
 # artifact file -> (the command that writes it, what its document decodes to);
 # its kind is the file's stem. The decoders look their functions up when called,
-# so a wrapped (for example, traced) dataset_from_doc is the one that runs.
+# so a wrapped (for example, traced) dataset_from_doc or layer_from_doc is the
+# one that runs.
 CHAIN = {
     DATASET: ("ingest", lambda doc: dataset_from_doc(doc)),
-    AUTOENCODER: ("stage1", lambda doc: Autoencoder.from_doc(doc["model"])),
+    AUTOENCODER: ("stage1", lambda doc: layer_from_doc(Autoencoder, doc["model"])),
     CLUSTERS: ("stage1", lambda doc: ClusterModel.from_doc(doc["clusters"])),
-    FORECASTER: ("stage2", lambda doc: Forecaster.from_doc(doc["model"])),
-    FORECASTER_STANDARD: ("stage2 --standard", lambda doc: Forecaster.from_doc(doc["model"])),
+    FORECASTER: ("stage2", lambda doc: layer_from_doc(Forecaster, doc["model"])),
+    FORECASTER_STANDARD: (
+        "stage2 --standard", lambda doc: layer_from_doc(Forecaster, doc["model"])
+    ),
 }
 
 

@@ -15,14 +15,11 @@ from .nn import (
     BatchNorm,
     Dense,
     Dropout,
+    Layer,
     ReLU,
     Sequential,
     TrainConfig,
     TrainResult,
-    layer_from_doc,
-    layer_to_doc,
-    layout,
-    require_layout,
     train_loop,
 )
 
@@ -39,14 +36,17 @@ def flatten_batch(blocks: np.ndarray) -> np.ndarray:
     return blocks.reshape(blocks.shape[0], -1)
 
 
-class Autoencoder:
+class Autoencoder(Layer):
     """Bottleneck reconstruction net whose encoder half doubles as an embedder.
 
     The encoder runs input -> hidden (batch norm, dropout, relu) -> code
     (relu); the decoder mirrors it back with a linear output. ``encoder``
     and ``model`` share layer objects, so training the full net trains
-    the embedder in place.
+    the embedder in place. Its children are the net's layers, so its
+    arrays are ``model``'s, under the same names.
     """
+
+    config = ("n_inputs", "n_hidden", "n_code", "dropout_rate")
 
     def __init__(
         self,
@@ -73,7 +73,6 @@ class Autoencoder:
             ReLU(),
             Dense(self.n_hidden, self.n_inputs, rng),
         ]
-        self.n_encoder_layers = len(encoder_layers)
         self.model = Sequential(encoder_layers + decoder_layers)
         self.encoder = Sequential(encoder_layers)
 
@@ -86,28 +85,8 @@ class Autoencoder:
             )
         return self.encoder.forward(x, train=False)
 
-    def to_doc(self) -> dict:
-        return {
-            "n_inputs": self.n_inputs,
-            "n_hidden": self.n_hidden,
-            "n_code": self.n_code,
-            "dropout_rate": self.dropout_rate,
-            "net": layer_to_doc(self.model),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Autoencoder":
-        ae = cls(
-            doc["n_inputs"],
-            n_hidden=doc["n_hidden"],
-            n_code=doc["n_code"],
-            dropout_rate=doc["dropout_rate"],
-        )
-        net = layer_from_doc(doc["net"])
-        require_layout(net, layout(ae.model))
-        ae.model = net
-        ae.encoder = Sequential(net.layers[: ae.n_encoder_layers])
-        return ae
+    def children(self):
+        return self.model.children()
 
 
 def ae_train(

@@ -38,6 +38,7 @@ from .errors import (
 from .evaluation import evaluate, export_curves, export_scatter
 from .forecaster import forecaster_train
 from .ingest import INPUT_AGES, TARGET_AGES, ingest_csv
+from .nn.serialize import layer_to_doc
 from .schema import default_schema, load_schema
 from .synth import default_specs, write_csv as write_synth_csv
 
@@ -176,7 +177,7 @@ def cmd_stage1(args) -> int:
     ae_hash = artifacts.write_artifact(
         cfg.out_dir,
         AUTOENCODER,
-        {"model": ae.to_doc(), "seed": cfg.seed, "train": asdict(result)},
+        {"model": layer_to_doc(ae), "seed": cfg.seed, "train": asdict(result)},
         inputs,
     )
     cl_hash = artifacts.write_artifact(
@@ -233,7 +234,7 @@ def cmd_stage2(args) -> int:
     digest = artifacts.write_artifact(
         cfg.out_dir,
         out_name,
-        {"model": model.to_doc(), "seed": cfg.seed, "train": asdict(result)},
+        {"model": layer_to_doc(model), "seed": cfg.seed, "train": asdict(result)},
         inputs,
     )
     label = "standard" if args.standard else "cluster-conditioned"

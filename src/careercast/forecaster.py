@@ -22,10 +22,6 @@ from .nn import (
     Sequential,
     TrainConfig,
     TrainResult,
-    layer_from_doc,
-    layer_to_doc,
-    layout,
-    require_layout,
     train_loop,
 )
 
@@ -35,6 +31,8 @@ N_OUTPUTS = 3
 
 class Forecaster(Layer):
     """LSTM encoder plus dense head fed the final hidden state and ``k`` one-hot columns."""
+
+    config = ("n_features", "k")
 
     def __init__(self, n_features: int, k: int = 0, rng: np.random.Generator | None = None):
         if k < 0:
@@ -88,23 +86,6 @@ class Forecaster(Layer):
     def predict_batch(self, blocks: np.ndarray, assignments=None) -> np.ndarray:
         """Inference on (n, steps, n_features) blocks; assignments required if k > 0."""
         return self.forward((blocks, cluster_indicators(assignments, self.k, len(blocks))))
-
-    def to_doc(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "k": self.k,
-            "lstm": layer_to_doc(self.lstm),
-            "head": layer_to_doc(self.head),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Forecaster":
-        model = cls(doc["n_features"], k=doc["k"])
-        expected = layout(model)
-        model.lstm = layer_from_doc(doc["lstm"])
-        model.head = layer_from_doc(doc["head"])
-        require_layout(model, expected)
-        return model
 
 
 def cluster_indicators(assignments, k: int, n: int) -> np.ndarray:

@@ -449,7 +449,8 @@ def split_and_normalize(
     if len(set(ids)) != len(ids):
         raise SplitError("duplicate player_id in careers; cannot guarantee a leak-free split")
 
-    stacked = careers.raw[train_idx].reshape(-1, schema.n_features)
+    train_raw = careers.raw[train_idx]  # gathered once: the statistics and the train split
+    stacked = train_raw.reshape(-1, schema.n_features)
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)
     keep = std > 0.0
@@ -466,14 +467,13 @@ def split_and_normalize(
         dropped=dropped,
     )
 
-    def part(idx) -> Split:
-        raw = careers.raw[idx]
+    def part(idx, raw) -> Split:
         return Split(
             tuple(ids[i] for i in idx), tuple(careers.category[i] for i in idx),
             raw, careers.target[idx], stats.apply(raw, schema.names),
         )
 
-    train, test = part(train_idx), part(test_idx)
+    train, test = part(train_idx, train_raw), part(test_idx, careers.raw[test_idx])
     overlap = set(train.player_ids) & set(test.player_ids)
     if overlap:
         raise SplitError(f"players leaked into both splits: {sorted(overlap)}")

@@ -4,7 +4,7 @@ from .gradcheck import grad_check
 from .layers import LSTM, BatchNorm, Dense, Dropout, Layer, ReLU, Sequential
 from .losses import mse_loss
 from .optim import Adam
-from .serialize import layer_from_doc, layer_to_doc, layout, require_layout
+from .serialize import layer_from_doc, layer_to_doc
 from .training import TrainConfig, TrainResult, train_loop
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "grad_check",
     "layer_from_doc",
     "layer_to_doc",
-    "layout",
     "mse_loss",
-    "require_layout",
     "train_loop",
 ]

@@ -5,8 +5,8 @@ its backward pass needs during ``forward(train=True)``; parameters are
 updated in place by the optimizer, so the arrays returned by
 ``param_items`` stay live across training steps.
 
-Each layer class names its arrays, constructor arguments and sub-layers
-once (see ``Layer``); parameter access, binding and ``nn.serialize`` read them.
+Each layer class names its arrays and sub-layers once (see ``Layer``);
+parameter access, binding and ``nn.serialize`` read them.
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ class Layer:
     ``grad_<name>`` twin of the same shape. ``backward`` writes gradients
     into those twin arrays rather than rebinding them, because
     ``train_loop`` binds both to views of one flat buffer each. ``state``
-    names arrays that are not trained but still shape inference, and
-    ``config`` names the constructor arguments, in order, so that
-    ``cls(*config values)`` rebuilds the layer's shape. ``children``
-    returns a composite's named sub-layers; every ``*_items`` list and
-    ``bind`` walk them after the layer's own arrays, prefixing each
-    child's names with ``"<name>."``.
+    names arrays that are not trained but still shape inference.
+    ``children`` returns a composite's named sub-layers; every ``*_items``
+    list and ``bind`` walk them after the layer's own arrays, prefixing
+    each child's names with ``"<name>."``. Only a persisted model (the
+    forecaster and the autoencoder) also names its constructor arguments,
+    in order, in ``config``: ``nn.serialize`` rebuilds it as
+    ``cls(*config values)``.
     """
 
     params: tuple[str, ...] = ()
     state: tuple[str, ...] = ()
-    config: tuple[str, ...] = ()
 
     def forward(self, x, train: bool = False, rng=None):
         raise NotImplementedError
@@ -90,7 +90,6 @@ class Dense(Layer):
     """Affine map: ``y = x @ W.T + b`` with weight shape (out, in)."""
 
     params = ("weight", "bias")
-    config = ("n_in", "n_out")
 
     def __init__(self, n_in: int, n_out: int, rng=None):
         self.n_in = n_in
@@ -138,7 +137,6 @@ class BatchNorm(Layer):
 
     params = ("scale", "shift")
     state = ("running_mean", "running_var")
-    config = ("n", "momentum", "eps")
 
     def __init__(self, n: int, momentum: float = 0.9, eps: float = 1e-5):
         self.n = n
@@ -193,8 +191,6 @@ class Dropout(Layer):
     """Inverted dropout: zero with probability ``rate`` at train time and
     scale survivors by 1/(1-rate); inference is the identity."""
 
-    config = ("rate",)
-
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
@@ -227,7 +223,6 @@ class LSTM(Layer):
     """
 
     params = ("w_input", "w_hidden", "bias")
-    config = ("n_in", "n_hidden")
 
     def __init__(self, n_in: int, n_hidden: int, rng=None):
         self.n_in = n_in

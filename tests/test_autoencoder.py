@@ -6,6 +6,7 @@ import pytest
 from careercast.autoencoder import Autoencoder, ae_train, flatten_batch
 from careercast.errors import ArtifactError, ShapeError
 from careercast.nn import BatchNorm, Dense, Dropout, ReLU, TrainConfig
+from careercast.nn.serialize import layer_from_doc, layer_to_doc
 from careercast.rng import substream
 
 from helpers import reconstruction_error
@@ -94,10 +95,11 @@ def test_embeddings_separate_archetypes():
 def test_doc_round_trip_preserves_encode():
     x = low_rank_data(4, n=60, dim=10)
     ae, _ = ae_train(x, seed=5, config=TrainConfig(max_epochs=20, seed=5))
-    loaded = Autoencoder.from_doc(ae.to_doc())
+    loaded = layer_from_doc(Autoencoder, layer_to_doc(ae))
     assert np.array_equal(loaded.encode(x), ae.encode(x))
     assert loaded.n_code == ae.n_code
-    bad = ae.to_doc()
-    bad["net"]["layers"] = bad["net"]["layers"][:-1]
-    with pytest.raises(ArtifactError, match="differ from its config"):
-        Autoencoder.from_doc(bad)
+    bad = layer_to_doc(ae)
+    # the net without its last layer
+    del bad["arrays"]["8.weight"], bad["arrays"]["8.bias"]
+    with pytest.raises(ArtifactError, match=r"lacks array\(s\) \['8.bias', '8.weight'\]"):
+        layer_from_doc(Autoencoder, bad)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from careercast import forecaster
+from careercast import artifacts, forecaster
+from careercast.autoencoder import Autoencoder
 from careercast.cli import main
 from careercast.nn import TrainConfig
 
@@ -58,6 +59,35 @@ def test_dataset_json_lists_players_under_instrumentation(tmp_path):
     for split in ("train", "test"):
         assert isinstance(doc[split], list) and doc[split]
         assert all(isinstance(seq["player_id"], str) for seq in doc[split])
+
+
+def test_model_serialization_is_traced(tmp_path):
+    """Saving and loading both models runs through the two traced ``nn.serialize`` hooks."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    out = tmp_path / "run"
+    out.mkdir()
+    config = out / "config.json"
+    small = {"autoencoder": {"max_epochs": 2}, "forecaster": {"max_epochs": 2},
+             "k_range": [2, 2], "kmeans_restarts": 1}
+    config.write_text(json.dumps(small), encoding="utf-8")
+    base = ["--config", str(config), "--out", str(out), "--seed", "0"]
+    with spans.instrument(tracer):
+        for command, *argv in (
+            ["synth", "--stars", "3", "--regulars", "12"],
+            ["ingest", "--input", str(out / "synthetic.csv")],
+            ["stage1"],
+            ["stage2"],
+        ):
+            with tracer.command(command):
+                assert main([command, *base, *argv]) == 0
+        with tracer.command("predict"):
+            chain = artifacts.load_chain(out, [artifacts.FORECASTER])
+    assert isinstance(chain[artifacts.AUTOENCODER].value, Autoencoder)
+    assert isinstance(chain[artifacts.FORECASTER].value, forecaster.Forecaster)
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["nn.serialize.layer_to_doc.calls"] == 2  # one per saved model
+    assert metrics["nn.serialize.layer_from_doc.calls"] >= 2  # both models in the chain
 
 
 def test_traced_forecasters_are_told_apart_by_k():

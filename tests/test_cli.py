@@ -15,7 +15,7 @@ import pytest
 import careercast
 from careercast import artifacts
 from careercast.cli import main
-from careercast.nn.serialize import decode_f8, encode_f8, layout
+from careercast.nn.serialize import decode_f8, encode_f8
 from careercast.schema import default_schema
 from careercast.synth import default_specs, write_csv
 
@@ -213,7 +213,7 @@ def test_parent_format_artifact_is_refused(pipeline, tmp_path, capsys, name):
     artifacts.write_json(copy / name, parent_format(name, doc))
     rc = main(["stage2", "--out", str(copy), "--seed", "0"])
     assert rc == 2
-    assert "not a careercast-artifact v2" in capsys.readouterr().err
+    assert "not a careercast-artifact v3" in capsys.readouterr().err
 
 
 def as_v1(node):
@@ -233,23 +233,55 @@ def as_v1(node):
     return node
 
 
+def as_v2(doc):
+    """A forecaster document as version 2 wrote it: a tree of typed layer documents,
+    each with its own constructor values beside its arrays."""
+    model = doc["model"]
+    arrays = model.pop("arrays")
+
+    def layer(kind, prefix, **config):
+        own = {n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}
+        return {"type": kind, **config, **own}
+
+    widths = [64 + model["k"], 32, 16, 3]
+    dense = [layer("dense", f"head.{2 * i}.", n_in=a, n_out=b)
+             for i, (a, b) in enumerate(zip(widths, widths[1:]))]
+    relu = {"type": "relu"}
+    model["lstm"] = layer("lstm", "lstm.", n_in=model["n_features"], n_hidden=64)
+    model["head"] = {"type": "sequential", "layers": [dense[0], relu, dense[1], relu, dense[2]]}
+    return {**doc, "version": 2}
+
+
 @pytest.mark.parametrize(
-    "name, kind, rerun",
-    [("dataset.json", "dataset", "ingest"), ("forecaster.json", "forecaster", "stage2")],
+    "name, kind, rerun, version",
+    [
+        ("dataset.json", "dataset", "ingest", 1),
+        ("forecaster.json", "forecaster", "stage2", 1),
+        ("forecaster.json", "forecaster", "stage2", 2),
+    ],
+    ids=["dataset.json-dataset-ingest", "forecaster.json-forecaster-stage2",
+         "forecaster.json-layer-tree-v2"],
 )
-def test_v1_artifact_is_refused(pipeline, tmp_path, capsys, name, kind, rerun):
-    """An artifact of decimal lists, as version 1 wrote it, is refused, not read."""
+def test_v1_artifact_is_refused(pipeline, tmp_path, capsys, name, kind, rerun, version):
+    """An artifact of decimal lists, as version 1 wrote it, or a model as a tree of
+    typed layer documents, as version 2 wrote it, is refused by its header, not read."""
     out_dir, _ = pipeline
-    copy = tmp_path / "v1"
+    copy = tmp_path / "old"
     shutil.copytree(out_dir, copy)
-    doc = as_v1(json.loads((copy / name).read_text()))
-    assert "f8" not in json.dumps(doc)
+    doc = json.loads((copy / name).read_text())
+    if version == 1:
+        doc = as_v1(doc)
+        assert "f8" not in json.dumps(doc)
+    else:
+        doc = as_v2(doc)
+        assert [l["type"] for l in doc["model"]["head"]["layers"]][-1] == "dense"
+        assert not any("." in key for key in doc["model"]["lstm"])
     artifacts.write_json(copy / name, doc)
     rc = main(["predict", "--out", str(copy), "--seed", "0", "--player", "syn0000"])
     assert rc == 2
     assert (
-        f"{copy / name}: not a careercast-artifact v2 {kind!r} artifact (found format, "
-        f"version, kind ['careercast-artifact', 1, {kind!r}]); rerun {rerun}"
+        f"{copy / name}: not a careercast-artifact v3 {kind!r} artifact (found format, "
+        f"version, kind ['careercast-artifact', {version}, {kind!r}]); rerun {rerun}"
     ) in capsys.readouterr().err
 
 
@@ -371,48 +403,55 @@ def test_corrupt_forecaster_is_refused(pipeline, tmp_path, capsys):
     assert "corrupt artifact" in capsys.readouterr().err
 
 
-def widen_head(model):
-    """Give the head's first layer one more input column, consistently with its config."""
-    first = model["head"]["layers"][0]
-    weight = decode_f8(first["weight"]["f8"], "weight").reshape(first["weight"]["shape"])
+def widen_head(arrays):
+    """Give the head's first layer one more input column, with a shape to match."""
+    first = arrays["head.0.weight"]
+    weight = decode_f8(first["f8"], "weight").reshape(first["shape"])
     weight = np.hstack([weight, np.zeros((weight.shape[0], 1))])
-    first["n_in"] += 1
-    first["weight"] = {"shape": list(weight.shape), "f8": encode_f8(weight)}
+    arrays["head.0.weight"] = {"shape": list(weight.shape), "f8": encode_f8(weight)}
 
 
 @pytest.mark.parametrize(
     "case, reason",
     [
-        ("missing array", "lstm layer document lacks ['w_input']"),
-        ("wrong shape", "lstm w_input has shape [256, 3] and 768 values"),
-        ("head width", "model layers differ from its config: ('head.0.weight'"),
-        ("not base64", "lstm w_input is not base64 of whole float64 values: Only base64"),
-        ("partial value", "lstm w_input is not base64 of whole float64 values: buffer size"),
-        ("wrong count", "lstm w_input has shape [256, 48] and 12287 values; its config "
+        ("missing config", "model document lacks config value(s) ['k']"),
+        ("missing array", "model document lacks array(s) ['lstm.w_input']"),
+        ("extra array", "model document has extra array(s) ['head.5.weight']"),
+        ("wrong shape", "lstm.w_input has shape [256, 3] and 768 values"),
+        ("head width", "head.0.weight has shape [32, 67] and 2144 values; its config "
+         "builds [32, 66]"),
+        ("not base64", "lstm.w_input is not base64 of whole float64 values: Only base64"),
+        ("partial value", "lstm.w_input is not base64 of whole float64 values: buffer size"),
+        ("wrong count", "lstm.w_input has shape [256, 48] and 12287 values; its config "
          "builds [256, 48]"),
     ],
-    ids=["missing-array", "wrong-shape", "head-width", "not-base64", "partial-value",
-         "wrong-count"],
+    ids=["missing-config", "missing-array", "extra-array", "wrong-shape", "head-width", "not-base64",
+         "partial-value", "wrong-count"],
 )
 def test_misshapen_forecaster_is_refused(pipeline, tmp_path, capsys, case, reason):
     out_dir, _ = pipeline
     copy = tmp_path / "misshapen"
     shutil.copytree(out_dir, copy)
     doc = json.loads((copy / "forecaster.json").read_text())
-    lstm = doc["model"]["lstm"]
-    if case == "missing array":
-        del lstm["w_input"]
+    arrays = doc["model"]["arrays"]
+    w_input = arrays["lstm.w_input"]
+    if case == "missing config":
+        del doc["model"]["k"]
+    elif case == "missing array":
+        del arrays["lstm.w_input"]
+    elif case == "extra array":
+        arrays["head.5.weight"] = arrays["head.4.weight"]
     elif case == "wrong shape":
-        lstm["w_input"] = {"shape": [256, 3], "f8": encode_f8(np.zeros(768))}
+        arrays["lstm.w_input"] = {"shape": [256, 3], "f8": encode_f8(np.zeros(768))}
     elif case == "not base64":
-        lstm["w_input"]["f8"] = "*" + lstm["w_input"]["f8"][1:]
+        w_input["f8"] = "*" + w_input["f8"][1:]
     elif case == "partial value":
-        data = decode_f8(lstm["w_input"]["f8"], "w_input").tobytes()
-        lstm["w_input"]["f8"] = base64.b64encode(data[:-1]).decode("ascii")
+        data = decode_f8(w_input["f8"], "w_input").tobytes()
+        w_input["f8"] = base64.b64encode(data[:-1]).decode("ascii")
     elif case == "wrong count":
-        lstm["w_input"]["f8"] = encode_f8(decode_f8(lstm["w_input"]["f8"], "w_input")[:-1])
+        w_input["f8"] = encode_f8(decode_f8(w_input["f8"], "w_input")[:-1])
     else:
-        widen_head(doc["model"])
+        widen_head(arrays)
     artifacts.write_json(copy / "forecaster.json", doc)
     rc = main(["predict", "--out", str(copy), "--seed", "0", "--player", "syn0000"])
     assert rc == 2
@@ -615,8 +654,7 @@ def test_model_artifacts_store_weights_as_binary(pipeline, name):
     """
     out_dir, _ = pipeline
     model = artifacts.load_chain(out_dir, [name])[name].value
-    net = model.model if name == "autoencoder.json" else model
-    values = sum(int(np.prod(shape)) for _, shape in layout(net) if isinstance(shape, tuple))
+    values = sum(arr.size for _, arr in model.param_items() + model.state_items())
     assert values > 10_000
     assert (out_dir / name).stat().st_size <= 11 * values + 16 * 1024
 

@@ -6,6 +6,7 @@ import pytest
 from careercast.errors import ConfigError, ShapeError
 from careercast.forecaster import Forecaster, forecaster_train
 from careercast.nn import TrainConfig
+from careercast.nn.serialize import layer_from_doc, layer_to_doc
 from careercast.rng import substream
 
 
@@ -59,7 +60,7 @@ def test_cluster_swap_symmetry():
     labels = np.array([0, 1, 0, 1, 1, 0])
     base = model.predict_batch(blocks, labels)
 
-    swapped = Forecaster.from_doc(model.to_doc())
+    swapped = layer_from_doc(Forecaster, layer_to_doc(model))
     w = swapped.head.layers[0].weight
     w[:, [64, 65]] = w[:, [65, 64]]
     assert np.allclose(swapped.predict_batch(blocks, 1 - labels), base, atol=1e-12)
@@ -124,7 +125,7 @@ def test_doc_round_trip_is_prediction_exact():
         seed=1,
         config=TrainConfig(max_epochs=5, seed=1),
     )
-    loaded = Forecaster.from_doc(model.to_doc())
+    loaded = layer_from_doc(Forecaster, layer_to_doc(model))
     assert loaded.k == 3 and loaded.n_features == 4
     assert np.array_equal(
         loaded.predict_batch(blocks, labels), model.predict_batch(blocks, labels)

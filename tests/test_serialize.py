@@ -20,55 +20,42 @@ from careercast.autoencoder import Autoencoder
 from careercast.errors import ArtifactError
 from careercast.forecaster import Forecaster, forecaster_train
 from careercast.ingest import Split, ingest_csv, split_and_normalize
-from careercast.nn import (
-    LSTM,
-    BatchNorm,
-    Dense,
-    Dropout,
-    Layer,
-    ReLU,
-    Sequential,
-    TrainConfig,
-    layers,
-)
-from careercast.nn.serialize import (
-    LAYER_TYPES,
-    decode_f8,
-    encode_f8,
-    layer_from_doc,
-    layer_to_doc,
-)
+from careercast.nn import BatchNorm, Layer, TrainConfig, layers
+from careercast.nn.serialize import decode_f8, encode_f8, layer_from_doc, layer_to_doc
 from careercast.rng import substream
 from careercast.schema import default_schema
 from careercast.synth import default_specs, write_csv
 
 
-def round_trip(layer, tmp_path):
+def round_trip(model, tmp_path):
     path = tmp_path / "model.json"
-    write_json(path, layer_to_doc(layer))
+    write_json(path, layer_to_doc(model))
     doc, _ = read_json(path)
-    return layer_from_doc(doc)
+    return layer_from_doc(type(model), doc)
 
 
 def test_dense_round_trip_is_value_exact(tmp_path):
-    layer = Dense(3, 2, substream(0, "test.ser"))
+    model = Forecaster(3, k=0, rng=substream(0, "test.ser"))
+    layer = model.head.layers[0]
     # awkward doubles: a repeating fraction, a subnormal-adjacent tiny, -0.0
     layer.weight[0, 0] = 1.0 / 3.0
     layer.weight[0, 1] = 1e-300
     layer.bias[0] = -0.0
-    loaded = round_trip(layer, tmp_path)
+    loaded = round_trip(model, tmp_path).head.layers[0]
     assert np.array_equal(loaded.weight, layer.weight)
     assert np.array_equal(loaded.bias, layer.bias)
     assert np.signbit(loaded.bias[0])
-    x = np.arange(12, dtype=float).reshape(4, 3) / 7.0
+    x = np.arange(256, dtype=float).reshape(4, 64) / 7.0
     assert np.array_equal(loaded.forward(x), layer.forward(x))
 
 
 def test_batchnorm_round_trip_keeps_running_stats(tmp_path):
-    layer = BatchNorm(4)
+    ae = Autoencoder(4, n_hidden=4, n_code=2, rng=substream(1, "test.ser"))
     rng = np.random.default_rng(1)
-    layer.forward(rng.normal(size=(8, 4)), train=True)
-    loaded = round_trip(layer, tmp_path)
+    ae.model.forward(rng.normal(size=(8, 4)), train=True, rng=rng)
+    layer = ae.model.layers[1]
+    loaded = round_trip(ae, tmp_path).model.layers[1]
+    assert isinstance(loaded, BatchNorm)
     assert np.array_equal(loaded.running_mean, layer.running_mean)
     assert np.array_equal(loaded.running_var, layer.running_var)
     assert loaded.momentum == layer.momentum
@@ -78,62 +65,61 @@ def test_batchnorm_round_trip_keeps_running_stats(tmp_path):
 
 
 def test_lstm_round_trip_reproduces_forward(tmp_path):
-    layer = LSTM(5, 6, substream(2, "test.ser"))
-    loaded = round_trip(layer, tmp_path)
+    model = Forecaster(5, k=0, rng=substream(2, "test.ser"))
+    loaded = round_trip(model, tmp_path)
     x = np.random.default_rng(3).normal(size=(3, 7, 5))
-    assert np.array_equal(loaded.forward(x), layer.forward(x))
+    assert np.array_equal(loaded.lstm.forward(x), model.lstm.forward(x))
 
 
 def test_nested_sequential_round_trip(tmp_path):
-    model = Sequential(
-        [
-            Dense(4, 3, substream(4, "test.ser")),
-            BatchNorm(3),
-            Dropout(0.1),
-            ReLU(),
-            Dense(3, 2, substream(5, "test.ser")),
-        ]
-    )
-    loaded = round_trip(model, tmp_path)
-    assert [type(l).__name__ for l in loaded.layers] == [
-        type(l).__name__ for l in model.layers
+    ae = Autoencoder(4, n_hidden=3, n_code=2, dropout_rate=0.1, rng=substream(4, "test.ser"))
+    loaded = round_trip(ae, tmp_path)
+    assert [type(l).__name__ for l in loaded.model.layers] == [
+        type(l).__name__ for l in ae.model.layers
     ]
-    assert loaded.layers[2].rate == 0.1
+    assert loaded.model.layers[2].rate == 0.1
+    assert all(a is b for a, b in zip(loaded.encoder.layers, loaded.model.layers))
     x = np.random.default_rng(6).normal(size=(5, 4))
     assert np.array_equal(
-        loaded.forward(x, train=False), model.forward(x, train=False)
+        loaded.model.forward(x, train=False), ae.model.forward(x, train=False)
     )
+    assert np.array_equal(loaded.encode(x), ae.encode(x))
 
 
-def test_every_leaf_layer_round_trips_config_params_and_state(tmp_path):
-    """Each leaf class is in the type table and its document restores it exactly."""
+def _leaf_types(layer):
+    children = layer.children()
+    if not children:
+        return {type(layer)}
+    return set().union(*(_leaf_types(child) for _, child in children))
+
+
+def test_persisted_models_round_trip_every_array_bit_exactly(tmp_path):
+    """Both persisted models, between them holding every leaf layer class, come back
+    with their config values and every randomized param and running stat bit for bit."""
+    models = [
+        Autoencoder(14, n_hidden=8, n_code=4, dropout_rate=0.25),
+        Forecaster(3, k=2),
+    ]
     leaves = {
         cls
         for cls in vars(layers).values()
         if isinstance(cls, type) and issubclass(cls, Layer) and cls is not Layer
         and cls.children is Layer.children
     }
-    assert leaves == set(LAYER_TYPES.values())
-    examples = {
-        Dense: Dense(3, 2),
-        ReLU: ReLU(),
-        BatchNorm: BatchNorm(4, momentum=0.75, eps=1e-3),
-        Dropout: Dropout(0.25),
-        LSTM: LSTM(2, 3),
-    }
+    assert set().union(*map(_leaf_types, models)) == leaves
     rng = np.random.default_rng(8)
-    for cls in leaves:
-        layer = examples[cls]
-        arrays = cls.params + cls.state
-        for name in arrays:
-            setattr(layer, name, rng.normal(size=getattr(layer, name).shape))
-        loaded = round_trip(layer, tmp_path)
-        assert type(loaded) is cls
-        for name in cls.config:
-            assert getattr(loaded, name) == getattr(layer, name), (cls, name)
-        for name in arrays:
-            before, after = getattr(layer, name), getattr(loaded, name)
-            assert after.shape == before.shape and after.tobytes() == before.tobytes()
+    for model in models:
+        arrays = model.param_items() + model.state_items()
+        for _, arr in arrays:
+            arr[...] = rng.normal(size=arr.shape)
+        loaded = round_trip(model, tmp_path)
+        assert type(loaded) is type(model)
+        for name in model.config:
+            assert getattr(loaded, name) == getattr(model, name), name
+        after = loaded.param_items() + loaded.state_items()
+        assert [name for name, _ in after] == [name for name, _ in arrays]
+        for (name, before), (_, back) in zip(arrays, after):
+            assert back.shape == before.shape and back.tobytes() == before.tobytes(), name
 
 
 def test_f8_encoding_keeps_every_bit():
@@ -169,7 +155,8 @@ def test_f8_decoding_refuses_malformed_text(text, reason):
 
 
 def test_save_is_byte_deterministic(tmp_path):
-    doc = {"model": layer_to_doc(Dense(2, 2, substream(7, "test.ser"))), "note": "é"}
+    model = Autoencoder(2, n_hidden=2, n_code=1, rng=substream(7, "test.ser"))
+    doc = {"model": layer_to_doc(model), "note": "é"}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     digest = write_json(a, doc)
     assert write_json(b, doc) == digest
@@ -183,7 +170,7 @@ def test_envelope_carries_meta():
     doc = envelope("clusters", {"clusters": {"k": 2}, "seed": 3}, {DATASET: "abc"})
     assert doc == {
         "format": "careercast-artifact",
-        "version": 2,
+        "version": 3,
         "kind": "clusters",
         "inputs": {DATASET: "abc"},
         "clusters": {"k": 2},
@@ -292,42 +279,62 @@ def _trained_forecaster(k):
     return model
 
 
+# seeded models, built without reading any document
+MODEL_BUILDS = {
+    "autoencoder": _trained_autoencoder,
+    "forecaster-k2": lambda: Forecaster(3, k=2, rng=substream(5, "test.pin")),
+    "forecaster-k0": lambda: Forecaster(3, k=0, rng=substream(6, "test.pin")),
+    "trained-forecaster-k2": lambda: _trained_forecaster(2),
+    "trained-forecaster-k0": lambda: _trained_forecaster(0),
+}
+
+
 @pytest.mark.parametrize(
-    "build, digest",
+    "name, digest",
     [
-        (_trained_autoencoder, "d567dca34471f1192e70734a8fce9a3a5855dc78dee30cb54050dc17ab2f152a"),
+        ("autoencoder", "044f038041217f623382a76419c92d9102c696cd54f0b77b016cfd7a165a51ad"),
+        ("forecaster-k2", "9dc1bf7173eb9acac9046ddce5c2e2256045e65110daa56abf67a65764d6701f"),
+        ("forecaster-k0", "e7fd4ce5ae037503e10389cc2091860a7af8bf7633f30c7b65bba5b1fde59f65"),
         (
-            lambda: Forecaster(3, k=2, rng=substream(5, "test.pin")),
-            "749f73e314256cc94a9e36b24d6397cee940fc65a8e3199698462b96079c1cc5",
+            "trained-forecaster-k2",
+            "5459251802d0ec0e8bed4b3ef13bb972cc80fd78f3ad95034eeda3f16c6c5e8a",
         ),
         (
-            lambda: Forecaster(3, k=0, rng=substream(6, "test.pin")),
-            "e375354d2bafcaae57164fe073f299413685a378565fdce212c9b026acce7ef6",
-        ),
-        (
-            lambda: _trained_forecaster(2),
-            "59de4b6a9f7447e627c3aaf62e2a7891eff2511c67b5131661adb82dca5006a0",
-        ),
-        (
-            lambda: _trained_forecaster(0),
-            "57c7682151277225d823dc0d8c204b37af9d35e35c527b0de5983b33acbc985d",
+            "trained-forecaster-k0",
+            "ecc3840329007f58f8dcc66fa21235242ad961a4bd2a07f61364fb8ebecc31cf",
         ),
     ],
-    ids=[
-        "autoencoder",
-        "forecaster-k2",
-        "forecaster-k0",
-        "trained-forecaster-k2",
-        "trained-forecaster-k0",
-    ],
+    ids=list(MODEL_BUILDS),
 )
-def test_model_document_bytes_are_pinned(build, digest):
+def test_model_array_values_are_pinned(name, digest):
+    """The seeded models' array bytes, in ``param_items`` then ``state_items`` order,
+    hash to fixed SHA-256s: a pin on the values that no document format enters."""
+    model = MODEL_BUILDS[name]()
+    net = model.model if isinstance(model, Autoencoder) else model
+    sha = hashlib.sha256()
+    for _, arr in net.param_items() + net.state_items():
+        sha.update(arr.tobytes())
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("autoencoder", "6aafdcefb1d39840f4a0408be3bf28703edb2949c98e8beb04adeea1fe41f61d"),
+        ("forecaster-k2", "6d4da2856d7d52bddead2fce2206608bcd7d59b19e5faf01e1d6ccfc416a7ac2"),
+        ("forecaster-k0", "e14f44ed3ab614f899364fd58c833d3dadbfa4e89f01fc7a50fea710c455613b"),
+        (
+            "trained-forecaster-k2",
+            "e80a0e7893385b6c6d4e84bf3a16bd1bc7d086e1a53ce03ab0bc0489a7de61ee",
+        ),
+        (
+            "trained-forecaster-k0",
+            "1ba32a49a37e76fa11fe7788f357b8d3457520f701e470482a350aa8afb311d7",
+        ),
+    ],
+    ids=list(MODEL_BUILDS),
+)
+def test_model_document_bytes_are_pinned(name, digest):
     """Seeded model documents hash to fixed SHA-256s, so no saved model byte moves."""
-    assert hashlib.sha256(canonical_json(build().to_doc())).hexdigest() == digest
-
-
-def test_unknown_layer_types_are_rejected():
-    with pytest.raises(ArtifactError, match="cannot serialize"):
-        layer_to_doc(object())
-    with pytest.raises(ArtifactError, match="unknown layer type"):
-        layer_from_doc({"type": "mystery"})
+    doc = layer_to_doc(MODEL_BUILDS[name]())
+    assert hashlib.sha256(canonical_json(doc)).hexdigest() == digest
