@@ -93,11 +93,8 @@ def read_json(path) -> tuple[dict, str]:
 
 
 def file_hash(path) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except FileNotFoundError:
-        raise ArtifactError(f"missing artifact: {path}") from None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def envelope(kind: str, body: dict, inputs: dict | None = None) -> dict:
@@ -110,8 +107,10 @@ def envelope(kind: str, body: dict, inputs: dict | None = None) -> dict:
 
 
 def write_artifact(out_dir, name: str, body: dict, inputs: dict | None = None) -> str:
-    """Write ``body`` in its envelope to ``out_dir/name``; returns its SHA-256."""
+    """Write ``body`` in its envelope to ``out_dir/name``, making ``out_dir`` if
+    it is missing; returns its SHA-256."""
     kind = os.path.splitext(name)[0]
+    os.makedirs(out_dir, exist_ok=True)
     return write_json(os.path.join(out_dir, name), envelope(kind, body, inputs))
 
 
@@ -188,6 +187,7 @@ def write_run_info(out_dir, command: str, seed: int, artifact_hashes: dict) -> N
         "completed_utc": datetime.now(timezone.utc).isoformat(),
         "artifacts": dict(sorted(artifact_hashes.items())),
     }
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, RUN_INFO), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

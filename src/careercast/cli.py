@@ -1,11 +1,20 @@
 """Command-line pipeline: ingest, embed and cluster, forecast, evaluate.
 
+``main`` frames every command but ``gradcheck``: it validates one
+``PipelineConfig`` (the defaults, then ``--config``, then the flags, whose
+``dest`` is the field they set), runs ``cmd_<name>(cfg, args)``, which returns
+the SHA-256 of each file it wrote by path under the output directory, and
+records that map in ``run_info.json``. A directory is made only right before
+a file is written into it, so a refused command creates nothing.
+
 Artifacts live under the output directory with fixed names. Each is one
 ``artifacts.envelope`` carrying the SHA-256 of the artifacts it was built
 from, and each command reads only the artifacts its request needs, through
 ``artifacts.load_chain``, which refuses inputs from a different run.
-Exit codes: 0 success, 1 usage or configuration error, 2 data or artifact
-error, 3 numeric failure. Warnings from the package's loggers go to stderr.
+Exit codes: 0 success, 1 usage or configuration error (a ``--config`` that
+cannot be read included), 2 data or artifact error (any other file that
+cannot be read or written included), 3 numeric failure. Warnings from the
+package's loggers go to stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -25,16 +34,8 @@ from .autoencoder import ae_train, flatten_batch
 from .baselines import last_value_predict, linear_fit, linear_predict, mlp_baseline_train
 from .checks import gradcheck_suite
 from .clustering import select_k
-from .config import MODEL_NAMES, PipelineConfig, load_config, with_overrides
-from .errors import (
-    ArtifactError,
-    CareerCastError,
-    ConfigError,
-    IngestError,
-    NumericError,
-    RankDeficiencyError,
-    UndefinedMetricError,
-)
+from .config import MODEL_NAMES, PipelineConfig, load_config
+from .errors import ArtifactError, CareerCastError, ConfigError, IngestError, NumericError
 from .evaluation import evaluate, export_curves, export_scatter
 from .forecaster import forecaster_train
 from .ingest import INPUT_AGES, TARGET_AGES, ingest_csv
@@ -60,24 +61,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _report_path(cfg: PipelineConfig, name: str) -> str:
-    return os.path.join(cfg.out_dir, REPORTS, name)
+def _out_path(cfg: PipelineConfig, *names: str) -> str:
+    """``names`` joined under the output directory, whose folders are made here."""
+    path = os.path.join(cfg.out_dir, *names)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return path
 
 
-def _ensure_dirs(cfg: PipelineConfig) -> None:
-    os.makedirs(os.path.join(cfg.out_dir, REPORTS), exist_ok=True)
-
-
-def _config_from(args, **extra) -> PipelineConfig:
-    config_path = getattr(args, "config", None)
-    cfg = load_config(config_path) if config_path else PipelineConfig()
-    cfg = with_overrides(
-        cfg,
-        seed=getattr(args, "seed", None),
-        out_dir=getattr(args, "out", None),
-        **extra,
-    )
-    return cfg.validate()
+def _config(args) -> PipelineConfig:
+    """The config file, or the defaults, with the flags given on top; validated."""
+    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cfg)}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None}).validate()
 
 
 def _schema_for(cfg: PipelineConfig):
@@ -106,34 +101,23 @@ def _proposed(chain):
     return forecast
 
 
-def cmd_synth(args) -> int:
-    cfg = _config_from(args)
+def cmd_synth(cfg: PipelineConfig, args) -> dict:
     if args.stars < 1 or args.regulars < 1:
         raise ConfigError("player counts must be at least 1")
     if args.noise < 0:
         raise ConfigError(f"noise must be non-negative, got {args.noise}")
-    _ensure_dirs(cfg)
     specs = default_specs(args.stars, args.regulars, args.noise)
-    path = args.csv or os.path.join(cfg.out_dir, "synthetic.csv")
-    n_rows = write_synth_csv(path, specs, seed=cfg.seed, schema=_schema_for(cfg))
+    schema = _schema_for(cfg)
+    path = args.csv or _out_path(cfg, "synthetic.csv")
+    n_rows = write_synth_csv(path, specs, seed=cfg.seed, schema=schema)
     n_players = sum(s.count for s in specs)
     print(f"wrote {n_rows} season rows for {n_players} players to {path}")
-    artifacts.write_run_info(
-        cfg.out_dir, "synth", cfg.seed, {os.path.basename(path): artifacts.file_hash(path)}
-    )
-    return EXIT_OK
+    return {os.path.basename(path): artifacts.file_hash(path)}
 
 
-def cmd_ingest(args) -> int:
-    cfg = _config_from(
-        args,
-        input_csv=getattr(args, "input", None),
-        schema_json=getattr(args, "schema", None),
-        test_fraction=getattr(args, "test_fraction", None),
-    )
+def cmd_ingest(cfg: PipelineConfig, args) -> dict:
     if not cfg.input_csv:
         raise ConfigError("no input CSV; pass --input or set input_csv in the config")
-    _ensure_dirs(cfg)
     schema = _schema_for(cfg)
     try:
         dataset, summary = ingest_csv(
@@ -158,13 +142,10 @@ def cmd_ingest(args) -> int:
             "constant features dropped from inputs: "
             + ", ".join(summary["dropped_constant_features"])
         )
-    artifacts.write_run_info(cfg.out_dir, "ingest", cfg.seed, {DATASET: digest})
-    return EXIT_OK
+    return {DATASET: digest}
 
 
-def cmd_stage1(args) -> int:
-    cfg = _config_from(args)
-    _ensure_dirs(cfg)
+def cmd_stage1(cfg: PipelineConfig, args) -> dict:
     dataset, chain = _chain(cfg)
     flat = flatten_batch(dataset.train.input)
     ae, result = ae_train(flat, seed=cfg.seed, config=cfg.train_config("autoencoder"))
@@ -187,7 +168,7 @@ def cmd_stage1(args) -> int:
         {**inputs, AUTOENCODER: ae_hash},
     )
     artifacts.write_csv_table(
-        _report_path(cfg, "silhouette.csv"),
+        _out_path(cfg, REPORTS, "silhouette.csv"),
         ("k", "silhouette", "selected"),
         [
             (k, score, 1 if k == clusters.k else 0)
@@ -204,15 +185,10 @@ def cmd_stage1(args) -> int:
     )
     sizes = np.bincount(clusters.train_assignments, minlength=clusters.k)
     print(f"cluster sizes: {' '.join(str(int(c)) for c in sizes)}")
-    artifacts.write_run_info(
-        cfg.out_dir, "stage1", cfg.seed, {AUTOENCODER: ae_hash, CLUSTERS: cl_hash}
-    )
-    return EXIT_OK
+    return {AUTOENCODER: ae_hash, CLUSTERS: cl_hash}
 
 
-def cmd_stage2(args) -> int:
-    cfg = _config_from(args)
-    _ensure_dirs(cfg)
+def cmd_stage2(cfg: PipelineConfig, args) -> dict:
     dataset, chain = _chain(cfg, () if args.standard else (CLUSTERS,))
     inputs = {DATASET: chain[DATASET].sha256}
     if args.standard:
@@ -242,8 +218,7 @@ def cmd_stage2(args) -> int:
         f"trained {label} forecaster: stopped at epoch {result.stopped_epoch} "
         f"(best {result.best_epoch}, val loss {result.best_val_loss:.6f})"
     )
-    artifacts.write_run_info(cfg.out_dir, "stage2", cfg.seed, {out_name: digest})
-    return EXIT_OK
+    return {out_name: digest}
 
 
 def _predict_fns(cfg: PipelineConfig, dataset, chain, models):
@@ -281,10 +256,8 @@ def _fmt_r2(value) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _config_from(args, models=tuple(args.models) if args.models else None)
+def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
     models = cfg.models
-    _ensure_dirs(cfg)
     needs = {"proposed": FORECASTER, "standard_lstm": FORECASTER_STANDARD}
     dataset, chain = _chain(cfg, [needs[m] for m in models if m in needs])
     fns = _predict_fns(cfg, dataset, chain, models)
@@ -321,10 +294,10 @@ def cmd_evaluate(args) -> int:
         for by in ("player", "category"):
             cols, rows = export_curves(test_report, by=by)
             artifacts.write_csv_table(
-                _report_path(cfg, f"{name}_curves_{by}.csv"), cols, rows
+                _out_path(cfg, REPORTS, f"{name}_curves_{by}.csv"), cols, rows
             )
         cols, rows = export_scatter(test_report)
-        artifacts.write_csv_table(_report_path(cfg, f"{name}_scatter.csv"), cols, rows)
+        artifacts.write_csv_table(_out_path(cfg, REPORTS, f"{name}_scatter.csv"), cols, rows)
         summary[name] = {"train": train_report.to_doc(), "test": test_report.to_doc()}
         print(
             f"{name:<14} train MAE {train_report.overall.mae:6.3f} "
@@ -334,31 +307,24 @@ def cmd_evaluate(args) -> int:
         )
 
     artifacts.write_csv_table(
-        _report_path(cfg, "comparison.csv"),
+        _out_path(cfg, REPORTS, "comparison.csv"),
         ("model", "train_mae", "train_r2", "test_mae", "test_r2", "n_train", "n_test"),
         comparison_rows,
     )
     artifacts.write_csv_table(
-        _report_path(cfg, "per_category.csv"),
+        _out_path(cfg, REPORTS, "per_category.csv"),
         ("model", "split", "category", "mae", "r2", "n"),
         category_rows,
     )
     eval_hash = artifacts.write_json(
-        _report_path(cfg, "evaluation.json"), {"models": summary}
+        _out_path(cfg, REPORTS, "evaluation.json"), {"models": summary}
     )
-    artifacts.write_run_info(
-        cfg.out_dir, "evaluate", cfg.seed, {"reports/evaluation.json": eval_hash}
-    )
-    return EXIT_OK
+    return {"reports/evaluation.json": eval_hash}
 
 
 def _parse_rows_csv(path, schema):
     """Read a 7-row block of raw feature values in age order."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise IngestError(f"row file not found: {path}") from None
-    with fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise IngestError(f"{path}: file is empty")
@@ -412,11 +378,9 @@ def _upsert_predictions(path, series: str, predicted) -> None:
     artifacts.write_csv_table(path, ("series", "age", "predicted"), rows)
 
 
-def cmd_predict(args) -> int:
-    cfg = _config_from(args)
+def cmd_predict(cfg: PipelineConfig, args) -> dict:
     if bool(args.player) == bool(args.rows):
         raise ConfigError("pass exactly one of --player or --rows")
-    _ensure_dirs(cfg)
     dataset, chain = _chain(cfg, (FORECASTER,))
     if args.player:
         split = next(
@@ -435,20 +399,15 @@ def cmd_predict(args) -> int:
     predicted = _proposed(chain)(block[None])[0]
     for age, value in zip(TARGET_AGES, predicted):
         print(f"age {age}: {value:+.2f} BPM")
-    pred_path = _report_path(cfg, PREDICTIONS)
+    pred_path = _out_path(cfg, REPORTS, PREDICTIONS)
     _upsert_predictions(pred_path, series, predicted)
-    artifacts.write_run_info(
-        cfg.out_dir,
-        "predict",
-        cfg.seed,
-        {f"reports/{PREDICTIONS}": artifacts.file_hash(pred_path)},
-    )
-    return EXIT_OK
+    return {f"reports/{PREDICTIONS}": artifacts.file_hash(pred_path)}
 
 
 def cmd_gradcheck(args) -> int:
-    # the audit draws from fixed seeds and writes nothing
-    ignored = [f"--{name}" for name in ("config", "seed", "out") if hasattr(args, name)]
+    # the audit draws from fixed seeds and writes nothing, so it runs outside the frame
+    given = (("--config", "config"), ("--seed", "seed"), ("--out", "out_dir"))
+    ignored = [flag for flag, dest in given if dest in args]
     if ignored:
         raise ConfigError(f"gradcheck takes no {', '.join(ignored)}")
     if args.seeds < 1:
@@ -479,7 +438,8 @@ def build_parser() -> _Parser:
         "--seed", type=int, default=argparse.SUPPRESS, help="root random seed"
     )
     common.add_argument(
-        "--out", default=argparse.SUPPRESS, help="artifact output directory"
+        "--out", dest="out_dir", metavar="OUT", default=argparse.SUPPRESS,
+        help="artifact output directory",
     )
 
     parser = _Parser(
@@ -498,8 +458,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", parents=[common], help="build the train/test dataset")
-    p.add_argument("--input", help="season CSV to ingest")
-    p.add_argument("--schema", help="feature schema JSON (default: built-in)")
+    p.add_argument("--input", dest="input_csv", metavar="INPUT", help="season CSV to ingest")
+    p.add_argument(
+        "--schema", dest="schema_json", metavar="SCHEMA",
+        help="feature schema JSON (default: built-in)",
+    )
     p.add_argument("--test-fraction", type=float, dest="test_fraction")
     p.set_defaults(func=cmd_ingest)
 
@@ -532,7 +495,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", parents=[common], help="audit backward passes")
     p.add_argument("--seeds", type=int, default=20, help="seeded draws per config")
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
@@ -546,17 +508,20 @@ def main(argv=None) -> int:
     logger.addHandler(handler)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        if args.command == "gradcheck":
+            return cmd_gradcheck(args)
+        cfg = _config(args)
+        produced = args.func(cfg, args)
+        artifacts.write_run_info(cfg.out_dir, args.command, cfg.seed, produced)
+        return EXIT_OK
+    except (_UsageError, ConfigError) as exc:
+        kind = "usage" if isinstance(exc, _UsageError) else "config"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NumericError, RankDeficiencyError, UndefinedMetricError) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except CareerCastError as exc:
+    except (CareerCastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .ingest import DEFAULT_TEST_FRACTION
@@ -54,7 +54,8 @@ class PipelineConfig:
         if not (is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         kr = self.k_range
-        if not (len(kr) == 2 and all(is_int(v) for v in kr) and 1 <= kr[0] <= kr[1]):
+        pair = isinstance(kr, (list, tuple)) and len(kr) == 2 and all(is_int(v) for v in kr)
+        if not (pair and 1 <= kr[0] <= kr[1]):
             raise ConfigError(f"k_range must be integers with 1 <= lo <= hi, got {kr!r}")
         if not (is_real(self.test_fraction) and 0.0 < self.test_fraction < 1.0):
             raise ConfigError(
@@ -66,6 +67,8 @@ class PipelineConfig:
             )
         if not all(is_real(v) and v >= 0 for v in (self.ridge_lambda, self.linear_lambda)):
             raise ConfigError("regression penalties must be non-negative numbers")
+        if not isinstance(self.models, (list, tuple)):
+            raise ConfigError(f"models must be a list of names, got {self.models!r}")
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise ConfigError(
@@ -98,9 +101,9 @@ def load_config(path) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -108,19 +111,4 @@ def load_config(path) -> PipelineConfig:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    if "k_range" in doc:
-        kr = doc["k_range"]
-        if not (isinstance(kr, list) and len(kr) == 2 and all(is_int(v) for v in kr)):
-            raise ConfigError(f"{path}: k_range must be a [lo, hi] pair of integers")
-        doc["k_range"] = tuple(kr)
-    if "models" in doc:
-        if not isinstance(doc["models"], list):
-            raise ConfigError(f"{path}: models must be a list")
-        doc["models"] = tuple(doc["models"])
     return PipelineConfig(**doc)
-
-
-def with_overrides(cfg: PipelineConfig, **kwargs) -> PipelineConfig:
-    """Apply non-None command-line overrides on top of a config."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(cfg, **updates) if updates else cfg

@@ -38,14 +38,14 @@ class ConfigError(CareerCastError):
 
 
 class NumericError(CareerCastError):
-    """Training produced non-finite values and cannot continue."""
+    """A computation produced non-finite values or has no defined result."""
 
 
-class UndefinedMetricError(CareerCastError):
+class UndefinedMetricError(NumericError):
     """A metric has no defined value for this input (e.g. zero variance)."""
 
 
-class RankDeficiencyError(CareerCastError):
+class RankDeficiencyError(NumericError):
     """A least-squares system is singular; regularization is required."""
 
 

@@ -54,6 +54,7 @@ def test_dataset_json_lists_players_under_instrumentation(tmp_path):
             assert main(["ingest", *base, "--input", str(out / "synthetic.csv")]) == 0
     metrics = spans.layer_metrics(tracer)
     assert metrics["artifacts.write_json.bytes"] == (out / "dataset.json").stat().st_size
+    assert metrics["artifacts.write_run_info.calls"] == 2  # one record per command
 
     doc = json.loads((out / "dataset.json").read_text())
     for split in ("train", "test"):

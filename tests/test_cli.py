@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,6 +474,146 @@ def test_malformed_predictions_row_is_refused(pipeline, tmp_path, capsys, row):
     assert predictions.read_text(encoding="utf-8") == text
 
 
+# each command and the files its run record maps to their hashes, by path under --out
+RUN_RECORDS = [
+    (["synth", "--stars", "3", "--regulars", "12"], ["synthetic.csv"]),
+    (["ingest", "--input", "{out}/synthetic.csv"], ["dataset.json"]),
+    (["stage1"], ["autoencoder.json", "clusters.json"]),
+    (["stage2"], ["forecaster.json"]),
+    (["stage2", "--standard"], ["forecaster_standard.json"]),
+    (["evaluate"], ["reports/evaluation.json"]),
+    (["predict", "--player", "syn0000"], ["reports/predictions.csv"]),
+]
+
+
+def test_each_command_records_its_run(tmp_path, monkeypatch):
+    """``run_info.json`` names the last command that succeeded, its seed and the
+    files it wrote; ``gradcheck`` and refused commands leave the record alone."""
+    monkeypatch.chdir(tmp_path)  # where a default --out would land
+    out = tmp_path / "run"
+    out.mkdir()
+    config = out / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG), encoding="utf-8")
+    base = ["--config", str(config), "--out", str(out), "--seed", "7"]
+    for argv, written in RUN_RECORDS:
+        assert main([*(a.format(out=out) for a in argv), *base]) == 0, argv
+        info = json.loads((out / "run_info.json").read_text(encoding="utf-8"))
+        assert set(info) == {"command", "seed", "completed_utc", "artifacts"}
+        assert (info["command"], info["seed"]) == (argv[0], 7)
+        assert info["artifacts"] == {f: artifacts.file_hash(out / f) for f in written}
+    record = (out / "run_info.json").read_bytes()
+    assert main(["gradcheck", "--seeds", "1"]) == 0
+    assert main(["predict", *base]) == 1  # neither --player nor --rows
+    assert main(["predict", *base, "--player", "nobody"]) == 2
+    assert main(["evaluate", *base, "--models", "nonsense"]) == 1
+    assert (out / "run_info.json").read_bytes() == record
+    assert os.listdir(tmp_path) == ["run"]
+
+
+def read_json_file(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def comparison_models():
+    lines = Path("o/reports/comparison.csv").read_text(encoding="utf-8").splitlines()
+    return [line.split(",")[0] for line in lines[1:]]
+
+
+# flag -> (command, config key, config value, flag argument, what a run used, what
+# the config value and the flag each make it use); paths are relative to the run's
+# working directory, and each default differs from both values
+PRECEDENCE = {
+    "--seed": (
+        ["synth", "--stars", "1", "--regulars", "1"], "seed", 3, "5",
+        lambda: read_json_file("o/run_info.json")["seed"], (3, 5),
+    ),
+    "--out": (
+        ["synth", "--stars", "1", "--regulars", "1"], "out_dir", "c", "f",
+        lambda: [d for d in ("c", "f", "o", "out") if os.path.exists(d)], (["c"], ["f"]),
+    ),
+    "--input": (
+        ["ingest"], "input_csv", "{pools}/a/synthetic.csv", "{pools}/b/synthetic.csv",
+        lambda: read_json_file("o/dataset.json")["summary"]["players_total"], (15, 20),
+    ),
+    "--schema": (
+        ["ingest", "--input", "{pools}/a/synthetic.csv"], "schema_json",
+        "{pools}/two.json", "{pools}/three.json",
+        lambda: [f["name"] for f in read_json_file("o/dataset.json")["schema"]["features"]],
+        (["BPM", "PTS"], ["BPM", "PTS", "AST"]),
+    ),
+    "--test-fraction": (
+        ["ingest", "--input", "{pools}/a/synthetic.csv"], "test_fraction", 0.4, "0.6",
+        lambda: read_json_file("o/dataset.json")["summary"]["test_players"], (6, 9),
+    ),
+    "--models": (
+        ["evaluate"], "models", ["last_value"], "ridge", comparison_models,
+        (["last_value"], ["ridge"]),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pools(tmp_path_factory):
+    """Season CSVs of 15 (``a``) and 20 (``b``) players, ``a``'s dataset, two schemas."""
+    root = tmp_path_factory.mktemp("pools")
+    for name, stars, regulars in (("a", 3, 12), ("b", 4, 16)):
+        argv = ["synth", "--out", str(root / name), "--stars", str(stars)]
+        assert main([*argv, "--regulars", str(regulars)]) == 0
+    a = str(root / "a")
+    assert main(["ingest", "--out", a, "--input", f"{a}/synthetic.csv"]) == 0
+    for name, features in (("two", ["BPM", "PTS"]), ("three", ["BPM", "PTS", "AST"])):
+        doc = {"version": 1, "target": "BPM",
+               "features": [{"name": f, "class": "counting"} for f in features]}
+        (root / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("flag", PRECEDENCE)
+def test_flag_beats_config_beats_default(pools, tmp_path, monkeypatch, flag):
+    command, key, from_config, from_flag, used, expected = PRECEDENCE[flag]
+
+    def fill(value):
+        return value.format(pools=pools) if isinstance(value, str) else value
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: fill(from_config)}), encoding="utf-8")
+    for label, extra in (("config", []), ("flag", [flag, fill(from_flag)])):
+        work = tmp_path / label
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if command[0] == "evaluate":
+            shutil.copytree(pools / "a", "o")
+        out = [] if flag == "--out" else ["--out", "o"]
+        argv = [*(fill(a) for a in command), "--config", str(config), *out, *extra]
+        assert main(argv) == 0, label
+        assert used() == expected[label == "flag"], label
+
+
+@pytest.mark.parametrize(
+    "argv, code, path",
+    [
+        (["ingest", "--input", "{tmp}/in.csv", "--schema", "{tmp}/no.json"], 2, "{tmp}/no.json"),
+        (["synth", "--csv", "{tmp}/no/x.csv"], 2, "{tmp}/no/x.csv"),
+        (["stage1", "--out", "{tmp}/in.csv"], 2, "{tmp}/in.csv"),
+        (["ingest", "--input", "{tmp}"], 2, "{tmp}"),
+        (["synth", "--config", "{tmp}"], 1, "{tmp}"),
+    ],
+    ids=["schema-missing", "csv-dir-missing", "out-is-a-file", "input-is-a-dir",
+         "config-is-a-dir"],
+)
+def test_file_errors_exit_without_a_traceback(tmp_path, capsys, argv, code, path):
+    """A file that cannot be read or written exits 2 naming it (1 for --config),
+    and the refused command creates nothing."""
+    (tmp_path / "in.csv").write_text("player_id\n", encoding="utf-8")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    out = [] if "--out" in argv else ["--out", str(tmp_path / "o")]
+    assert main([*argv, *out]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 1 else "error: ")
+    assert path.format(tmp=tmp_path) in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["in.csv"]
+
+
 def test_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "u")
     assert main(["ingest", "--out", out]) == 1  # no --input
@@ -500,6 +641,9 @@ def test_usage_errors(tmp_path, capsys):
         ({"forecaster": {"patience": True}}, []),
         ({"forecaster": 5}, []),
         ({"input_csv": 5}, []),
+        ({"k_range": 5}, []),
+        ({"models": "proposed"}, []),
+        ({"models": 5}, []),
     ],
     ids=[
         "seed-flag",
@@ -513,6 +657,9 @@ def test_usage_errors(tmp_path, capsys):
         "patience-bool",
         "block-int",
         "input_csv-int",
+        "k_range-int",
+        "models-str",
+        "models-int",
     ],
 )
 def test_mistyped_config_is_a_config_error(tmp_path, capsys, config, flags):
