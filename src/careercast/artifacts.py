@@ -32,7 +32,7 @@ from .schema import FeatureSchema
 
 RUN_INFO = "run_info.json"
 FORMAT = "careercast-artifact"
-VERSION = 3
+VERSION = 4
 HEADER = ("format", "version", "kind", "inputs")
 
 DATASET = "dataset.json"
@@ -201,11 +201,11 @@ def _split_to_doc(split: Split) -> list[dict]:
 
 
 def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
-    """The dataset body; normalized inputs are left out and recomputed on load."""
+    """The dataset body; the statistics and normalized inputs are left out and
+    recomputed on load."""
     return {
         "seed": dataset.seed,
         "schema": dataset.schema.to_doc(),
-        "norm_stats": dataset.norm_stats.to_doc(),
         "train": _split_to_doc(dataset.train),
         "test": _split_to_doc(dataset.test),
         "summary": summary or {},
@@ -213,22 +213,15 @@ def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
 
 
 def dataset_from_doc(doc: dict) -> Dataset:
-    """Rebuild a dataset from its document, re-normalizing each ``raw_input``.
+    """Rebuild a dataset from its document: refit ``norm_stats`` on the train
+    ``raw_input`` blocks, as ingest did, and re-normalize each split with it.
 
-    ``norm_stats`` that do not name the schema's kept columns with one mean
-    and one std each, or a player whose ``encode_f8`` ``raw_input`` and
-    ``target`` do not hold 7 x features and 3 values, raise ``ArtifactError``;
-    ``load_chain`` refuses those and any missing key as a corrupt artifact.
+    A player whose ``encode_f8`` ``raw_input`` and ``target`` do not hold
+    7 x features and 3 values raises ``ArtifactError``, and an empty train
+    split raises ``SplitError``; ``load_chain`` refuses those and any missing
+    key as a corrupt artifact.
     """
     schema = FeatureSchema.from_doc(doc["schema"])
-    stats = NormStats.from_doc(doc["norm_stats"])
-    kept = tuple(name for name in schema.names if name in stats.names)
-    if kept != stats.names or not stats.mean.shape == stats.std.shape == (len(kept),):
-        raise ArtifactError(
-            f"norm_stats must name schema columns in schema order with one mean and "
-            f"one std each; found {len(stats.names)} names, {stats.mean.shape} means "
-            f"and {stats.std.shape} stds"
-        )
 
     def split(name) -> Split:
         rows = doc[name]
@@ -244,12 +237,10 @@ def dataset_from_doc(doc: dict) -> Dataset:
         target = block("target", len(TARGET_AGES))
         ids = tuple(d["player_id"] for d in rows)
         categories = tuple(d["category"] for d in rows)
-        return Split(ids, categories, raw, target, stats.apply(raw, schema.names))
+        return Split(ids, categories, raw, target)
 
-    return Dataset(
-        train=split("train"),
-        test=split("test"),
-        norm_stats=stats,
-        seed=int(doc["seed"]),
-        schema=schema,
-    )
+    train, test = split("train"), split("test")
+    stats = NormStats.fit(train.raw, schema.names)
+    for part in (train, test):
+        part.input = stats.apply(part.raw, schema.names)
+    return Dataset(train=train, test=test, norm_stats=stats, seed=int(doc["seed"]), schema=schema)

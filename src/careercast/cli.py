@@ -3,9 +3,9 @@
 ``main`` frames every command but ``gradcheck``: it validates one
 ``PipelineConfig`` (the defaults, then ``--config``, then the flags, whose
 ``dest`` is the field they set), runs ``cmd_<name>(cfg, args)``, which returns
-the SHA-256 of each file it wrote by path under the output directory, and
-records that map in ``run_info.json``. A directory is made only right before
-a file is written into it, so a refused command creates nothing.
+the SHA-256 of each file it wrote by its path relative to the output
+directory, and records that map in ``run_info.json``. A directory is made only
+right before a file is written into it, so a refused command creates nothing.
 
 Artifacts live under the output directory with fixed names. Each is one
 ``artifacts.envelope`` carrying the SHA-256 of the artifacts it was built
@@ -112,7 +112,7 @@ def cmd_synth(cfg: PipelineConfig, args) -> dict:
     n_rows = write_synth_csv(path, specs, seed=cfg.seed, schema=schema)
     n_players = sum(s.count for s in specs)
     print(f"wrote {n_rows} season rows for {n_players} players to {path}")
-    return {os.path.basename(path): artifacts.file_hash(path)}
+    return {os.path.relpath(path, cfg.out_dir): artifacts.file_hash(path)}
 
 
 def cmd_ingest(cfg: PipelineConfig, args) -> dict:

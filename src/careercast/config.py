@@ -13,13 +13,7 @@ from .nn.training import is_int, is_real
 MODEL_NAMES = ("proposed", "standard_lstm", "last_value", "linear", "ridge", "mlp")
 
 # keys a training block may override; seed always follows the pipeline seed
-TRAIN_KEYS = (
-    "max_epochs",
-    "batch_size",
-    "patience",
-    "validation_fraction",
-    "learning_rate",
-)
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 
 @dataclass

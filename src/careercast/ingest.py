@@ -95,28 +95,32 @@ class NormStats:
     std: np.ndarray
     dropped: tuple[str, ...] = ()
 
+    @classmethod
+    def fit(cls, train_raw: np.ndarray, columns) -> "NormStats":
+        """Mean and std of each column over every train row; zero-std columns are dropped.
+
+        ``train_raw`` is the (n, 7, features) train block, its last axis named
+        ``columns``. Ingest and the dataset loader both fit through here, so a
+        loaded dataset's statistics are bit-identical to ingest's.
+        """
+        if len(train_raw) == 0:
+            raise SplitError("train split is empty; no statistics to normalize with")
+        stacked = train_raw.reshape(-1, len(columns))
+        mean = stacked.mean(axis=0)
+        std = stacked.std(axis=0)
+        keep = std > 0.0
+        return cls(
+            names=tuple(n for n, k in zip(columns, keep) if k),
+            mean=mean[keep],
+            std=std[keep],
+            dropped=tuple(n for n, k in zip(columns, keep) if not k),
+        )
+
     def apply(self, raw: np.ndarray, columns) -> np.ndarray:
         """Z-score the kept columns of ``raw``, whose last axis is named ``columns``."""
         kept = set(self.names)
         keep = [j for j, name in enumerate(columns) if name in kept]
         return (raw[..., keep] - self.mean) / self.std
-
-    def to_doc(self) -> dict:
-        return {
-            "names": list(self.names),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "dropped": list(self.dropped),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "NormStats":
-        return cls(
-            names=tuple(doc["names"]),
-            mean=np.array(doc["mean"], dtype=float),
-            std=np.array(doc["std"], dtype=float),
-            dropped=tuple(doc["dropped"]),
-        )
 
 
 @dataclass
@@ -211,13 +215,15 @@ def parse_season_csv(path: str, schema: FeatureSchema) -> list[SeasonRecord]:
 def select_eligible_players(
     records: list[SeasonRecord],
     target_name: str = "BPM",
-) -> dict[str, list[SeasonRecord]]:
+) -> tuple[dict[str, list[SeasonRecord]], dict[str, int]]:
     """Keep players with enough observed career to train and evaluate on.
 
     A player is eligible when they have at least MIN_SEASONS observed
     seasons at ages 22-31 and an observed target value at every target
     age. Retained lists are age-sorted. Duplicate (player, age) rows keep
-    the first occurrence.
+    the first occurrence. Returns the eligible players and how many were
+    dropped for each rule, as ``dropped_too_few_seasons`` and
+    ``dropped_unobserved_targets``.
     """
     grouped: dict[str, dict[int, SeasonRecord]] = {}
     for rec in records:
@@ -232,14 +238,16 @@ def select_eligible_players(
         by_age[rec.age] = rec
 
     eligible: dict[str, list[SeasonRecord]] = {}
+    dropped = {"dropped_too_few_seasons": 0, "dropped_unobserved_targets": 0}
     for pid, by_age in grouped.items():
         window = [a for a in by_age if a in CAREER_AGES]
         if len(window) < MIN_SEASONS:
-            continue
-        if not all(a in by_age and by_age[a].observed(target_name) for a in TARGET_AGES):
-            continue
-        eligible[pid] = sorted(by_age.values(), key=lambda r: r.age)
-    return eligible
+            dropped["dropped_too_few_seasons"] += 1
+        elif not all(a in by_age and by_age[a].observed(target_name) for a in TARGET_AGES):
+            dropped["dropped_unobserved_targets"] += 1
+        else:
+            eligible[pid] = sorted(by_age.values(), key=lambda r: r.age)
+    return eligible, dropped
 
 
 def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray:
@@ -450,22 +458,12 @@ def split_and_normalize(
         raise SplitError("duplicate player_id in careers; cannot guarantee a leak-free split")
 
     train_raw = careers.raw[train_idx]  # gathered once: the statistics and the train split
-    stacked = train_raw.reshape(-1, schema.n_features)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
-    keep = std > 0.0
-    dropped = tuple(n for n, k in zip(schema.names, keep) if not k)
-    if dropped:
+    stats = NormStats.fit(train_raw, schema.names)
+    if stats.dropped:
         logger.warning(
             "dropping constant train feature(s) before normalization: %s",
-            ", ".join(dropped),
+            ", ".join(stats.dropped),
         )
-    stats = NormStats(
-        names=tuple(n for n, k in zip(schema.names, keep) if k),
-        mean=mean[keep],
-        std=std[keep],
-        dropped=dropped,
-    )
 
     def part(idx, raw) -> Split:
         return Split(
@@ -490,27 +488,15 @@ def ingest_csv(
 
     Imputation medians come from train players only: the seeded split is
     drawn before imputing, and ``split_and_normalize`` draws the same one.
-    The summary counts players kept and dropped by reason, which the CLI
-    prints and persists next to the dataset artifact.
+    The summary counts players kept and dropped by reason, and under
+    ``imputed_cells`` the cells filled at each age for each feature (nonzero
+    counts only); the CLI prints the player counts and stores it all in the
+    dataset artifact.
     """
     records = parse_season_csv(path, schema)
-    grouped: dict[str, list[SeasonRecord]] = {}
-    for rec in records:
-        grouped.setdefault(rec.player_id, []).append(rec)
-
-    eligible = select_eligible_players(records, schema.target_name)
-    dropped_few = 0
-    dropped_targets = 0
-    for pid, rows in grouped.items():
-        if pid in eligible:
-            continue
-        ages = {r.age for r in rows if r.age in CAREER_AGES}
-        if len(ages) < MIN_SEASONS:
-            dropped_few += 1
-        else:
-            dropped_targets += 1
-    rows_parsed, players_total = len(records), len(grouped)
-    del records, grouped  # from here on, ``eligible`` holds the only parsed rows
+    eligible, dropped = select_eligible_players(records, schema.target_name)
+    rows_parsed = len(records)
+    del records  # from here on, ``eligible`` holds the only parsed rows
 
     if not eligible:
         raise IngestError("no eligible players")
@@ -519,17 +505,24 @@ def ingest_csv(
     medians = peer_medians([r for i in sorted(train_idx) for r in eligible[pids[i]]], schema)
     # Each player's parsed rows are freed once its completed rows exist.
     complete = {pid: impute_missing(eligible.pop(pid), schema, medians) for pid in pids}
+    imputed: dict[str, dict[str, int]] = {}
+    for rows in complete.values():
+        for rec in rows:
+            if rec.imputed:
+                at_age = imputed.setdefault(str(rec.age), {})
+                for name in rec.imputed:
+                    at_age[name] = at_age.get(name, 0) + 1
     careers = build_sequences(complete, schema)
     del complete
     dataset = split_and_normalize(careers, schema, test_fraction, seed)
     summary = {
         "rows_parsed": rows_parsed,
-        "players_total": players_total,
+        "players_total": len(pids) + sum(dropped.values()),
         "players_kept": len(pids),
-        "dropped_too_few_seasons": dropped_few,
-        "dropped_unobserved_targets": dropped_targets,
+        **dropped,
         "train_players": len(dataset.train),
         "test_players": len(dataset.test),
         "dropped_constant_features": list(dataset.norm_stats.dropped),
+        "imputed_cells": imputed,
     }
     return dataset, summary

@@ -214,7 +214,7 @@ def test_parent_format_artifact_is_refused(pipeline, tmp_path, capsys, name):
     artifacts.write_json(copy / name, parent_format(name, doc))
     rc = main(["stage2", "--out", str(copy), "--seed", "0"])
     assert rc == 2
-    assert "not a careercast-artifact v3" in capsys.readouterr().err
+    assert "not a careercast-artifact v4" in capsys.readouterr().err
 
 
 def as_v1(node):
@@ -253,19 +253,32 @@ def as_v2(doc):
     return {**doc, "version": 2}
 
 
+def as_v3(doc):
+    """A dataset document as version 3 wrote it: its normalization statistics
+    stored beside the careers, and no imputed-cell counts in its summary."""
+    stats = artifacts.dataset_from_doc(doc).norm_stats
+    norm_stats = {"names": list(stats.names), "mean": stats.mean.tolist(),
+                  "std": stats.std.tolist(), "dropped": list(stats.dropped)}
+    summary = {k: v for k, v in doc["summary"].items() if k != "imputed_cells"}
+    return {**doc, "version": 3, "norm_stats": norm_stats, "summary": summary}
+
+
 @pytest.mark.parametrize(
     "name, kind, rerun, version",
     [
         ("dataset.json", "dataset", "ingest", 1),
         ("forecaster.json", "forecaster", "stage2", 1),
         ("forecaster.json", "forecaster", "stage2", 2),
+        ("dataset.json", "dataset", "ingest", 3),
     ],
     ids=["dataset.json-dataset-ingest", "forecaster.json-forecaster-stage2",
-         "forecaster.json-layer-tree-v2"],
+         "forecaster.json-layer-tree-v2", "dataset.json-norm-stats-v3"],
 )
 def test_v1_artifact_is_refused(pipeline, tmp_path, capsys, name, kind, rerun, version):
-    """An artifact of decimal lists, as version 1 wrote it, or a model as a tree of
-    typed layer documents, as version 2 wrote it, is refused by its header, not read."""
+    """An artifact of decimal lists, as version 1 wrote it, a model as a tree of
+    typed layer documents, as version 2 wrote it, or a dataset with stored
+    normalization statistics, as version 3 wrote it, is refused by its header,
+    not read."""
     out_dir, _ = pipeline
     copy = tmp_path / "old"
     shutil.copytree(out_dir, copy)
@@ -273,27 +286,31 @@ def test_v1_artifact_is_refused(pipeline, tmp_path, capsys, name, kind, rerun, v
     if version == 1:
         doc = as_v1(doc)
         assert "f8" not in json.dumps(doc)
-    else:
+    elif version == 2:
         doc = as_v2(doc)
         assert [l["type"] for l in doc["model"]["head"]["layers"]][-1] == "dense"
         assert not any("." in key for key in doc["model"]["lstm"])
+    else:
+        doc = as_v3(doc)
+        assert len(doc["norm_stats"]["mean"]) == 48
     artifacts.write_json(copy / name, doc)
     rc = main(["predict", "--out", str(copy), "--seed", "0", "--player", "syn0000"])
     assert rc == 2
     assert (
-        f"{copy / name}: not a careercast-artifact v3 {kind!r} artifact (found format, "
+        f"{copy / name}: not a careercast-artifact v4 {kind!r} artifact (found format, "
         f"version, kind ['careercast-artifact', {version}, {kind!r}]); rerun {rerun}"
     ) in capsys.readouterr().err
 
 
 def malformed(doc, case):
-    """``doc`` with its header or its first train career broken in one way."""
+    """``doc`` without a body key, or with its train split or its first train
+    career broken, in one way."""
     first = doc["train"][0]
     raw = decode_f8(first["raw_input"], "raw_input").reshape(7, -1)
     if case.startswith("no "):
         del doc[case[3:]]
-    elif case == "short mean":
-        doc["norm_stats"]["mean"] = doc["norm_stats"]["mean"][:-1]
+    elif case == "empty train":
+        doc["train"] = []
     elif case == "ragged row":
         first["raw_input"] = encode_f8(np.concatenate([raw[0, :-1], raw[1:].ravel()]))
     elif case == "47 columns":
@@ -311,9 +328,8 @@ MALFORMED = {
     "47 columns": "train raw_input holds [329, 336] values a player, expected (7, 48)",
     "6 rows": "train raw_input holds [288, 336] values a player, expected (7, 48)",
     "2 targets": "train target holds [2, 3] values a player, expected (3,)",
-    "short mean": "norm_stats must name schema columns in schema order",
+    "empty train": "train split is empty; no statistics to normalize with",
     "no schema": "KeyError('schema')",
-    "no norm_stats": "KeyError('norm_stats')",
     "no seed": "KeyError('seed')",
 }
 
@@ -791,6 +807,17 @@ def test_refused_synth_writes_nothing(tmp_path, capsys, flags, reason):
     assert main(["synth", "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err == f"config error: {reason}\n"
     assert not out.exists()
+
+
+def test_synth_records_a_csv_outside_out_by_a_path_that_resolves(tmp_path):
+    out, csv_path = tmp_path / "run", tmp_path / "elsewhere" / "pool.csv"
+    csv_path.parent.mkdir()
+    argv = ["synth", "--out", str(out), "--csv", str(csv_path), "--stars", "1", "--regulars", "1"]
+    assert main(argv) == 0
+    recorded = json.loads((out / "run_info.json").read_text(encoding="utf-8"))["artifacts"]
+    ((rel, digest),) = recorded.items()
+    assert rel == os.path.join("..", "elsewhere", "pool.csv")
+    assert artifacts.file_hash(out / rel) == digest
 
 
 @pytest.mark.parametrize("name", ["autoencoder.json", "forecaster.json", "forecaster_standard.json"])

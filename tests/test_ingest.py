@@ -88,8 +88,9 @@ def test_select_eligible_players(small_schema, write_season_csv):
     rows += full_career("notarget", 0.0, missing=[(30, "BPM")])
     path = write_season_csv(rows)
     records = parse_season_csv(path, small_schema)
-    eligible = select_eligible_players(records, "BPM")
+    eligible, dropped = select_eligible_players(records, "BPM")
     assert set(eligible) == {"keep"}
+    assert dropped == {"dropped_too_few_seasons": 1, "dropped_unobserved_targets": 1}
     ages = [r.age for r in eligible["keep"]]
     assert ages == sorted(ages)
 
@@ -100,7 +101,7 @@ def test_duplicate_season_keeps_first(small_schema, write_season_csv):
     extra["BPM"] = 99.0
     rows.append(extra)
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, "BPM")
     age22 = [r for r in eligible["dup"] if r.age == 22]
     assert len(age22) == 1
     assert age22[0].features["BPM"] == 1.0
@@ -116,7 +117,7 @@ def test_impute_ratio_like_uses_peer_median(small_schema, write_season_csv):
                 row["TS%"] = ts
         rows += peer
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, "BPM")
     peers = [r for rs in eligible.values() for r in rs]
     completed = impute_missing(eligible["hole"], small_schema, peer_medians(peers, small_schema))
     filled = next(r for r in completed if r.age == 24)
@@ -128,7 +129,7 @@ def test_impute_ratio_like_uses_peer_median(small_schema, write_season_csv):
 def test_impute_counting_copies_own_nearest(small_schema, write_season_csv):
     rows = full_career("own", 1.0, missing=[(25, "PTS")])
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, "BPM")
     peers = [r for rs in eligible.values() for r in rs]
     completed = impute_missing(eligible["own"], small_schema, peer_medians(peers, small_schema))
     filled = next(r for r in completed if r.age == 25)
@@ -148,7 +149,7 @@ def test_impute_creates_missing_input_age_row(small_schema, write_season_csv):
     by_age = {age: 1.0 for age in range(22, 32) if age != 25}
     rows = career_rows("gap", by_age)
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, "BPM")
     peers = [r for rs in eligible.values() for r in rs]
     completed = impute_missing(eligible["gap"], small_schema, peer_medians(peers, small_schema))
     ages = [r.age for r in completed]
@@ -163,7 +164,7 @@ def test_impute_creates_missing_input_age_row(small_schema, write_season_csv):
 def test_impute_is_idempotent(small_schema, write_season_csv):
     rows = full_career("idem", 2.0, missing=[(23, "TS%"), (26, "PTS")])
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, "BPM")
     peers = [r for rs in eligible.values() for r in rs] + [
         r for r in parse_season_csv(write_season_csv(full_career("p", 0.0), "p.csv"), small_schema)
     ]
@@ -179,7 +180,7 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
            29: 8.80, 30: 7.10, 31: 9.00}
     rows = career_rows("great", bpm)
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, "BPM")
     peers = [r for rs in eligible.values() for r in rs]
     medians = peer_medians(peers, small_schema)
     complete = {"great": impute_missing(eligible["great"], small_schema, medians)}
@@ -196,7 +197,7 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
 
 def test_build_sequences_refuses_a_row_missing_a_feature(small_schema, write_season_csv):
     records = parse_season_csv(write_season_csv(full_career("hole", 1.0)), small_schema)
-    eligible = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, "BPM")
     medians = peer_medians(eligible["hole"], small_schema)
     complete = {"hole": impute_missing(eligible["hole"], small_schema, medians)}
     first, second = small_schema.names[1], small_schema.names[2]
@@ -285,7 +286,7 @@ def test_impute_matches_per_cell_peer_scan():
     for rec in records:
         if rec.player_id == "syn0001":
             rec.features.pop("G", None)  # never observed: takes the peer median
-    eligible = select_eligible_players(records, schema.target_name)
+    eligible, _ = select_eligible_players(records, schema.target_name)
     assert len(eligible) == 40
     peers = [r for rs in eligible.values() for r in rs]
     medians = peer_medians(peers, schema)
@@ -471,6 +472,28 @@ def test_ingest_csv_summary(small_schema, write_season_csv):
     assert summary["train_players"] == 6
     assert summary["test_players"] == 2
     assert summary["rows_parsed"] == len(rows)
+
+
+def test_ingest_csv_counts_imputed_cells_by_age_and_feature(
+    small_schema, write_season_csv, tmp_path
+):
+    rows = []
+    for i in range(8):
+        holes = {0: [(24, "TS%"), (26, "PTS")], 1: [(24, "TS%")], 2: [(30, "PTS")]}
+        rows += full_career(f"p{i}", float(i), missing=holes.get(i, ()))
+    rows = [r for r in rows if (r["player_id"], r["age"]) != ("p3", 25)]
+    _, summary = ingest_csv(write_season_csv(rows), small_schema, test_fraction=0.25, seed=0)
+    # target-age rows are never imputed; a deleted row counts each of its cells
+    assert summary["imputed_cells"] == {
+        "24": {"TS%": 2},
+        "25": {"BPM": 1, "PTS": 1, "TS%": 1, "G": 1},
+        "26": {"PTS": 1},
+    }
+
+    schema = default_schema()
+    path = str(tmp_path / "clean.csv")
+    write_csv(path, default_specs(3, 9), seed=5, schema=schema)
+    assert ingest_csv(path, schema)[1]["imputed_cells"] == {}
 
 
 def test_ingest_csv_no_eligible_players(small_schema, write_season_csv):

@@ -170,7 +170,7 @@ def test_envelope_carries_meta():
     doc = envelope("clusters", {"clusters": {"k": 2}, "seed": 3}, {DATASET: "abc"})
     assert doc == {
         "format": "careercast-artifact",
-        "version": 3,
+        "version": 4,
         "kind": "clusters",
         "inputs": {DATASET: "abc"},
         "clusters": {"k": 2},
@@ -253,7 +253,7 @@ def test_dataset_document_bytes_are_pinned(tmp_path):
     write_csv(path, default_specs(n_star=3, n_regular=9), seed=5, schema=schema)
     ds, summary = ingest_csv(path, schema, seed=5)
     digest = hashlib.sha256(canonical_json(dataset_to_doc(ds, summary))).hexdigest()
-    assert digest == "19f170b690b61746a1a8e37f6a5ee086bb1a5ee97506a8c2e2d28cd3e8e3bb29"
+    assert digest == "37fac27b59c0bb8ae6660e13ffb534d44e9560f5426fb1c004794ebabf7d2c91"
 
 
 def _trained_autoencoder():
