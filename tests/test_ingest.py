@@ -477,9 +477,9 @@ def test_ingest_csv_summary(small_schema, write_season_csv):
 def test_ingest_csv_counts_imputed_cells_by_age_and_feature(
     small_schema, write_season_csv, tmp_path
 ):
+    holes = {0: [(24, "TS%"), (26, "PTS")], 1: [(24, "TS%")], 2: [(30, "PTS")]}
     rows = []
     for i in range(8):
-        holes = {0: [(24, "TS%"), (26, "PTS")], 1: [(24, "TS%")], 2: [(30, "PTS")]}
         rows += full_career(f"p{i}", float(i), missing=holes.get(i, ()))
     rows = [r for r in rows if (r["player_id"], r["age"]) != ("p3", 25)]
     _, summary = ingest_csv(write_season_csv(rows), small_schema, test_fraction=0.25, seed=0)
