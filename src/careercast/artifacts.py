@@ -1,7 +1,8 @@
 """Artifact persistence: canonical JSON, one envelope, the hash-chained loader.
 
 JSON artifacts are written compact with sorted keys, so the same document
-always produces the same bytes and a stable SHA-256. Weights and career rows
+always produces the same bytes and a stable SHA-256; they are encoded, written
+and hashed in bounded batches rather than held whole. Weights and career rows
 are bit-exact ``nn.serialize.encode_f8`` text. Every pipeline artifact is
 one flat envelope: the header keys ``format``, ``version``, ``kind`` and
 ``inputs`` (the SHA-256 of each artifact it was built from, by file name)
@@ -61,18 +62,34 @@ class Artifact(NamedTuple):
     sha256: str
 
 
-def canonical_json(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+# write_json's encoder: compact and key-sorted, so one document has one byte form
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+WRITE_BATCH = 1 << 16  # characters joined before each encode, write and hash
 
 
 def write_json(path, doc) -> str:
-    """Write a canonical JSON artifact; returns its content SHA-256."""
-    data = canonical_json(doc)
+    """Write ``doc`` as canonical JSON plus a newline; returns the file's SHA-256.
+
+    The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``,
+    encoded, written and hashed in batches of about ``WRITE_BATCH``
+    characters, so the whole document is never held as one string or bytes.
+    """
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-        fh.write(b"\n")
-    digest = hashlib.sha256(data)
-    digest.update(b"\n")
+
+        def flush(parts):
+            data = "".join(parts).encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+
+        batch, size = [], 0
+        for chunk in _ENCODER.iterencode(doc):
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= WRITE_BATCH:
+                flush(batch)
+                batch, size = [], 0
+        flush([*batch, "\n"])
     return digest.hexdigest()
 
 
@@ -88,7 +105,7 @@ def read_json(path) -> tuple[dict, str]:
         text = data.decode("utf-8")
         del data  # parse with one copy of the file alive, not two
         return json.loads(text), digest
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ArtifactError(f"{path}: corrupt artifact: {exc}") from exc
 
 

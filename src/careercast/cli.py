@@ -326,14 +326,18 @@ def _parse_rows_csv(path, schema):
     """Read a 7-row block of raw feature values in age order."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestError(f"{path}: file is empty")
-        missing = [n for n in schema.names if n not in reader.fieldnames]
-        if missing:
-            raise IngestError(
-                f"{path}: header lacks feature column(s): {', '.join(missing)}"
-            )
-        rows = list(reader)
+        try:
+            if reader.fieldnames is None:
+                raise IngestError(f"{path}: file is empty")
+            missing = [n for n in schema.names if n not in reader.fieldnames]
+            if missing:
+                raise IngestError(
+                    f"{path}: header lacks feature column(s): {', '.join(missing)}"
+                )
+            rows = list(reader)
+        except csv.Error as exc:
+            line = reader.reader.line_num  # DictReader's own count lags a failed row
+            raise IngestError(f"{path}:{line}: unreadable CSV line: {exc}") from None
     if len(rows) != len(INPUT_AGES):
         raise IngestError(
             f"{path}: expected {len(INPUT_AGES)} rows (ages "
@@ -360,18 +364,23 @@ def _upsert_predictions(path, series: str, predicted) -> None:
     if os.path.exists(path):
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["series", "age", "predicted"]:
-                raise ArtifactError(f"{path}: unexpected predictions file format")
-            for line_no, row in enumerate(reader, start=2):
-                try:
-                    series_id, age, value = row
-                    table[(series_id, int(age))] = value
-                except ValueError:
-                    raise ArtifactError(
-                        f"{path}:{line_no}: expected series, integer age and "
-                        f"predicted value, got {row}"
-                    ) from None
+            try:
+                header = next(reader, None)
+                if header != ["series", "age", "predicted"]:
+                    raise ArtifactError(f"{path}: unexpected predictions file format")
+                for line_no, row in enumerate(reader, start=2):
+                    try:
+                        series_id, age, value = row
+                        table[(series_id, int(age))] = value
+                    except ValueError:
+                        raise ArtifactError(
+                            f"{path}:{line_no}: expected series, integer age and "
+                            f"predicted value, got {row}"
+                        ) from None
+            except csv.Error as exc:
+                raise ArtifactError(
+                    f"{path}:{reader.line_num}: unreadable CSV line: {exc}"
+                ) from None
     for age, value in zip(TARGET_AGES, predicted):
         table[(series, age)] = repr(float(value))
     rows = [(s, a, v) for (s, a), v in sorted(table.items())]

@@ -97,8 +97,8 @@ def load_config(path) -> PipelineConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     known = {f.name for f in fields(PipelineConfig)}

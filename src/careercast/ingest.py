@@ -140,75 +140,86 @@ def parse_season_csv(path: str, schema: FeatureSchema) -> list[SeasonRecord]:
     The header must name player_id, player_name, season, age and every
     schema feature; a ``category`` column (star/regular) is optional.
     Unparseable or non-finite numeric cells become missing values rather
-    than errors; identity columns must parse.
+    than errors; identity columns must parse. A line the csv module cannot
+    read (a cell over its field size limit, say) raises ``IngestError``
+    naming the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyInputError(f"{path}: file is empty (no header row)")
-        missing = [c for c in (*MANDATORY_COLUMNS, *schema.names) if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"{path}: header lacks required column(s): {', '.join(missing)}")
-        has_category = "category" in reader.fieldnames
+        try:
+            return _read_records(path, reader, schema)
+        except csv.Error as exc:
+            line = reader.reader.line_num  # DictReader's own count lags a failed row
+            raise IngestError(f"{path}:{line}: unreadable CSV line: {exc}") from None
 
-        records = []
-        for line_no, row in enumerate(reader, start=2):
-            pid = (row.get("player_id") or "").strip()
-            if not pid:
-                raise IngestError(f"{path}:{line_no}: empty player_id")
-            try:
-                season = int(row["season"])
-                age = int(row["age"])
-            except (TypeError, ValueError):
-                raise IngestError(
-                    f"{path}:{line_no}: season/age must be integers "
-                    f"(got {row.get('season')!r}, {row.get('age')!r})"
-                ) from None
-            if not AGE_BOUNDS[0] <= age <= AGE_BOUNDS[1]:
-                raise IngestError(
-                    f"{path}:{line_no}: age {age} outside bounds {AGE_BOUNDS}"
-                )
-            if not SEASON_BOUNDS[0] <= season <= SEASON_BOUNDS[1]:
-                raise IngestError(
-                    f"{path}:{line_no}: season {season} outside bounds {SEASON_BOUNDS}"
-                )
 
-            features = {}
-            for name in schema.names:
-                cell = row.get(name)
-                if cell is None:
-                    continue
-                cell = cell.strip()
-                if not cell:
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    continue
-                if math.isfinite(value):
-                    features[name] = value
+def _read_records(path: str, reader: csv.DictReader, schema: FeatureSchema) -> list[SeasonRecord]:
+    """The season rows under ``reader``'s header; see ``parse_season_csv``."""
+    if reader.fieldnames is None:
+        raise EmptyInputError(f"{path}: file is empty (no header row)")
+    missing = [c for c in (*MANDATORY_COLUMNS, *schema.names) if c not in reader.fieldnames]
+    if missing:
+        raise SchemaError(f"{path}: header lacks required column(s): {', '.join(missing)}")
+    has_category = "category" in reader.fieldnames
 
-            category = None
-            if has_category:
-                raw = (row.get("category") or "").strip().lower()
-                if raw:
-                    if raw not in CATEGORIES:
-                        raise IngestError(
-                            f"{path}:{line_no}: unknown category {raw!r} "
-                            f"(expected one of {CATEGORIES})"
-                        )
-                    category = raw
-
-            records.append(
-                SeasonRecord(
-                    player_id=pid,
-                    player_name=(row.get("player_name") or "").strip(),
-                    season_end_year=season,
-                    age=age,
-                    features=features,
-                    category=category,
-                )
+    records = []
+    for line_no, row in enumerate(reader, start=2):
+        pid = (row.get("player_id") or "").strip()
+        if not pid:
+            raise IngestError(f"{path}:{line_no}: empty player_id")
+        try:
+            season = int(row["season"])
+            age = int(row["age"])
+        except (TypeError, ValueError):
+            raise IngestError(
+                f"{path}:{line_no}: season/age must be integers "
+                f"(got {row.get('season')!r}, {row.get('age')!r})"
+            ) from None
+        if not AGE_BOUNDS[0] <= age <= AGE_BOUNDS[1]:
+            raise IngestError(
+                f"{path}:{line_no}: age {age} outside bounds {AGE_BOUNDS}"
             )
+        if not SEASON_BOUNDS[0] <= season <= SEASON_BOUNDS[1]:
+            raise IngestError(
+                f"{path}:{line_no}: season {season} outside bounds {SEASON_BOUNDS}"
+            )
+
+        features = {}
+        for name in schema.names:
+            cell = row.get(name)
+            if cell is None:
+                continue
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if math.isfinite(value):
+                features[name] = value
+
+        category = None
+        if has_category:
+            raw = (row.get("category") or "").strip().lower()
+            if raw:
+                if raw not in CATEGORIES:
+                    raise IngestError(
+                        f"{path}:{line_no}: unknown category {raw!r} "
+                        f"(expected one of {CATEGORIES})"
+                    )
+                category = raw
+
+        records.append(
+            SeasonRecord(
+                player_id=pid,
+                player_name=(row.get("player_name") or "").strip(),
+                season_end_year=season,
+                age=age,
+                features=features,
+                category=category,
+            )
+        )
     return records
 
 
@@ -428,14 +439,15 @@ def build_sequences(
 
 
 def _split_indices(
-    n: int, test_fraction: float, seed: int
+    n: int, test_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded player-level split of ``n`` players: (test indices, train indices)."""
+    """Player-level split of ``n`` players drawn from a fresh ``ingest.split``
+    substream ``rng``: (test indices, train indices)."""
     if n < 2:
         raise SplitError(f"need at least 2 sequences to split, got {n}")
     if not 0.0 < test_fraction < 1.0:
         raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    order = substream(seed, "ingest.split").permutation(n)
+    order = rng.permutation(n)
     n_test = min(max(int(round(n * test_fraction)), 1), n - 1)
     return order[:n_test], order[n_test:]
 
@@ -452,7 +464,9 @@ def split_and_normalize(
     the normalized inputs with a warning (they carry no signal and would
     divide by zero); ``raw`` keeps every column.
     """
-    test_idx, train_idx = _split_indices(len(careers), test_fraction, seed)
+    test_idx, train_idx = _split_indices(
+        len(careers), test_fraction, substream(seed, "ingest.split")
+    )
     ids = careers.player_ids
     if len(set(ids)) != len(ids):
         raise SplitError("duplicate player_id in careers; cannot guarantee a leak-free split")
@@ -493,6 +507,9 @@ def ingest_csv(
     counts only); the CLI prints the player counts and stores it all in the
     dataset artifact.
     """
+    # Made before parsing, so numpy.random is loaded before the rows exist
+    # rather than on top of them; drawn from only after eligibility.
+    split_rng = substream(seed, "ingest.split")
     records = parse_season_csv(path, schema)
     eligible, dropped = select_eligible_players(records, schema.target_name)
     rows_parsed = len(records)
@@ -501,7 +518,7 @@ def ingest_csv(
     if not eligible:
         raise IngestError("no eligible players")
     pids = list(eligible)
-    _, train_idx = _split_indices(len(pids), test_fraction, seed)
+    _, train_idx = _split_indices(len(pids), test_fraction, split_rng)
     medians = peer_medians([r for i in sorted(train_idx) for r in eligible[pids[i]]], schema)
     # Each player's parsed rows are freed once its completed rows exist.
     complete = {pid: impute_missing(eligible.pop(pid), schema, medians) for pid in pids}

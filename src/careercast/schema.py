@@ -79,8 +79,8 @@ def load_schema(path: str) -> FeatureSchema:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     return FeatureSchema.from_doc(doc)
 
 

@@ -490,6 +490,48 @@ def test_malformed_predictions_row_is_refused(pipeline, tmp_path, capsys, row):
     assert predictions.read_text(encoding="utf-8") == text
 
 
+DEEP_JSON = "[" * 200_000  # nested past the JSON decoder's recursion limit
+HUGE_CELL = "1" * 200_000  # over the csv module's 131,072-character field limit
+SEASON_HEADER = ",".join(["player_id", "player_name", "season", "age", *default_schema().names])
+
+
+@pytest.mark.parametrize(
+    "argv, name, text, code, message",
+    [
+        (["predict", "--player", "syn0000"], "clusters.json", DEEP_JSON, 2,
+         "error: {path}: corrupt artifact"),
+        (["stage1", "--config", "{path}"], "config.json", DEEP_JSON, 1,
+         "config error: {path}: invalid JSON"),
+        (["ingest", "--input", "{out}/synthetic.csv", "--schema", "{path}"], "schema.json",
+         DEEP_JSON, 2, "error: {path}: not valid JSON"),
+        (["ingest", "--input", "{path}"], "seasons.csv",
+         f"{SEASON_HEADER}\np1,P,2000,22,{HUGE_CELL}\n", 2, "error: {path}:2: unreadable CSV"),
+        (["predict", "--rows", "{path}"], "rows.csv",
+         f"{','.join(default_schema().names)}\n{HUGE_CELL}\n", 2,
+         "error: {path}:2: unreadable CSV"),
+        (["predict", "--player", "syn0000"], "reports/predictions.csv",
+         f"series,age,predicted\nsyn0001,29,{HUGE_CELL}\n", 2,
+         "error: {path}:2: unreadable CSV"),
+    ],
+    ids=["deep-artifact", "deep-config", "deep-schema", "huge-season-cell", "huge-rows-cell",
+         "huge-predictions-cell"],
+)
+def test_malformed_input_file_is_refused(pipeline, tmp_path, capsys, argv, name, text, code,
+                                         message):
+    """A file nested too deep to decode, or with a cell too long to read, ends in
+    the refusal for its kind of file, not in a traceback."""
+    out_dir, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out_dir, copy)
+    path = copy / name
+    path.write_text(text, encoding="utf-8")
+    argv = [a.format(path=path, out=copy) for a in argv]
+    assert main([*argv, "--out", str(copy), "--seed", "0"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path)), err[:300]
+    assert "Traceback" not in err
+
+
 # each command and the files its run record maps to their hashes, by path under --out
 RUN_RECORDS = [
     (["synth", "--stars", "3", "--regulars", "12"], ["synthetic.csv"]),

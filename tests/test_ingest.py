@@ -1,12 +1,15 @@
 """CSV parsing, eligibility, imputation, and the normalized split."""
 
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import careercast
 from careercast.errors import (
     EmptyInputError,
     ImputationError,
@@ -518,3 +521,34 @@ def test_ingest_holds_one_copy_of_the_rows(tmp_path):
 
     parse_peak = peak(lambda: parse_season_csv(path, schema))
     assert peak(lambda: ingest_csv(path, schema)) <= 1.5 * parse_peak
+
+
+# Spies on parse_season_csv; a child process, because this one has numpy.random loaded.
+IMPORT_ORDER_PROBE = """
+import sys
+from careercast import ingest
+from careercast.schema import default_schema
+
+parse, seen = ingest.parse_season_csv, []
+
+def spy(*args):
+    seen.append("numpy.random" in sys.modules)
+    return parse(*args)
+
+ingest.parse_season_csv = spy
+assert "numpy.random" not in sys.modules, "loaded before ingest ran"
+ingest.ingest_csv(sys.argv[1], default_schema())
+assert seen == [True], f"numpy.random loaded when parsing began: {seen}"
+"""
+
+
+def test_ingest_loads_numpy_random_before_the_rows(tmp_path):
+    """The split generator's import lands before the parsed rows, not on top of them."""
+    path = tmp_path / "pool.csv"
+    write_csv(path, default_specs(3, 9), seed=5)
+    src = os.path.dirname(os.path.dirname(careercast.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_ORDER_PROBE, str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,14 +1,18 @@
 """Value-exact persistence of models and datasets, and the artifact envelope."""
 
+import csv
 import hashlib
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from careercast import cli
 from careercast.artifacts import (
     DATASET,
-    canonical_json,
+    WRITE_BATCH,
     dataset_to_doc,
     envelope,
     load_chain,
@@ -19,7 +23,7 @@ from careercast.artifacts import (
 from careercast.autoencoder import Autoencoder
 from careercast.errors import ArtifactError
 from careercast.forecaster import Forecaster, forecaster_train
-from careercast.ingest import Split, ingest_csv, split_and_normalize
+from careercast.ingest import INPUT_AGES, Split, ingest_csv, split_and_normalize
 from careercast.nn import BatchNorm, Layer, TrainConfig, layers
 from careercast.nn.serialize import decode_f8, encode_f8, layer_from_doc, layer_to_doc
 from careercast.rng import substream
@@ -246,14 +250,104 @@ def test_dataset_round_trip_recomputes_inputs_bit_exactly(small_schema, tmp_path
         assert after.category == before.category
 
 
+def written_sha256(path, doc) -> str:
+    """SHA-256 of the bytes ``write_json`` writes for ``doc``, its final newline left out."""
+    write_json(path, doc)
+    data = path.read_bytes()
+    assert data.endswith(b"\n")
+    return hashlib.sha256(data[:-1]).hexdigest()
+
+
 def test_dataset_document_bytes_are_pinned(tmp_path):
     """The dataset document of a small seeded pool hashes to a fixed SHA-256."""
     schema = default_schema()
     path = tmp_path / "pool.csv"
     write_csv(path, default_specs(n_star=3, n_regular=9), seed=5, schema=schema)
     ds, summary = ingest_csv(path, schema, seed=5)
-    digest = hashlib.sha256(canonical_json(dataset_to_doc(ds, summary))).hexdigest()
+    digest = written_sha256(tmp_path / DATASET, dataset_to_doc(ds, summary))
     assert digest == "37fac27b59c0bb8ae6660e13ffb534d44e9560f5426fb1c004794ebabf7d2c91"
+
+
+def write_gappy_pool(path, seed):
+    """A seeded 40-player pool with about 10% of its input-age feature cells
+    blanked and one input-age row deleted for every fifth player."""
+    write_csv(path, default_specs(n_star=8, n_regular=32), seed=seed)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        columns, rows = reader.fieldnames, list(reader)
+    rng = random.Random(seed)
+    players = sorted({row["player_id"] for row in rows})
+    deleted = {(pid, str(rng.choice(INPUT_AGES))) for pid in players[::5]}
+    kept = [row for row in rows if (row["player_id"], row["age"]) not in deleted]
+    features = default_schema().names
+    for row in kept:
+        if int(row["age"]) in INPUT_AGES:
+            for name in features:
+                if rng.random() < 0.1:
+                    row[name] = ""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(kept)
+
+
+@pytest.fixture(scope="module")
+def gappy_run(tmp_path_factory):
+    """A whole small pipeline, ``ingest`` through ``evaluate``, on a gappy pool."""
+    out = tmp_path_factory.mktemp("gappy")
+    write_gappy_pool(out / "pool.csv", seed=4)
+    config = out / "config.json"
+    blocks = {"autoencoder": {"max_epochs": 2}, "forecaster": {"max_epochs": 2}}
+    config.write_text(json.dumps({**blocks, "k_range": [2, 3], "kmeans_restarts": 2}))
+    base = ["--config", str(config), "--out", str(out), "--seed", "4"]
+    for argv in (
+        ["ingest", "--input", str(out / "pool.csv")], ["stage1"], ["stage2"],
+        ["stage2", "--standard"], ["evaluate", "--models", "proposed", "last_value"],
+    ):
+        assert cli.main([*argv, *base]) == 0, argv
+    return out
+
+
+def test_gappy_dataset_bytes_are_pinned(gappy_run):
+    """The gappy pool's dataset.json hashes to a fixed SHA-256, so neither the
+    seeded split nor the train-only imputation moved."""
+    digest = hashlib.sha256((gappy_run / DATASET).read_bytes()).hexdigest()
+    assert digest == "8178870b5c71cc2d50d7befc7bba31f00511d366d1a341dd02b2387e066c82e9"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [DATASET, "autoencoder.json", "clusters.json", "forecaster.json",
+     "forecaster_standard.json", "reports/evaluation.json"],
+)
+def test_write_json_writes_the_one_shot_text(gappy_run, tmp_path, name):
+    """Streamed in batches or not, a pipeline document's file is its compact,
+    key-sorted ``json.dumps`` text plus a newline, hashed over exactly those bytes."""
+    doc = json.loads((gappy_run / name).read_text(encoding="utf-8"))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    if name == DATASET:
+        assert doc["summary"]["imputed_cells"]
+        assert len(text) > 2 * WRITE_BATCH
+    path = tmp_path / "doc.json"
+    digest = write_json(path, doc)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_write_json_holds_no_whole_copy_of_the_document(tmp_path):
+    """Writing a document of over 1 MB allocates less than half the file's size."""
+    doc = {"players": [{"id": i, "raw": encode_f8(np.arange(336.0) + i)} for i in range(400)]}
+    path = tmp_path / "big.json"
+    write_json(path, doc)  # first-call set-up is not the document
+    tracemalloc.start()
+    try:
+        write_json(path, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000
+    assert peak < size / 2, (peak, size)
 
 
 def _trained_autoencoder():
@@ -334,7 +428,7 @@ def test_model_array_values_are_pinned(name, digest):
     ],
     ids=list(MODEL_BUILDS),
 )
-def test_model_document_bytes_are_pinned(name, digest):
+def test_model_document_bytes_are_pinned(tmp_path, name, digest):
     """Seeded model documents hash to fixed SHA-256s, so no saved model byte moves."""
     doc = layer_to_doc(MODEL_BUILDS[name]())
-    assert hashlib.sha256(canonical_json(doc)).hexdigest() == digest
+    assert written_sha256(tmp_path / "model.json", doc) == digest
