@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,20 +35,25 @@ SEASON_BOUNDS = (1995, 2023)
 DEFAULT_TEST_FRACTION = 36.0 / 177.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SeasonRecord:
-    """One player-season row. ``imputed`` tracks which features were filled."""
+    """One player-season row.
+
+    ``values`` is the row's view of the parsed (rows, features) matrix, in
+    schema order, NaN where a cell is missing; ``imputed`` holds the column
+    indices that imputation filled.
+    """
 
     player_id: str
     player_name: str
     season_end_year: int
     age: int
-    features: dict[str, float]
-    category: str | None = None
-    imputed: set[str] = field(default_factory=set)
+    category: str | None
+    values: np.ndarray
+    imputed: frozenset[int] = frozenset()  # one shared empty set until a cell is filled
 
-    def observed(self, name: str) -> bool:
-        return name in self.features and name not in self.imputed
+    def observed(self, j: int) -> bool:
+        return j not in self.imputed and not math.isnan(self.values[j])
 
 
 @dataclass
@@ -120,7 +126,10 @@ class NormStats:
         """Z-score the kept columns of ``raw``, whose last axis is named ``columns``."""
         kept = set(self.names)
         keep = [j for j, name in enumerate(columns) if name in kept]
-        return (raw[..., keep] - self.mean) / self.std
+        out = raw[..., keep]  # a copy: an index list gathers
+        out -= self.mean
+        out /= self.std
+        return out
 
 
 @dataclass
@@ -135,45 +144,57 @@ class Dataset:
 
 
 def parse_season_csv(path: str, schema: FeatureSchema) -> list[SeasonRecord]:
-    """Read season rows from a CSV file.
+    """Read season rows from a CSV file into one (rows, features) float matrix.
 
     The header must name player_id, player_name, season, age and every
-    schema feature; a ``category`` column (star/regular) is optional.
-    Unparseable or non-finite numeric cells become missing values rather
-    than errors; identity columns must parse. A line the csv module cannot
-    read (a cell over its field size limit, say) raises ``IngestError``
-    naming the line.
+    schema feature; a ``category`` column (star/regular) is optional. A
+    repeated header name reads its last column, blank lines are skipped, and
+    a short row's absent cells are missing. Unparseable or non-finite
+    numeric cells become missing (NaN) rather than errors; identity columns
+    must parse. A line the csv module cannot read (a cell over its field
+    size limit, say) raises ``IngestError`` naming the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
             return _read_records(path, reader, schema)
         except csv.Error as exc:
-            line = reader.reader.line_num  # DictReader's own count lags a failed row
-            raise IngestError(f"{path}:{line}: unreadable CSV line: {exc}") from None
+            raise IngestError(f"{path}:{reader.line_num}: unreadable CSV line: {exc}") from None
 
 
-def _read_records(path: str, reader: csv.DictReader, schema: FeatureSchema) -> list[SeasonRecord]:
-    """The season rows under ``reader``'s header; see ``parse_season_csv``."""
-    if reader.fieldnames is None:
+def _read_records(path: str, reader, schema: FeatureSchema) -> list[SeasonRecord]:
+    """The season rows after ``reader``'s header line; see ``parse_season_csv``."""
+    from array import array  # a compiled module: commands that parse no CSV never load it
+
+    header = next(reader, None)
+    if header is None:
         raise EmptyInputError(f"{path}: file is empty (no header row)")
-    missing = [c for c in (*MANDATORY_COLUMNS, *schema.names) if c not in reader.fieldnames]
+    missing = [c for c in (*MANDATORY_COLUMNS, *schema.names) if c not in header]
     if missing:
         raise SchemaError(f"{path}: header lacks required column(s): {', '.join(missing)}")
-    has_category = "category" in reader.fieldnames
+    column = {name: j for j, name in enumerate(header)}  # a repeated name: its last column
+    pid_at, name_at, season_at, age_at = (column[c] for c in MANDATORY_COLUMNS)
+    category_at = column.get("category")
+    feature_at = [column[name] for name in schema.names]
 
-    records = []
-    for line_no, row in enumerate(reader, start=2):
-        pid = (row.get("player_id") or "").strip()
+    cells = array("d")  # every feature cell, row after row; NaN where missing
+    rows = []  # (player_id, player_name, season, age, category) per row
+    line_no = 1
+    for row in reader:
+        if not row:
+            continue
+        line_no += 1
+        row += [None] * (len(header) - len(row))
+        pid = (row[pid_at] or "").strip()
         if not pid:
             raise IngestError(f"{path}:{line_no}: empty player_id")
         try:
-            season = int(row["season"])
-            age = int(row["age"])
+            season = int(row[season_at])
+            age = int(row[age_at])
         except (TypeError, ValueError):
             raise IngestError(
                 f"{path}:{line_no}: season/age must be integers "
-                f"(got {row.get('season')!r}, {row.get('age')!r})"
+                f"(got {row[season_at]!r}, {row[age_at]!r})"
             ) from None
         if not AGE_BOUNDS[0] <= age <= AGE_BOUNDS[1]:
             raise IngestError(
@@ -184,24 +205,16 @@ def _read_records(path: str, reader: csv.DictReader, schema: FeatureSchema) -> l
                 f"{path}:{line_no}: season {season} outside bounds {SEASON_BOUNDS}"
             )
 
-        features = {}
-        for name in schema.names:
-            cell = row.get(name)
-            if cell is None:
-                continue
-            cell = cell.strip()
-            if not cell:
-                continue
+        for j in feature_at:
             try:
-                value = float(cell)
-            except ValueError:
-                continue
-            if math.isfinite(value):
-                features[name] = value
+                value = float(row[j])  # float() strips surrounding whitespace itself
+            except (TypeError, ValueError):
+                value = math.nan
+            cells.append(value if math.isfinite(value) else math.nan)
 
         category = None
-        if has_category:
-            raw = (row.get("category") or "").strip().lower()
+        if category_at is not None:
+            raw = (row[category_at] or "").strip().lower()
             if raw:
                 if raw not in CATEGORIES:
                     raise IngestError(
@@ -210,30 +223,22 @@ def _read_records(path: str, reader: csv.DictReader, schema: FeatureSchema) -> l
                     )
                 category = raw
 
-        records.append(
-            SeasonRecord(
-                player_id=pid,
-                player_name=(row.get("player_name") or "").strip(),
-                season_end_year=season,
-                age=age,
-                features=features,
-                category=category,
-            )
-        )
-    return records
+        rows.append((pid, (row[name_at] or "").strip(), season, age, category))
+    matrix = np.frombuffer(cells, dtype=float).reshape(len(rows), schema.n_features)
+    return [SeasonRecord(*identity, values) for identity, values in zip(rows, matrix)]
 
 
 def select_eligible_players(
     records: list[SeasonRecord],
-    target_name: str = "BPM",
+    target_index: int,
 ) -> tuple[dict[str, list[SeasonRecord]], dict[str, int]]:
     """Keep players with enough observed career to train and evaluate on.
 
     A player is eligible when they have at least MIN_SEASONS observed
-    seasons at ages 22-31 and an observed target value at every target
-    age. Retained lists are age-sorted. Duplicate (player, age) rows keep
-    the first occurrence. Returns the eligible players and how many were
-    dropped for each rule, as ``dropped_too_few_seasons`` and
+    seasons at ages 22-31 and an observed target (column ``target_index``)
+    at every target age. Retained lists are age-sorted. Duplicate (player,
+    age) rows keep the first occurrence. Returns the eligible players and
+    how many were dropped for each rule, as ``dropped_too_few_seasons`` and
     ``dropped_unobserved_targets``.
     """
     grouped: dict[str, dict[int, SeasonRecord]] = {}
@@ -254,7 +259,7 @@ def select_eligible_players(
         window = [a for a in by_age if a in CAREER_AGES]
         if len(window) < MIN_SEASONS:
             dropped["dropped_too_few_seasons"] += 1
-        elif not all(a in by_age and by_age[a].observed(target_name) for a in TARGET_AGES):
+        elif not all(a in by_age and by_age[a].observed(target_index) for a in TARGET_AGES):
             dropped["dropped_unobserved_targets"] += 1
         else:
             eligible[pid] = sorted(by_age.values(), key=lambda r: r.age)
@@ -272,15 +277,13 @@ def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray
     for r in peers:
         if r.age in at_age:
             at_age[r.age].append(r)
-    column = {n: j for j, n in enumerate(schema.names)}
     medians = np.full((len(INPUT_AGES), schema.n_features), np.nan)
     for i, rows in enumerate(at_age.values()):
-        values = np.array(
-            [[r.features.get(n, np.nan) for n in schema.names] for r in rows], dtype=float
-        ).reshape(len(rows), schema.n_features)
+        values = np.array([r.values for r in rows], dtype=float)
+        values = values.reshape(len(rows), schema.n_features)
         for k, r in enumerate(rows):
-            for name in r.imputed:
-                values[k, column[name]] = np.nan
+            for j in r.imputed:
+                values[k, j] = np.nan
         for j, cells in enumerate(values.T):
             observed = cells[~np.isnan(cells)]
             if observed.size:
@@ -293,59 +296,38 @@ def impute_missing(
     schema: FeatureSchema,
     medians: np.ndarray,
 ) -> list[SeasonRecord]:
-    """Produce complete rows for every input age, leaving targets untouched.
+    """Complete the rows of every input age in place, leaving targets untouched.
 
     A wholly absent input-age row is first copied from the player's nearest
-    season (the nearest earlier one, else the nearest later one), ratio-like
-    columns included, and every copied cell counts as imputed. Only the cells
-    the (observed or copied) row still lacks are then filled: a ratio-like
-    cell takes the peer median for that feature at that age from
-    ``medians`` (see ``peer_medians``), and a counting cell copies the
+    season (the nearest earlier one, else the nearest later one) as parsed,
+    ratio-like columns included, and every copied cell counts as imputed.
+    Only the cells the (observed or copied) row still lacks are then filled:
+    a ratio-like cell takes the peer median for that feature at that age
+    from ``medians`` (see ``peer_medians``), and a counting cell copies the
     player's nearest observed value of that feature the same way, falling
-    back to the peer median if the player never observed it. Rows at target
-    ages pass through unchanged. Applying this to its own output is the
-    identity.
+    back to the peer median if the player never observed it. Returns the
+    input-age rows in age order, then the target-age rows. Applying this to
+    its own output is the identity.
     """
     by_age = {r.age: r for r in seasons}
     own_ages = sorted(by_age)
-    observed_ages: dict[str, list[int]] = {}  # per counting feature, built on first need
-    out = []
-    for age in INPUT_AGES:
-        if age in by_age:
-            rec = _copy_record(by_age[age])
-        else:
-            source_age = _nearest_age(own_ages, age)
-            if source_age is None:
-                raise ImputationError(
-                    f"player {seasons[0].player_id if seasons else '?'} has no seasons to fill age {age}"
-                )
-            src = by_age[source_age]
-            rec = SeasonRecord(
-                player_id=src.player_id,
-                player_name=src.player_name,
-                season_end_year=src.season_end_year + (age - src.age),
-                age=age,
-                features=dict(src.features),
-                category=src.category,
-                imputed=set(src.features),
-            )
-        _fill_cells(rec, schema, by_age, observed_ages, medians[INPUT_AGES.index(age)])
-        out.append(rec)
-    out.extend(
-        _copy_record(by_age[a]) for a in TARGET_AGES if a in by_age
-    )
-    return out
+    # Every copy is taken before any cell is filled, so it copies parsed cells only.
+    rows = [by_age.get(age) or _copy_nearest(by_age, own_ages, age) for age in INPUT_AGES]
+    observed_ages: dict[int, list[int]] = {}  # per counting column, built on first need
+    for rec, medians_at_age in zip(rows, medians):
+        _fill_cells(rec, schema, by_age, observed_ages, medians_at_age)
+    return rows + [by_age[a] for a in TARGET_AGES if a in by_age]
 
 
-def _copy_record(rec: SeasonRecord) -> SeasonRecord:
+def _copy_nearest(by_age: dict[int, SeasonRecord], own_ages: list[int], age: int) -> SeasonRecord:
+    """A new row at ``age``, copied whole from the player's nearest season."""
+    source_age = _nearest_age(own_ages, age)
+    if source_age is None:
+        raise ImputationError(f"player ? has no seasons to fill age {age}")  # no rows at all
+    src = by_age[source_age]
     return SeasonRecord(
-        player_id=rec.player_id,
-        player_name=rec.player_name,
-        season_end_year=rec.season_end_year,
-        age=rec.age,
-        features=dict(rec.features),
-        category=rec.category,
-        imputed=set(rec.imputed),
+        src.player_id, src.player_name, src.season_end_year + (age - src.age), age,
+        src.category, src.values.copy(), frozenset(range(len(src.values))),
     )
 
 
@@ -364,12 +346,12 @@ def _fill_cells(
     rec: SeasonRecord,
     schema: FeatureSchema,
     own_by_age: dict[int, SeasonRecord],
-    observed_ages: dict[str, list[int]],
+    observed_ages: dict[int, list[int]],
     medians_at_age: np.ndarray,
 ) -> None:
-    for j, name in enumerate(schema.names):
-        if name in rec.features:
-            continue
+    gaps = np.flatnonzero(np.isnan(rec.values)).tolist()
+    for j in gaps:
+        name = schema.names[j]
         kind = schema.imputation_class[name]
         if kind == RATIO_LIKE:
             value = float(medians_at_age[j])
@@ -379,7 +361,7 @@ def _fill_cells(
                 )
         else:
             assert kind == COUNTING
-            value = _own_nearest_value(own_by_age, observed_ages, name, rec.age)
+            value = _own_nearest_value(own_by_age, observed_ages, j, rec.age)
             if value is None:
                 # Never observed anywhere in this career; fall back to peers.
                 value = float(medians_at_age[j])
@@ -387,19 +369,20 @@ def _fill_cells(
                 raise ImputationError(
                     f"feature {name!r} unobserved for the player and the peer pool at age {rec.age}"
                 )
-        rec.features[name] = value
-        rec.imputed.add(name)
+        rec.values[j] = value
+    if gaps:
+        rec.imputed = rec.imputed.union(gaps)
 
 
 def _own_nearest_value(
-    own_by_age: dict[int, SeasonRecord], observed_ages: dict[str, list[int]], name: str, age: int
+    own_by_age: dict[int, SeasonRecord], observed_ages: dict[int, list[int]], j: int, age: int
 ) -> float | None:
-    if name not in observed_ages:
-        observed_ages[name] = [a for a, r in own_by_age.items() if r.observed(name)]
-    nearest = _nearest_age(observed_ages[name], age)
+    if j not in observed_ages:
+        observed_ages[j] = [a for a, r in own_by_age.items() if r.observed(j)]
+    nearest = _nearest_age(observed_ages[j], age)
     if nearest is None:
         return None
-    return own_by_age[nearest].features[name]
+    return own_by_age[nearest].values[j]
 
 
 def build_sequences(
@@ -409,6 +392,7 @@ def build_sequences(
     """Stack complete season rows into one unnormalized split, players in order."""
     raw = np.empty((len(complete), len(INPUT_AGES), schema.n_features), dtype=float)
     target = np.empty((len(complete), len(TARGET_AGES)), dtype=float)
+    ti = schema.target_index
     categories = []
     for p, (pid, rows) in enumerate(complete.items()):
         by_age = {r.age: r for r in rows}
@@ -416,21 +400,23 @@ def build_sequences(
             rec = by_age.get(age)
             if rec is None:
                 raise IngestError(f"internal invariant violated: {pid} lacks an age-{age} row")
-            try:
-                raw[p, i] = [rec.features[name] for name in schema.names]
-            except KeyError as exc:
-                raise IngestError(
-                    f"internal invariant violated: {pid} age {age} missing {exc.args[0]!r}"
-                ) from None
+            raw[p, i] = rec.values
+        gaps = np.argwhere(np.isnan(raw[p]))
+        if len(gaps):
+            i, j = gaps[0]
+            raise IngestError(
+                f"internal invariant violated: {pid} age {INPUT_AGES[i]} "
+                f"missing {schema.names[j]!r}"
+            )
 
         for i, age in enumerate(TARGET_AGES):
             rec = by_age.get(age)
-            if rec is None or not rec.observed(schema.target_name):
+            if rec is None or not rec.observed(ti):
                 raise IngestError(
                     f"internal invariant violated: {pid} has no observed "
                     f"{schema.target_name} at age {age}"
                 )
-            target[p, i] = rec.features[schema.target_name]
+            target[p, i] = rec.values[ti]
 
         categories.append(
             next((r.category for r in sorted(rows, key=lambda r: r.age) if r.category), None)
@@ -511,7 +497,7 @@ def ingest_csv(
     # rather than on top of them; drawn from only after eligibility.
     split_rng = substream(seed, "ingest.split")
     records = parse_season_csv(path, schema)
-    eligible, dropped = select_eligible_players(records, schema.target_name)
+    eligible, dropped = select_eligible_players(records, schema.target_index)
     rows_parsed = len(records)
     del records  # from here on, ``eligible`` holds the only parsed rows
 
@@ -520,15 +506,14 @@ def ingest_csv(
     pids = list(eligible)
     _, train_idx = _split_indices(len(pids), test_fraction, split_rng)
     medians = peer_medians([r for i in sorted(train_idx) for r in eligible[pids[i]]], schema)
-    # Each player's parsed rows are freed once its completed rows exist.
+    # Filled in place: the parsed matrix stays the only copy of the cells.
     complete = {pid: impute_missing(eligible.pop(pid), schema, medians) for pid in pids}
+    # Counted in a generator, whose loop variables go with it: a row left bound
+    # here would keep the whole parsed matrix alive.
+    cells = Counter((r.age, j) for rows in complete.values() for r in rows for j in r.imputed)
     imputed: dict[str, dict[str, int]] = {}
-    for rows in complete.values():
-        for rec in rows:
-            if rec.imputed:
-                at_age = imputed.setdefault(str(rec.age), {})
-                for name in rec.imputed:
-                    at_age[name] = at_age.get(name, 0) + 1
+    for (age, j), n in cells.items():
+        imputed.setdefault(str(age), {})[schema.names[j]] = n
     careers = build_sequences(complete, schema)
     del complete
     dataset = split_and_normalize(careers, schema, test_fraction, seed)

@@ -18,14 +18,19 @@ from careercast.autoencoder import Autoencoder
 from careercast.cli import main
 from careercast.nn import TrainConfig
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("careercast_bench_spans", SPANS)
+def load_bench_module(name):
+    path = BENCHMARKS / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"careercast_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_bench_module("spans")
 
 
 def test_traced_names_exist():
@@ -60,6 +65,29 @@ def test_dataset_json_lists_players_under_instrumentation(tmp_path):
     for split in ("train", "test"):
         assert isinstance(doc[split], list) and doc[split]
         assert all(isinstance(seq["player_id"], str) for seq in doc[split])
+
+
+def test_traced_imputed_cells_match_the_dataset_summary(tmp_path):
+    """``ingest.imputed_cells``, counted from the rows ``impute_missing`` returns,
+    totals the per-(age, feature) counts that ``dataset.json`` records."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    out = tmp_path / "run"
+    base = ["--out", str(out), "--seed", "0"]
+    assert main(["synth", *base, "--stars", "3", "--regulars", "12"]) == 0
+    gappy = tmp_path / "gappy.csv"
+    removed = load_bench_module("gaps").make_gaps(out / "synthetic.csv", gappy, seed=1)
+    assert removed["blanked_cells"] and removed["deleted_rows"]
+    with spans.instrument(tracer):
+        with tracer.command("ingest"):
+            assert main(["ingest", *base, "--input", str(gappy)]) == 0
+    metrics = spans.layer_metrics(tracer)
+    doc = json.loads((out / "dataset.json").read_text())
+    counts = doc["summary"]["imputed_cells"]
+    total = sum(n for at_age in counts.values() for n in at_age.values())
+    assert total > removed["blanked_cells"]  # a deleted row counts each of its cells
+    assert metrics["ingest.imputed_cells"] == total
+    assert metrics["ingest.impute_missing.calls"] == 15
 
 
 def test_model_serialization_is_traced(tmp_path):

@@ -1,6 +1,8 @@
 """CSV parsing, eligibility, imputation, and the normalized split."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,6 +42,12 @@ def full_career(pid, base_bpm, category=None, missing=()):
     return career_rows(pid, by_age, category=category, missing=missing)
 
 
+def cell(rec, schema, name):
+    """The value of one feature of a season row, or None where missing."""
+    value = rec.values[schema.names.index(name)]
+    return None if np.isnan(value) else value
+
+
 def test_parse_season_csv_cells(small_schema, write_season_csv):
     rows = career_rows("p1", {22: 1.5, 23: 2.5}, category="star")
     rows[0]["TS%"] = ""        # blank -> missing
@@ -50,11 +58,11 @@ def test_parse_season_csv_cells(small_schema, write_season_csv):
     assert len(records) == 2
     assert records[0].player_id == "p1"
     assert records[0].category == "star"
-    assert records[0].features["BPM"] == 1.5
-    assert "TS%" not in records[0].features
-    assert "PTS" not in records[1].features
-    assert "G" not in records[1].features
-    assert records[1].features["TS%"] == 0.5
+    assert cell(records[0], small_schema, "BPM") == 1.5
+    assert cell(records[0], small_schema, "TS%") is None
+    assert cell(records[1], small_schema, "PTS") is None
+    assert cell(records[1], small_schema, "G") is None
+    assert cell(records[1], small_schema, "TS%") == 0.5
 
 
 def test_parse_season_csv_errors(small_schema, write_season_csv, tmp_path):
@@ -84,6 +92,35 @@ def test_parse_season_csv_errors(small_schema, write_season_csv, tmp_path):
         parse_season_csv(str(headerless), small_schema)
 
 
+def test_parse_season_csv_reads_rows_as_dictreader_does(small_schema, tmp_path):
+    """Blank lines are skipped, a short row's absent cells are missing, and a
+    repeated header name reads its last column."""
+    path = tmp_path / "rows.csv"
+    path.write_text(
+        "player_id,player_name,season,age,BPM,PTS,TS%,G,BPM\n"
+        "p1,P1,2000,22,1.0,10.0,0.5,70,2.5\n"
+        "\n"
+        "p1,P1,2001,23,1.0,11.0\n",
+        encoding="utf-8",
+    )
+    first, short = parse_season_csv(str(path), small_schema)
+    assert cell(first, small_schema, "BPM") == 2.5  # the last BPM column
+    assert cell(first, small_schema, "G") == 70.0
+    assert (short.age, cell(short, small_schema, "PTS")) == (23, 11.0)
+    assert cell(short, small_schema, "BPM") is None  # its last BPM column is absent
+    assert cell(short, small_schema, "TS%") is None
+    assert cell(short, small_schema, "G") is None
+
+    path.write_text("player_id,player_name,season,age,BPM,PTS,TS%,G\np2,P2,2000\n", "utf-8")
+    message = f"{path}:2: season/age must be integers (got '2000', None)"
+    with pytest.raises(IngestError, match=re.escape(message)):
+        parse_season_csv(str(path), small_schema)
+    # Lines are numbered by the rows read, header first; a skipped blank line is not counted.
+    path.write_text("player_id,player_name,season,age,BPM,PTS,TS%,G\n\n,P3\n", "utf-8")
+    with pytest.raises(IngestError, match=re.escape(f"{path}:2: empty player_id")):
+        parse_season_csv(str(path), small_schema)
+
+
 def test_select_eligible_players(small_schema, write_season_csv):
     rows = []
     rows += full_career("keep", 2.0)
@@ -91,7 +128,7 @@ def test_select_eligible_players(small_schema, write_season_csv):
     rows += full_career("notarget", 0.0, missing=[(30, "BPM")])
     path = write_season_csv(rows)
     records = parse_season_csv(path, small_schema)
-    eligible, dropped = select_eligible_players(records, "BPM")
+    eligible, dropped = select_eligible_players(records, small_schema.target_index)
     assert set(eligible) == {"keep"}
     assert dropped == {"dropped_too_few_seasons": 1, "dropped_unobserved_targets": 1}
     ages = [r.age for r in eligible["keep"]]
@@ -104,10 +141,10 @@ def test_duplicate_season_keeps_first(small_schema, write_season_csv):
     extra["BPM"] = 99.0
     rows.append(extra)
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible, _ = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, small_schema.target_index)
     age22 = [r for r in eligible["dup"] if r.age == 22]
     assert len(age22) == 1
-    assert age22[0].features["BPM"] == 1.0
+    assert cell(age22[0], small_schema, "BPM") == 1.0
 
 
 def test_impute_ratio_like_uses_peer_median(small_schema, write_season_csv):
@@ -120,25 +157,26 @@ def test_impute_ratio_like_uses_peer_median(small_schema, write_season_csv):
                 row["TS%"] = ts
         rows += peer
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible, _ = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, small_schema.target_index)
     peers = [r for rs in eligible.values() for r in rs]
     completed = impute_missing(eligible["hole"], small_schema, peer_medians(peers, small_schema))
     filled = next(r for r in completed if r.age == 24)
-    assert filled.features["TS%"] == 0.57  # median of peer values at age 24
-    assert "TS%" in filled.imputed
-    assert not filled.observed("TS%")
+    ts = small_schema.names.index("TS%")
+    assert filled.values[ts] == 0.57  # median of peer values at age 24
+    assert ts in filled.imputed
+    assert not filled.observed(ts)
 
 
 def test_impute_counting_copies_own_nearest(small_schema, write_season_csv):
     rows = full_career("own", 1.0, missing=[(25, "PTS")])
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible, _ = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, small_schema.target_index)
     peers = [r for rs in eligible.values() for r in rs]
     completed = impute_missing(eligible["own"], small_schema, peer_medians(peers, small_schema))
     filled = next(r for r in completed if r.age == 25)
     by_age = {r.age: r for r in eligible["own"]}
     # nearest observed season, earlier preferred
-    assert filled.features["PTS"] == by_age[24].features["PTS"]
+    assert cell(filled, small_schema, "PTS") == cell(by_age[24], small_schema, "PTS")
 
 
 def test_nearest_age_takes_any_earlier_age_first():
@@ -152,30 +190,31 @@ def test_impute_creates_missing_input_age_row(small_schema, write_season_csv):
     by_age = {age: 1.0 for age in range(22, 32) if age != 25}
     rows = career_rows("gap", by_age)
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible, _ = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, small_schema.target_index)
     peers = [r for rs in eligible.values() for r in rs]
     completed = impute_missing(eligible["gap"], small_schema, peer_medians(peers, small_schema))
     ages = [r.age for r in completed]
     assert ages == list(range(22, 32))
     created = next(r for r in completed if r.age == 25)
     source = next(r for r in completed if r.age == 24)
-    assert created.features == source.features
+    assert np.array_equal(created.values, source.values)
     assert created.season_end_year == source.season_end_year + 1
-    assert created.imputed == set(small_schema.names)
+    assert created.imputed == set(range(small_schema.n_features))
 
 
 def test_impute_is_idempotent(small_schema, write_season_csv):
     rows = full_career("idem", 2.0, missing=[(23, "TS%"), (26, "PTS")])
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible, _ = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, small_schema.target_index)
     peers = [r for rs in eligible.values() for r in rs] + [
         r for r in parse_season_csv(write_season_csv(full_career("p", 0.0), "p.csv"), small_schema)
     ]
     medians = peer_medians(peers, small_schema)
     once = impute_missing(eligible["idem"], small_schema, medians)
+    once_values, once_imputed = [r.values.tolist() for r in once], [r.imputed for r in once]
     twice = impute_missing(once, small_schema, medians)
-    assert [r.features for r in twice] == [r.features for r in once]
-    assert [r.imputed for r in twice] == [r.imputed for r in once]
+    assert [r.values.tolist() for r in twice] == once_values
+    assert [r.imputed for r in twice] == once_imputed
 
 
 def test_build_sequences_targets_are_raw_observed_values(small_schema, write_season_csv):
@@ -183,7 +222,7 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
            29: 8.80, 30: 7.10, 31: 9.00}
     rows = career_rows("great", bpm)
     records = parse_season_csv(write_season_csv(rows), small_schema)
-    eligible, _ = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, small_schema.target_index)
     peers = [r for rs in eligible.values() for r in rs]
     medians = peer_medians(peers, small_schema)
     complete = {"great": impute_missing(eligible["great"], small_schema, medians)}
@@ -200,13 +239,13 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
 
 def test_build_sequences_refuses_a_row_missing_a_feature(small_schema, write_season_csv):
     records = parse_season_csv(write_season_csv(full_career("hole", 1.0)), small_schema)
-    eligible, _ = select_eligible_players(records, "BPM")
+    eligible, _ = select_eligible_players(records, small_schema.target_index)
     medians = peer_medians(eligible["hole"], small_schema)
     complete = {"hole": impute_missing(eligible["hole"], small_schema, medians)}
-    first, second = small_schema.names[1], small_schema.names[2]
+    first, second = 1, 2  # columns
     row = next(r for r in complete["hole"] if r.age == 25)
-    del row.features[second], row.features[first]
-    with pytest.raises(IngestError, match=f"hole age 25 missing '{first}'"):
+    row.values[[second, first]] = np.nan
+    with pytest.raises(IngestError, match=f"hole age 25 missing '{small_schema.names[first]}'"):
         build_sequences(complete, small_schema)
 
 
@@ -230,9 +269,9 @@ def gappy_pool(schema, seed, cell_share=0.1, player_share=0.2):
     kept = [r for r in records if (r.player_id, r.age) not in deleted]
     for rec in kept:
         if rec.age in INPUT_AGES:
-            for name in schema.names:
+            for j in range(schema.n_features):
                 if rng.random() < cell_share:
-                    del rec.features[name]
+                    rec.values[j] = np.nan
     rows = [
         {
             "player_id": r.player_id,
@@ -240,15 +279,25 @@ def gappy_pool(schema, seed, cell_share=0.1, player_share=0.2):
             "season": r.season_end_year,
             "age": r.age,
             "category": r.category,
-            **{n: repr(v) for n, v in r.features.items()},
+            **features(r, schema),
         }
         for r in kept
     ]
     return kept, rows
 
 
+def features(rec, schema):
+    """A season row's present cells, by feature name."""
+    return {n: v for n, v in zip(schema.names, rec.values.tolist()) if not math.isnan(v)}
+
+
 def reference_impute(seasons, schema, peers):
-    """Per-cell peer scan: each missing cell rescans every peer row."""
+    """Per-cell peer scan: each missing cell rescans every peer row.
+
+    Returns (age, features, imputed feature names) per input age; run it
+    before ``impute_missing``, which fills the rows in place.
+    """
+    column = {n: j for j, n in enumerate(schema.names)}
 
     def nearest(ages, age):
         earlier = [a for a in ages if a < age]
@@ -256,55 +305,59 @@ def reference_impute(seasons, schema, peers):
         return max(earlier) if earlier else (min(later) if later else None)
 
     def scan(name, age):
-        values = [r.features[name] for r in peers if r.age == age and r.observed(name)]
+        j = column[name]
+        values = [r.values[j] for r in peers if r.age == age and r.observed(j)]
         return float(np.median(values)) if values else None
 
     by_age = {r.age: r for r in seasons}
     out = []
     for age in INPUT_AGES:
         if age in by_age:
-            features, imputed = dict(by_age[age].features), set(by_age[age].imputed)
+            rec = by_age[age]
+            features_at, imputed = features(rec, schema), {schema.names[j] for j in rec.imputed}
         else:
             src = by_age[nearest(sorted(by_age), age)]
-            features, imputed = dict(src.features), set(src.features)
+            features_at = features(src, schema)
+            imputed = set(features_at)
         for name in schema.names:
-            if name in features:
+            if name in features_at:
                 continue
             value = None
             if schema.imputation_class[name] == COUNTING:
-                own = nearest(sorted(a for a, r in by_age.items() if r.observed(name)), age)
+                own = nearest(sorted(a for a, r in by_age.items() if r.observed(column[name])), age)
                 if own is not None:
-                    value = by_age[own].features[name]
+                    value = by_age[own].values[column[name]]
             if value is None:
                 value = scan(name, age)
-            features[name] = value
+            features_at[name] = value
             imputed.add(name)
-        out.append((age, features, imputed))
+        out.append((age, features_at, imputed))
     return out
 
 
 def test_impute_matches_per_cell_peer_scan():
     schema = default_schema()
     records, _ = gappy_pool(schema, seed=11)
+    column = {n: j for j, n in enumerate(schema.names)}
     for rec in records:
         if rec.player_id == "syn0001":
-            rec.features.pop("G", None)  # never observed: takes the peer median
-    eligible, _ = select_eligible_players(records, schema.target_name)
+            rec.values[column["G"]] = np.nan  # never observed: takes the peer median
+    eligible, _ = select_eligible_players(records, schema.target_index)
     assert len(eligible) == 40
     peers = [r for rs in eligible.values() for r in rs]
     medians = peer_medians(peers, schema)
     n_imputed = 0
     all_completed = []
     for pid, rows in eligible.items():
+        expected = reference_impute(rows, schema, peers)
         completed = impute_missing(rows, schema, medians)
         all_completed += completed
-        expected = reference_impute(rows, schema, peers)
         assert [r.age for r in completed[: len(INPUT_AGES)]] == list(INPUT_AGES)
-        for rec, (age, features, imputed) in zip(completed, expected):
+        for rec, (age, features_at, imputed) in zip(completed, expected):
             assert rec.age == age
-            assert rec.imputed == imputed
+            assert {schema.names[j] for j in rec.imputed} == imputed
             for name in imputed:
-                assert rec.features[name] == features[name], (pid, age, name)
+                assert rec.values[column[name]] == features_at[name], (pid, age, name)
             n_imputed += len(imputed)
     assert n_imputed > 0.09 * 40 * len(INPUT_AGES) * schema.n_features
     # Imputed cells never feed the table.
@@ -316,14 +369,14 @@ def test_impute_matches_per_cell_peer_scan():
     holder = next(rows for rows in eligible.values() if 24 in {r.age for r in rows})
     for rec in records:
         if rec.age == 24:
-            rec.features.pop(ratio, None)
+            rec.values[column[ratio]] = np.nan
     medians = peer_medians(peers, schema)
     assert np.isnan(medians[INPUT_AGES.index(24), schema.names.index(ratio)])
     with pytest.raises(ImputationError, match=f"'{ratio}' has no observed peer values at age 24"):
         impute_missing(holder, schema, medians)
 
     for rec in records:
-        rec.features.pop(counting, None)
+        rec.values[column[counting]] = np.nan
     with pytest.raises(ImputationError, match=f"'{counting}' unobserved for the player"):
         impute_missing(holder, schema, peer_medians(peers, schema))
 
@@ -521,6 +574,21 @@ def test_ingest_holds_one_copy_of_the_rows(tmp_path):
 
     parse_peak = peak(lambda: parse_season_csv(path, schema))
     assert peak(lambda: ingest_csv(path, schema)) <= 1.5 * parse_peak
+
+
+def test_parsed_rows_cost_about_their_cells(tmp_path):
+    """Parsing holds little beyond one float per cell: no per-row dict of boxed floats."""
+    schema = default_schema()
+    path = str(tmp_path / "pool.csv")
+    n_rows = write_csv(path, default_specs(30, 170), seed=1, schema=schema)
+    parse_season_csv(path, schema)  # lazy imports and first-call caches are not rows
+    tracemalloc.start()
+    try:
+        parse_season_csv(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n_rows * schema.n_features * 8
 
 
 # Spies on parse_season_csv; a child process, because this one has numpy.random loaded.

@@ -170,7 +170,7 @@ def test_csv_round_trip_matches_direct_generation(tmp_path):
 
     direct, _ = generate(specs, seed=9, schema=schema)
     records = parse_season_csv(path, schema)
-    eligible, _ = select_eligible_players(records, schema.target_name)
+    eligible, _ = select_eligible_players(records, schema.target_index)
     medians = peer_medians(records, schema)
     complete = {
         pid: impute_missing(rows, schema, medians) for pid, rows in eligible.items()
