@@ -99,7 +99,7 @@ def ae_train(
     if inputs.ndim != 2:
         raise ShapeError(f"expected (n, n_inputs) training data, got {inputs.shape}")
     if config is None:
-        config = TrainConfig(seed=seed)
+        config = TrainConfig()
     ae = Autoencoder(inputs.shape[1], rng=rngmod.substream(seed, "autoencoder.init"))
     result = train_loop(
         ae.model,

@@ -36,7 +36,6 @@ class LinearModel:
 
     coef: np.ndarray
     intercept: np.ndarray
-    l2: float
 
     @property
     def n_inputs(self) -> int:
@@ -84,7 +83,7 @@ def linear_fit(x: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
         weights = np.linalg.solve(gram, xa.T @ y)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"normal equations are singular: {exc}") from exc
-    return LinearModel(coef=weights[:p, :], intercept=weights[p, :], l2=float(l2))
+    return LinearModel(coef=weights[:p, :], intercept=weights[p, :])
 
 
 def linear_predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
@@ -105,7 +104,7 @@ def mlp_baseline_train(
     """Fit a dense relu net on flattened input rows."""
     x, y = _check_xy(x, y)
     if config is None:
-        config = TrainConfig(seed=seed)
+        config = TrainConfig()
     init_rng = rngmod.substream(seed, "mlp.init")
     sizes = (x.shape[1],) + MLP_HIDDEN + (y.shape[1],)
     layers = []

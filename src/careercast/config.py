@@ -12,8 +12,8 @@ from .nn.training import is_int, is_real
 
 MODEL_NAMES = ("proposed", "standard_lstm", "last_value", "linear", "ridge", "mlp")
 
-# keys a training block may override; seed always follows the pipeline seed
-TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
+# keys a training block may override; each trainer draws from the pipeline seed
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 
 @dataclass
@@ -85,7 +85,7 @@ class PipelineConfig:
             raise ConfigError(
                 f"unknown key(s) {bad} in {block_name!r} block; allowed: {list(TRAIN_KEYS)}"
             )
-        cfg = TrainConfig(seed=self.seed, **block)
+        cfg = TrainConfig(**block)
         cfg.validate()
         return cfg
 

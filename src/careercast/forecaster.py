@@ -126,7 +126,7 @@ def forecaster_train(
         model,
         (blocks, cluster_indicators(assignments, k, blocks.shape[0])),
         targets,
-        config if config is not None else TrainConfig(seed=seed),
+        config if config is not None else TrainConfig(),
         rng=rngmod.substream(seed, "forecaster.train"),
     )
     return model, result

@@ -179,11 +179,10 @@ def _read_records(path: str, reader, schema: FeatureSchema) -> list[SeasonRecord
 
     cells = array("d")  # every feature cell, row after row; NaN where missing
     rows = []  # (player_id, player_name, season, age, category) per row
-    line_no = 1
     for row in reader:
         if not row:
             continue
-        line_no += 1
+        line_no = reader.line_num
         row += [None] * (len(header) - len(row))
         pid = (row[pid_at] or "").strip()
         if not pid:

@@ -219,7 +219,9 @@ class LSTM(Layer):
     Gate pre-activations are one affine map of [x_t, h_prev] split into
     input, forget, candidate and output blocks (in that row order). The
     backward pass unrolls through time from a gradient on the final
-    hidden state.
+    hidden state. No layer emits the (batch, steps, n_in) block an LSTM
+    reads, so it is always a model's first layer: backward computes the
+    parameter gradients only and returns None.
     """
 
     params = ("w_input", "w_hidden", "bias")
@@ -252,8 +254,8 @@ class LSTM(Layer):
         g = np.tanh(a[..., 2 * H : 3 * H])
         o = _sigmoid(a[..., 3 * H :])
         c = f * c_prev + i * g
-        h = o * np.tanh(c)
-        return h, c, (i, f, g, o)
+        tanh_c = np.tanh(c)
+        return o * tanh_c, c, (i, f, g, o, tanh_c)
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.n_in:
@@ -263,25 +265,26 @@ class LSTM(Layer):
         batch, steps, _ = x.shape
         h = np.zeros((batch, self.n_hidden))
         c = np.zeros((batch, self.n_hidden))
-        self._x = x
-        self._cache = []
+        cache = []
         for t in range(steps):
             h_prev, c_prev = h, c
             h, c, gates = self.step(x[:, t], h_prev, c_prev)
-            self._cache.append((gates, h_prev, c_prev, np.tanh(c)))
+            if train:
+                cache.append((gates, h_prev, c_prev))
+        self._x, self._cache = (x, cache) if train else (None, None)
         return h
 
     def backward(self, grad_out):
+        if self._cache is None:
+            raise ParameterError("lstm backward requires a train-mode forward first")
         x = self._x
-        batch, steps, _ = x.shape
         self.grad_w_input.fill(0.0)
         self.grad_w_hidden.fill(0.0)
         self.grad_bias.fill(0.0)
-        grad_x = np.zeros_like(x)
         dh = grad_out
         dc = np.zeros_like(grad_out)
-        for t in reversed(range(steps)):
-            (i, f, g, o), h_prev, c_prev, tanh_c = self._cache[t]
+        for t in reversed(range(x.shape[1])):
+            (i, f, g, o, tanh_c), h_prev, c_prev = self._cache[t]
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
             di = dc * g
@@ -300,9 +303,8 @@ class LSTM(Layer):
             self.grad_w_input += da.T @ x[:, t]
             self.grad_w_hidden += da.T @ h_prev
             self.grad_bias += da.sum(axis=0)
-            grad_x[:, t] = da @ self.w_input
             dh = da @ self.w_hidden
-        return grad_x
+        return None
 
 
 class Sequential(Layer):

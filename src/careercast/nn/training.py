@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from ..rng import substream
 from .losses import mse_loss
 from .optim import Adam
 
@@ -20,15 +19,12 @@ class TrainConfig:
     patience: int = 10
     validation_fraction: float = 0.1
     learning_rate: float = 1e-3
-    seed: int = 0
 
     def validate(self):
         for name in ("max_epochs", "batch_size", "patience"):
             value = getattr(self, name)
             if not (is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (is_real(self.validation_fraction) and 0.0 < self.validation_fraction < 1.0):
             raise ConfigError(
                 f"validation_fraction must be in (0, 1), got {self.validation_fraction!r}"
@@ -78,23 +74,23 @@ def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def train_loop(model, inputs, targets, config: TrainConfig, rng=None) -> TrainResult:
+def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
     """Train ``model`` on (inputs, targets) and restore its best weights.
 
     ``inputs`` is an array or a tuple of arrays sliced along axis 0 in
     parallel (every forecaster passes a (blocks, indicators) pair, whose
-    indicators have zero columns for the standard model). A ``validation_fraction`` slice is held out up front; training
-    stops once validation loss has not improved for ``patience`` epochs or
-    at ``max_epochs``, whichever comes first, and the parameters from the
-    best validation epoch are restored. Fully deterministic given the seed.
+    indicators have zero columns for the standard model). A
+    ``validation_fraction`` slice is held out up front; training stops once
+    validation loss has not improved for ``patience`` epochs or at
+    ``max_epochs``, whichever comes first, and the parameters from the best
+    validation epoch are restored. Fully deterministic given ``rng``, which
+    draws the validation slice, every epoch's order and dropout masks.
 
     The model's parameters and gradients are first moved into one flat
     buffer each (see ``Layer.bind``) and stay there afterwards, so every
     Adam step, snapshot and restore is one whole-model array operation.
     """
     config.validate()
-    if rng is None:
-        rng = substream(config.seed, "train_loop")
     n = _n_samples(inputs)
     if n == 0:
         raise ConfigError("no training data")

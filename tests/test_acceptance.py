@@ -131,7 +131,6 @@ def test_ridge_matches_ols_and_is_locally_optimal():
         shaken = LinearModel(
             coef=model.coef + scale * rng.normal(size=model.coef.shape),
             intercept=model.intercept + scale * rng.normal(size=model.intercept.shape),
-            l2=l2,
         )
         assert penalized_objective(shaken, x, y, l2) >= best
     print(f"\nPASS regression oracle: ridge-OLS gap {gap:.2e}, 100 perturbations beaten")

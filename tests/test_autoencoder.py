@@ -59,7 +59,7 @@ def test_encode_shape_and_determinism():
 
 def test_recovers_low_rank_structure():
     x = low_rank_data(0)
-    ae, result = ae_train(x, seed=0, config=TrainConfig(max_epochs=200, patience=30, seed=0))
+    ae, result = ae_train(x, seed=0, config=TrainConfig(max_epochs=200, patience=30))
     mse = float(np.mean(reconstruction_error(ae, x)))
     assert mse < 0.05
     assert result.best_val_loss < 0.1
@@ -70,7 +70,7 @@ def test_training_beats_untrained(seed):
     x = low_rank_data(seed + 10, n=80, dim=15)
     untrained = Autoencoder(15, rng=substream(seed, "autoencoder.init"))
     before = float(np.mean(reconstruction_error(untrained, x)))
-    ae, _ = ae_train(x, seed=seed, config=TrainConfig(max_epochs=60, seed=seed))
+    ae, _ = ae_train(x, seed=seed, config=TrainConfig(max_epochs=60))
     after = float(np.mean(reconstruction_error(ae, x)))
     assert after < before
 
@@ -81,7 +81,7 @@ def test_embeddings_separate_archetypes():
     a = rng.normal(size=(40, 18)) * 0.3 + 4.0
     b = rng.normal(size=(40, 18)) * 0.3 - 4.0
     x = np.vstack([a, b])
-    ae, _ = ae_train(x, seed=3, config=TrainConfig(max_epochs=80, seed=3))
+    ae, _ = ae_train(x, seed=3, config=TrainConfig(max_epochs=80))
     codes = ae.encode(x)
     center_a, center_b = codes[:40].mean(axis=0), codes[40:].mean(axis=0)
     inter = float(np.linalg.norm(center_a - center_b))
@@ -94,7 +94,7 @@ def test_embeddings_separate_archetypes():
 
 def test_doc_round_trip_preserves_encode():
     x = low_rank_data(4, n=60, dim=10)
-    ae, _ = ae_train(x, seed=5, config=TrainConfig(max_epochs=20, seed=5))
+    ae, _ = ae_train(x, seed=5, config=TrainConfig(max_epochs=20))
     loaded = layer_from_doc(Autoencoder, layer_to_doc(ae))
     assert np.array_equal(loaded.encode(x), ae.encode(x))
     assert loaded.n_code == ae.n_code

@@ -89,7 +89,6 @@ def test_ridge_solution_beats_100_perturbations():
         shaken = LinearModel(
             coef=model.coef + scale * rng.normal(size=model.coef.shape),
             intercept=model.intercept + scale * rng.normal(size=model.intercept.shape),
-            l2=l2,
         )
         assert penalized_objective(shaken, x, y, l2) >= best
 
@@ -132,9 +131,7 @@ def test_linear_fit_input_validation():
 
 
 def test_penalized_objective_hand_value():
-    model = LinearModel(
-        coef=np.array([[1.0], [2.0]]), intercept=np.array([0.5]), l2=2.0
-    )
+    model = LinearModel(coef=np.array([[1.0], [2.0]]), intercept=np.array([0.5]))
     x = np.array([[1.0, 1.0], [2.0, 0.0]])
     y = np.array([[3.0], [2.0]])
     # residuals 0.5 and 0.5 -> ssr 0.5; penalty 2 * (1 + 4) = 10
@@ -145,14 +142,14 @@ def test_mlp_architecture_and_determinism():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(60, 12))
     y = rng.normal(size=(60, 3))
-    model, result = mlp_baseline_train(x, y, seed=0, config=TrainConfig(max_epochs=5, seed=0))
+    model, result = mlp_baseline_train(x, y, seed=0, config=TrainConfig(max_epochs=5))
     kinds = [type(l) for l in model.layers]
     assert kinds == [Dense, ReLU, Dense, ReLU, Dense]
     widths = [l.weight.shape for l in model.layers if isinstance(l, Dense)]
     assert widths == [(64, 12), (32, 64), (3, 32)]
     assert len(result.train_loss) == result.stopped_epoch
 
-    again, _ = mlp_baseline_train(x, y, seed=0, config=TrainConfig(max_epochs=5, seed=0))
+    again, _ = mlp_baseline_train(x, y, seed=0, config=TrainConfig(max_epochs=5))
     for (_, a), (_, b) in zip(model.param_items(), again.param_items()):
         assert np.array_equal(a, b)
 
@@ -162,7 +159,7 @@ def test_mlp_learns_a_linear_map():
     x = rng.normal(size=(80, 6))
     y = x[:, :2] * 0.5
     model, result = mlp_baseline_train(
-        x, y, seed=1, config=TrainConfig(max_epochs=200, patience=200, seed=1)
+        x, y, seed=1, config=TrainConfig(max_epochs=200, patience=200)
     )
     assert result.train_loss[-1] < 0.02
     assert result.train_loss[-1] < result.train_loss[0] * 0.2

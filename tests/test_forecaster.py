@@ -90,7 +90,7 @@ def test_training_reduces_loss_and_fits_constants():
     blocks = seeded_blocks(10, n=40)
     targets = np.tile(np.array([0.5, -0.3, 0.2]), (40, 1))
     model, result = forecaster_train(
-        blocks, targets, seed=0, config=TrainConfig(max_epochs=400, patience=400, seed=0)
+        blocks, targets, seed=0, config=TrainConfig(max_epochs=400, patience=400)
     )
     assert result.train_loss[-1] < result.train_loss[0]
     assert result.train_loss[-1] < 0.05
@@ -123,7 +123,7 @@ def test_doc_round_trip_is_prediction_exact():
         assignments=labels,
         k=3,
         seed=1,
-        config=TrainConfig(max_epochs=5, seed=1),
+        config=TrainConfig(max_epochs=5),
     )
     loaded = layer_from_doc(Forecaster, layer_to_doc(model))
     assert loaded.k == 3 and loaded.n_features == 4

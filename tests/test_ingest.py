@@ -115,9 +115,9 @@ def test_parse_season_csv_reads_rows_as_dictreader_does(small_schema, tmp_path):
     message = f"{path}:2: season/age must be integers (got '2000', None)"
     with pytest.raises(IngestError, match=re.escape(message)):
         parse_season_csv(str(path), small_schema)
-    # Lines are numbered by the rows read, header first; a skipped blank line is not counted.
+    # Messages name the file's line: a skipped blank line still counts.
     path.write_text("player_id,player_name,season,age,BPM,PTS,TS%,G\n\n,P3\n", "utf-8")
-    with pytest.raises(IngestError, match=re.escape(f"{path}:2: empty player_id")):
+    with pytest.raises(IngestError, match=re.escape(f"{path}:3: empty player_id")):
         parse_season_csv(str(path), small_schema)
 
 

@@ -1,5 +1,7 @@
 """Forward/backward behavior of the individual network layers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,40 @@ def test_lstm_forward_shape_and_bounds():
     assert np.all(np.abs(h) <= 1.0)  # |h| = |o * tanh(c)| <= 1
     with pytest.raises(ShapeError):
         layer.forward(np.zeros((6, 5)))
+
+
+def test_lstm_train_and_inference_forwards_agree():
+    layer = LSTM(5, 8, substream(2, "test.lstm"))
+    x = np.random.default_rng(3).normal(size=(6, 7, 5))
+    assert np.array_equal(layer.forward(x, train=True), layer.forward(x))
+
+
+def test_lstm_backward_needs_a_train_mode_forward():
+    layer = LSTM(5, 8, substream(3, "test.lstm"))
+    x = np.random.default_rng(4).normal(size=(6, 7, 5))
+    with pytest.raises(ParameterError):
+        layer.backward(np.ones((6, 8)))
+    layer.forward(x, train=True)
+    assert layer.backward(np.ones((6, 8))) is None  # parameter gradients only
+    layer.forward(x)  # an inference forward drops the train-mode cache
+    with pytest.raises(ParameterError):
+        layer.backward(np.ones((6, 8)))
+
+
+def test_forecaster_inference_keeps_no_per_step_state():
+    """Scoring 800 careers allocates a few blocks' worth and keeps less than one."""
+    model = Forecaster(48, k=2, rng=substream(4, "test.lstm"))
+    rng = np.random.default_rng(5)
+    blocks = rng.normal(size=(800, 7, 48))
+    assignments = rng.integers(0, 2, size=800)
+    tracemalloc.start()
+    try:
+        model.predict_batch(blocks, assignments)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * blocks.nbytes
+    assert kept <= blocks.nbytes
 
 
 def test_sequential_composes_and_prefixes_names():

@@ -89,7 +89,7 @@ def test_train_loop_binds_every_array_to_one_buffer(kind):
             Dense(6, 2, substream(9, "test.bind")),
         ])
         x, y = rng.normal(size=(30, 4)), rng.normal(size=(30, 2))
-    train_loop(model, x, y, TrainConfig(max_epochs=2, seed=7))
+    train_loop(model, x, y, TrainConfig(max_epochs=2), rng=substream(7, "train_loop"))
 
     params = [arr for _, arr in model.param_items()]
     grads = [arr for _, arr in model.grad_items()]
@@ -120,7 +120,7 @@ def make_linear_data(seed, n=64, p=3):
 def test_training_fits_linear_data():
     x, y = make_linear_data(0)
     model = Sequential([Dense(3, 1, substream(0, "test.fit"))])
-    config = TrainConfig(max_epochs=800, patience=800, seed=0, learning_rate=0.01)
+    config = TrainConfig(max_epochs=800, patience=800, learning_rate=0.01)
     result = train_loop(model, x, y, config, rng=substream(0, "test.fit.train"))
     assert result.train_loss[-1] < 1e-3
     assert result.best_epoch <= result.stopped_epoch
@@ -131,7 +131,7 @@ def test_restored_parameters_reproduce_best_val_loss():
     x = rng.normal(size=(50, 6))
     y = rng.normal(size=(50, 2))  # pure noise: val loss wanders, best is restored
     model = Sequential([Dense(6, 4, substream(1, "test.restore")), ReLU(), Dense(4, 2, substream(2, "test.restore"))])
-    config = TrainConfig(max_epochs=40, patience=5, seed=1)
+    config = TrainConfig(max_epochs=40, patience=5)
     result = train_loop(model, x, y, config, rng=substream(1, "test.restore.train"))
 
     probe = substream(1, "test.restore.train")
@@ -149,7 +149,7 @@ def test_patience_one_stops_before_budget():
     y = rng.normal(size=(40, 1))
     model = Sequential([Dense(5, 1, substream(3, "test.patience"))])
     # high learning rate so validation loss wobbles once it is near the optimum
-    config = TrainConfig(max_epochs=200, patience=1, seed=2, learning_rate=0.05)
+    config = TrainConfig(max_epochs=200, patience=1, learning_rate=0.05)
     result = train_loop(model, x, y, config, rng=substream(3, "test.patience.train"))
     assert result.stopped_epoch < 200
     assert result.best_epoch <= result.stopped_epoch
@@ -161,7 +161,7 @@ def test_training_is_deterministic():
 
     def fit():
         model = Sequential([Dense(3, 2, substream(4, "test.det")), ReLU(), Dense(2, 1, substream(5, "test.det"))])
-        train_loop(model, x, y, TrainConfig(max_epochs=15, seed=4), rng=substream(4, "test.det.train"))
+        train_loop(model, x, y, TrainConfig(max_epochs=15), rng=substream(4, "test.det.train"))
         return [arr.copy() for _, arr in model.param_items()]
 
     first, second = fit(), fit()
@@ -175,7 +175,7 @@ def test_trailing_singleton_batch_is_folded():
     x = rng.normal(size=(37, 4))
     y = rng.normal(size=(37, 1))
     model = Sequential([Dense(4, 6, substream(6, "test.fold")), BatchNorm(6), ReLU(), Dense(6, 1, substream(7, "test.fold"))])
-    result = train_loop(model, x, y, TrainConfig(max_epochs=3, seed=5), rng=substream(6, "test.fold.train"))
+    result = train_loop(model, x, y, TrainConfig(max_epochs=3), rng=substream(6, "test.fold.train"))
     assert result.stopped_epoch >= 1
 
 
@@ -183,9 +183,9 @@ def test_train_loop_rejects_bad_shapes():
     x = np.zeros((10, 3))
     model = Sequential([Dense(3, 1)])
     with pytest.raises(ConfigError):
-        train_loop(model, x, np.zeros((7, 1)), TrainConfig(seed=0))
+        train_loop(model, x, np.zeros((7, 1)), TrainConfig(), rng=substream(0, "test.shapes"))
     with pytest.raises(ConfigError):
-        train_loop(model, x[:0], np.zeros((0, 1)), TrainConfig(seed=0))
+        train_loop(model, x[:0], np.zeros((0, 1)), TrainConfig(), rng=substream(0, "test.shapes"))
 
 
 def test_train_config_validation():

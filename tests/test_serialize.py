@@ -368,7 +368,7 @@ def _trained_forecaster(k):
         assignments=np.arange(12) % 2 if k else None,
         k=k,
         seed=8,
-        config=TrainConfig(max_epochs=3, patience=3, seed=8),
+        config=TrainConfig(max_epochs=3, patience=3),
     )
     return model
 
