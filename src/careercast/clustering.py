@@ -21,8 +21,8 @@ from .errors import ParameterError, ShapeError
 DEFAULT_K_RANGE = range(2, 9)
 DEFAULT_RESTARTS = 10
 MAX_ITERS = 300
-# floats per row-chunk temporary in pairwise_distances (16 MB)
-_CHUNK_ELEMENTS = 1 << 21
+# floats per row-chunk temporary in pairwise_distances (1 MB)
+_CHUNK_ELEMENTS = 1 << 17
 
 
 def _check_points(points: np.ndarray) -> np.ndarray:

@@ -126,7 +126,7 @@ class NormStats:
         """Z-score the kept columns of ``raw``, whose last axis is named ``columns``."""
         kept = set(self.names)
         keep = [j for j, name in enumerate(columns) if name in kept]
-        out = raw[..., keep]  # a copy: an index list gathers
+        out = np.take(raw, keep, axis=-1)  # a C-ordered copy, so flattening is a view
         out -= self.mean
         out /= self.std
         return out

@@ -18,10 +18,6 @@ import numpy as np
 from ..errors import ParameterError, ShapeError
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 class Layer:
     """Base interface: forward/backward plus named array access.
 
@@ -109,21 +105,27 @@ class Dense(Layer):
             raise ShapeError(
                 f"dense layer expects (batch, {self.n_in}), got {x.shape}"
             )
-        self._x = x
+        self._x = x if train else None
         return x @ self.weight.T + self.bias
 
     def backward(self, grad_out):
+        if self._x is None:
+            raise ParameterError("dense backward requires a train-mode forward first")
         np.matmul(grad_out.T, self._x, out=self.grad_weight)
         np.sum(grad_out, axis=0, out=self.grad_bias)
         return grad_out @ self.weight
 
 
 class ReLU(Layer):
+    _mask = None
     def forward(self, x, train=False, rng=None):
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0.0
+        self._mask = mask if train else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_out):
+        if self._mask is None:
+            raise ParameterError("relu backward requires a train-mode forward first")
         return grad_out * self._mask
 
 
@@ -248,11 +250,19 @@ class LSTM(Layer):
     def step(self, x_t, h_prev, c_prev):
         """One cell update; used by forward and handy for unit checks."""
         H = self.n_hidden
-        a = x_t @ self.w_input.T + h_prev @ self.w_hidden.T + self.bias
-        i = _sigmoid(a[..., :H])
-        f = _sigmoid(a[..., H : 2 * H])
+        a = x_t @ self.w_input.T
+        a += h_prev @ self.w_hidden.T
+        a += self.bias
         g = np.tanh(a[..., 2 * H : 3 * H])
-        o = _sigmoid(a[..., 3 * H :])
+        # each sigmoid gate copies its block once (strided in-place passes are slower)
+        i = np.negative(a[..., :H])
+        f = np.negative(a[..., H : 2 * H])
+        o = np.negative(a[..., 3 * H :])
+        del a
+        for s in (i, f, o):
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
         return o * tanh_c, c, (i, f, g, o, tanh_c)

@@ -116,6 +116,20 @@ def test_silhouette_memory_is_one_distance_matrix():
     assert peak < 3 * n * n * 8
 
 
+def test_distance_matrix_temporaries_stay_small():
+    """The (n, n) result plus row-chunk temporaries of at most 2 MB."""
+    n = 800
+    points = np.random.default_rng(6).normal(size=(n, 64))
+    clustering.pairwise_distances(points)  # first-call caches are not chunks
+    tracemalloc.start()
+    try:
+        clustering.pairwise_distances(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 8 + 2 * 2**20
+
+
 def test_select_k_scores_match_standalone_silhouette(monkeypatch):
     rng = np.random.default_rng(5)
     points = np.vstack(

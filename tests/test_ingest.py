@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import careercast
+from careercast import artifacts
+from careercast.autoencoder import flatten_batch
 from careercast.errors import (
     EmptyInputError,
     ImputationError,
@@ -484,6 +486,27 @@ def test_split_drops_constant_features(small_schema):
     assert ds.norm_stats.names == ("BPM", "PTS", "TS%")
     assert ds.train.input.shape[1:] == (7, 3)
     assert ds.train.raw.shape[1:] == (7, 4)
+
+
+def test_normalized_blocks_are_c_ordered(small_schema):
+    rng = np.random.default_rng(2)
+    for constant_column in (None, 3):
+        careers = make_careers(12, small_schema.n_features, rng, constant_column)
+        stats = split_and_normalize(careers, small_schema, seed=0).norm_stats
+        block = stats.apply(careers.raw, small_schema.names)
+        assert block.flags.c_contiguous
+        keep = [small_schema.names.index(name) for name in stats.names]
+        assert np.array_equal(block, (careers.raw[..., keep] - stats.mean) / stats.std)
+
+
+def test_flattened_train_inputs_share_the_dataset_block(tmp_path):
+    schema = default_schema()
+    path = str(tmp_path / "pool.csv")
+    write_csv(path, default_specs(3, 9), seed=5, schema=schema)
+    dataset, _ = ingest_csv(path, schema)
+    loaded = artifacts.dataset_from_doc(artifacts.dataset_to_doc(dataset))
+    for ds in (dataset, loaded):
+        assert np.shares_memory(flatten_batch(ds.train.input), ds.train.input)
 
 
 def test_split_rejects_degenerate_inputs(small_schema):

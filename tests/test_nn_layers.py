@@ -27,7 +27,7 @@ def test_dense_backward_oracle():
     layer = Dense(2, 1)
     layer.weight[:] = [[2.0, -1.0]]
     x = np.array([[1.0, 3.0], [0.5, -2.0]])
-    layer.forward(x)
+    layer.forward(x, train=True)
     grad_in = layer.backward(np.array([[1.0], [2.0]]))
     assert np.array_equal(layer.grad_weight, np.array([[1.0 + 1.0, 3.0 - 4.0]]))
     assert np.array_equal(layer.grad_bias, np.array([3.0]))
@@ -49,9 +49,20 @@ def test_dense_init_scale_and_shape():
 def test_relu_forward_backward():
     layer = ReLU()
     x = np.array([[-1.0, 0.0, 2.0]])
-    assert np.array_equal(layer.forward(x), np.array([[0.0, 0.0, 2.0]]))
+    assert np.array_equal(layer.forward(x, train=True), np.array([[0.0, 0.0, 2.0]]))
     grad = layer.backward(np.array([[5.0, 5.0, 5.0]]))
     assert np.array_equal(grad, np.array([[0.0, 0.0, 5.0]]))
+
+
+def test_dense_and_relu_backward_need_a_train_mode_forward():
+    x = np.array([[-1.0, 0.0, 2.0]])
+    for layer in (Dense(3, 2, substream(0, "test.dense")), ReLU()):
+        with pytest.raises(ParameterError):
+            layer.backward(np.ones((1, 3)))  # no forward yet
+        train_out = layer.forward(x, train=True)
+        assert np.array_equal(layer.forward(x), train_out)
+        with pytest.raises(ParameterError):
+            layer.backward(np.ones_like(train_out))
 
 
 def test_batchnorm_train_matches_batch_statistics():
@@ -128,8 +139,8 @@ def test_lstm_single_step_oracle():
     o = sigmoid(a[:, 3 * H :])
     c_exp = f * c_prev + i * g
     h_exp = o * np.tanh(c_exp)
-    assert np.allclose(c, c_exp, atol=1e-14)
-    assert np.allclose(h, h_exp, atol=1e-14)
+    assert np.array_equal(c, c_exp)
+    assert np.array_equal(h, h_exp)
 
 
 def test_lstm_forget_gate_bias_starts_open():
@@ -182,6 +193,8 @@ def test_forecaster_inference_keeps_no_per_step_state():
         tracemalloc.stop()
     assert peak <= 5 * blocks.nbytes
     assert kept <= blocks.nbytes
+    for layer in model.head.layers:  # no Dense input or ReLU mask outlives the call
+        assert getattr(layer, "_x", None) is None and getattr(layer, "_mask", None) is None
 
 
 def test_sequential_composes_and_prefixes_names():
