@@ -229,9 +229,16 @@ def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
     }
 
 
+def normalize(dataset: Dataset) -> Dataset:
+    """Z-score each split's kept columns into ``input``: the one place that builds it."""
+    for part in (dataset.train, dataset.test):
+        part.input = dataset.norm_stats.apply(part.raw, dataset.schema.names)
+    return dataset
+
+
 def dataset_from_doc(doc: dict) -> Dataset:
     """Rebuild a dataset from its document: refit ``norm_stats`` on the train
-    ``raw_input`` blocks, as ingest did, and re-normalize each split with it.
+    ``raw_input`` blocks, as ingest did, and ``normalize`` both splits.
 
     A player whose ``encode_f8`` ``raw_input`` and ``target`` do not hold
     7 x features and 3 values raises ``ArtifactError``, and an empty train
@@ -258,6 +265,4 @@ def dataset_from_doc(doc: dict) -> Dataset:
 
     train, test = split("train"), split("test")
     stats = NormStats.fit(train.raw, schema.names)
-    for part in (train, test):
-        part.input = stats.apply(part.raw, schema.names)
-    return Dataset(train=train, test=test, norm_stats=stats, seed=int(doc["seed"]), schema=schema)
+    return normalize(Dataset(train, test, stats, int(doc["seed"]), schema))

@@ -407,7 +407,7 @@ def cmd_predict(cfg: PipelineConfig, args) -> dict:
         series = f"file:{os.path.basename(args.rows)}"
     predicted = _proposed(chain)(block[None])[0]
     for age, value in zip(TARGET_AGES, predicted):
-        print(f"age {age}: {value:+.2f} BPM")
+        print(f"age {age}: {value:+.2f} {dataset.schema.target_name}")
     pred_path = _out_path(cfg, REPORTS, PREDICTIONS)
     _upsert_predictions(pred_path, series, predicted)
     return {f"reports/{PREDICTIONS}": artifacts.file_hash(pred_path)}

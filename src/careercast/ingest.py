@@ -1,10 +1,10 @@
 """Season CSV ingestion.
 
 Parses per-season rows, keeps players whose careers are complete enough to
-learn from, fills input-side gaps, and assembles the normalized train/test
-dataset, one block of career arrays per split. Targets (BPM at ages 29-31)
-are never imputed and never normalized; eligibility requires them to be
-observed.
+learn from, fills input-side gaps, and splits the careers into train/test
+blocks in original units with train-fit, unapplied normalization statistics;
+loading the dataset z-scores them. Targets (BPM at ages 29-31) are never
+imputed and never normalized; eligibility requires them to be observed.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class SeasonRecord:
     """One player-season row.
 
     ``values`` is the row's view of the parsed (rows, features) matrix, in
-    schema order, NaN where a cell is missing; ``imputed`` holds the column
-    indices that imputation filled.
+    schema order, NaN where a cell is missing; ``imputed`` is the sorted
+    tuple of column indices that imputation filled (``()`` as parsed).
     """
 
     player_id: str
@@ -50,7 +50,7 @@ class SeasonRecord:
     age: int
     category: str | None
     values: np.ndarray
-    imputed: frozenset[int] = frozenset()  # one shared empty set until a cell is filled
+    imputed: tuple[int, ...] = ()
 
     def observed(self, j: int) -> bool:
         return j not in self.imputed and not math.isnan(self.values[j])
@@ -62,9 +62,9 @@ class Split:
 
     ``raw`` is the (n, 7, features) block of ages 22-28 in original units,
     every schema column kept; the last-value baseline and the dataset
-    artifact read it. ``input`` is what models consume: after
-    ``split_and_normalize`` it holds the z-scored kept columns, and before
-    that it is ``raw`` itself. ``target`` is the (n, 3) BPM at ages 29-31.
+    artifact read it. ``input`` is what models consume: the z-scored kept
+    columns, which ``artifacts.normalize`` sets when a dataset is loaded,
+    and None until then. ``target`` is the (n, 3) BPM at ages 29-31.
     """
 
     player_ids: tuple[str, ...]
@@ -76,7 +76,6 @@ class Split:
     def __post_init__(self):
         self.raw = np.asarray(self.raw, dtype=float)
         self.target = np.asarray(self.target, dtype=float)
-        self.input = self.raw if self.input is None else np.asarray(self.input, dtype=float)
         n = len(self.player_ids)
         if self.raw.ndim != 3 or self.raw.shape[:2] != (n, len(INPUT_AGES)):
             raise IngestError(
@@ -134,7 +133,7 @@ class NormStats:
 
 @dataclass
 class Dataset:
-    """Normalized train/test split plus the statistics that produced it."""
+    """Train/test careers plus their train-fit statistics; loading sets ``input``."""
 
     train: Split
     test: Split
@@ -281,8 +280,7 @@ def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray
         values = np.array([r.values for r in rows], dtype=float)
         values = values.reshape(len(rows), schema.n_features)
         for k, r in enumerate(rows):
-            for j in r.imputed:
-                values[k, j] = np.nan
+            values[k, r.imputed] = np.nan
         for j, cells in enumerate(values.T):
             observed = cells[~np.isnan(cells)]
             if observed.size:
@@ -326,7 +324,7 @@ def _copy_nearest(by_age: dict[int, SeasonRecord], own_ages: list[int], age: int
     src = by_age[source_age]
     return SeasonRecord(
         src.player_id, src.player_name, src.season_end_year + (age - src.age), age,
-        src.category, src.values.copy(), frozenset(range(len(src.values))),
+        src.category, src.values.copy(), tuple(range(len(src.values))),
     )
 
 
@@ -334,11 +332,7 @@ def _nearest_age(ages: list[int], age: int) -> int | None:
     """The nearest earlier age in ``ages`` (in any order), else the nearest later one."""
     earlier = [a for a in ages if a < age]
     later = [a for a in ages if a > age]
-    if earlier:
-        return max(earlier)
-    if later:
-        return min(later)
-    return None
+    return max(earlier) if earlier else min(later) if later else None
 
 
 def _fill_cells(
@@ -370,7 +364,7 @@ def _fill_cells(
                 )
         rec.values[j] = value
     if gaps:
-        rec.imputed = rec.imputed.union(gaps)
+        rec.imputed = tuple(sorted({*rec.imputed, *gaps}))
 
 
 def _own_nearest_value(
@@ -443,11 +437,13 @@ def split_and_normalize(
     test_fraction: float = DEFAULT_TEST_FRACTION,
     seed: int = 0,
 ) -> Dataset:
-    """Seeded player-level split, then z-score inputs with train-only stats.
+    """Seeded player-level split, plus the train-only normalization statistics.
 
-    Targets stay in raw BPM units. Constant train features are dropped from
-    the normalized inputs with a warning (they carry no signal and would
-    divide by zero); ``raw`` keeps every column.
+    This fits ``NormStats`` on the train careers but does not apply them:
+    each split holds ``raw`` and ``target`` only, and loading the dataset
+    (``artifacts.normalize``) builds the z-scored ``input``. Constant train
+    features are named in ``norm_stats.dropped`` with a warning (they carry
+    no signal and would divide by zero); ``raw`` keeps every column.
     """
     test_idx, train_idx = _split_indices(
         len(careers), test_fraction, substream(seed, "ingest.split")
@@ -465,10 +461,8 @@ def split_and_normalize(
         )
 
     def part(idx, raw) -> Split:
-        return Split(
-            tuple(ids[i] for i in idx), tuple(careers.category[i] for i in idx),
-            raw, careers.target[idx], stats.apply(raw, schema.names),
-        )
+        categories = tuple(careers.category[i] for i in idx)
+        return Split(tuple(ids[i] for i in idx), categories, raw, careers.target[idx])
 
     train, test = part(train_idx, train_raw), part(test_idx, careers.raw[test_idx])
     overlap = set(train.player_ids) & set(test.player_ids)

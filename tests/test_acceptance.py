@@ -19,6 +19,7 @@ from careercast.cli import main as cli_main
 from careercast.clustering import kmeans_fit, select_k, silhouette_score
 from careercast.evaluation import mae, r2
 from careercast.forecaster import forecaster_train
+from careercast.artifacts import normalize
 from careercast.ingest import Split, split_and_normalize
 from careercast.schema import default_schema
 from careercast.synth import default_specs
@@ -165,7 +166,7 @@ def test_cluster_conditioning_beats_standard_lstm():
     chosen_k = set()
     gaps = []
     for seed in range(10):
-        ds = split_and_normalize(careers, schema, seed=seed)
+        ds = normalize(split_and_normalize(careers, schema, seed=seed))
         blocks, targets = ds.train.input, ds.train.target
         test_blocks, test_targets = ds.test.input, ds.test.target
 

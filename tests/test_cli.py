@@ -787,6 +787,28 @@ def test_predict_from_rows_csv(pipeline, tmp_path, capsys):
     assert "file:rows.csv" in table
 
 
+def test_predict_names_the_schema_target(tmp_path, capsys):
+    """Forecasts are printed in the unit of the schema's target, not always BPM."""
+    schema = tmp_path / "schema.json"
+    features = [{"name": name, "class": "counting"} for name in ("RAPM", "PTS", "AST")]
+    schema.write_text(json.dumps({"version": 1, "target": "RAPM", "features": features}))
+    config = tmp_path / "config.json"
+    short = {"max_epochs": 2}  # the forecast's unit is at stake here, not its accuracy
+    config.write_text(json.dumps({**SMALL_CONFIG, "autoencoder": short, "forecaster": short,
+                                  "schema_json": str(schema)}), encoding="utf-8")
+    base = ["--out", str(tmp_path), "--seed", "0", "--config", str(config)]
+    for argv in (
+        ["synth", "--stars", "4", "--regulars", "12"],
+        ["ingest", "--input", str(tmp_path / "synthetic.csv")], ["stage1"], ["stage2"],
+    ):
+        assert main([*argv, *base]) == 0, argv
+    capsys.readouterr()
+    assert main(["predict", *base, "--player", "syn0000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["age 29", "age 30", "age 31"]
+    assert all(line.endswith(" RAPM") for line in lines), lines
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_predict_refuses_non_finite_rows(pipeline, tmp_path, capsys, cell):
     out_dir, base = pipeline

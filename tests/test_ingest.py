@@ -1,5 +1,6 @@
 """CSV parsing, eligibility, imputation, and the normalized split."""
 
+import csv
 import math
 import os
 import re
@@ -201,7 +202,7 @@ def test_impute_creates_missing_input_age_row(small_schema, write_season_csv):
     source = next(r for r in completed if r.age == 24)
     assert np.array_equal(created.values, source.values)
     assert created.season_end_year == source.season_end_year + 1
-    assert created.imputed == set(range(small_schema.n_features))
+    assert set(created.imputed) == set(range(small_schema.n_features))
 
 
 def test_impute_is_idempotent(small_schema, write_season_csv):
@@ -231,11 +232,12 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
     careers = build_sequences(complete, small_schema)
     assert len(careers) == 1
     assert careers.player_ids == ("great",)
-    assert careers.input.shape == (1, 7, 4)
+    assert careers.raw.shape == (1, 7, 4)
+    assert careers.input is None  # only loading a dataset normalizes
     assert np.array_equal(careers.target[0], np.array([8.80, 7.10, 9.00]))
     ti = small_schema.target_index
     assert np.array_equal(
-        careers.input[0, :, ti], np.array([4.1, 5.0, 5.5, 6.2, 6.8, 7.3, 7.9])
+        careers.raw[0, :, ti], np.array([4.1, 5.0, 5.5, 6.2, 6.8, 7.3, 7.9])
     )
 
 
@@ -454,7 +456,9 @@ def take(careers, idx):
 def test_split_normalizes_with_train_stats_only(small_schema):
     rng = np.random.default_rng(7)
     careers = make_careers(30, small_schema.n_features, rng)
-    ds = split_and_normalize(careers, small_schema, test_fraction=0.2, seed=3)
+    ds = artifacts.normalize(
+        split_and_normalize(careers, small_schema, test_fraction=0.2, seed=3)
+    )
     assert len(ds.test) == 6
     assert len(ds.train) == 24
     assert not set(ds.train.player_ids) & set(ds.test.player_ids)
@@ -481,7 +485,7 @@ def test_split_normalizes_with_train_stats_only(small_schema):
 def test_split_drops_constant_features(small_schema):
     rng = np.random.default_rng(0)
     careers = make_careers(12, small_schema.n_features, rng, constant_column=3)
-    ds = split_and_normalize(careers, small_schema, seed=0)
+    ds = artifacts.normalize(split_and_normalize(careers, small_schema, seed=0))
     assert ds.norm_stats.dropped == ("G",)
     assert ds.norm_stats.names == ("BPM", "PTS", "TS%")
     assert ds.train.input.shape[1:] == (7, 3)
@@ -505,7 +509,7 @@ def test_flattened_train_inputs_share_the_dataset_block(tmp_path):
     write_csv(path, default_specs(3, 9), seed=5, schema=schema)
     dataset, _ = ingest_csv(path, schema)
     loaded = artifacts.dataset_from_doc(artifacts.dataset_to_doc(dataset))
-    for ds in (dataset, loaded):
+    for ds in (artifacts.normalize(dataset), loaded):
         assert np.shares_memory(flatten_batch(ds.train.input), ds.train.input)
 
 
@@ -612,6 +616,43 @@ def test_parsed_rows_cost_about_their_cells(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n_rows * schema.n_features * 8
+
+
+def test_ingest_holds_only_what_it_writes(tmp_path):
+    """On a seeded gappy pool, ``ingest_csv`` keeps little beyond the careers it
+    returns in original units (no normalized blocks, no per-row set of imputed
+    cells), and its peak stays under a bound between the two ways' measured peaks.
+    """
+    schema = default_schema()
+    path = tmp_path / "pool.csv"
+    write_csv(path, default_specs(30, 170), seed=1, schema=schema)
+    rng = np.random.default_rng(1)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    short = {pid for pid in sorted({r[0] for r in rows}) if rng.random() < 0.2}
+    rows = [r for r in rows if not (r[0] in short and r[3] == "25")]  # one input-age row less
+    for row in rows:
+        if int(row[3]) in INPUT_AGES:
+            for j in (header.index(name) for name in schema.names):
+                if rng.random() < 0.1:
+                    row[j] = ""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    ingest_csv(path, schema)  # lazy imports and first-call caches are not careers
+
+    tracemalloc.start()
+    try:
+        dataset, summary = ingest_csv(path, schema)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(sum(counts.values()) for counts in summary["imputed_cells"].values()) > 5000
+    assert dataset.train.input is None and dataset.test.input is None
+    careers = sum(s.raw.nbytes + s.target.nbytes for s in (dataset.train, dataset.test))
+    # 542 kB of careers; held 1.10x and peak 4.10x of it, against 2.09x and 5.45x
+    # with normalized blocks built at ingest and imputed cells kept as frozensets.
+    assert held <= 1.5 * careers
+    assert peak <= 4.75 * careers
 
 
 # Spies on parse_season_csv; a child process, because this one has numpy.random loaded.

@@ -16,6 +16,7 @@ from careercast.artifacts import (
     dataset_to_doc,
     envelope,
     load_chain,
+    normalize,
     read_json,
     write_artifact,
     write_json,
@@ -212,7 +213,7 @@ def small_dataset(schema):
         raw=raw,
         target=np.stack([target for _, target in draws]),
     )
-    return split_and_normalize(careers, schema, test_fraction=0.25, seed=2)
+    return normalize(split_and_normalize(careers, schema, test_fraction=0.25, seed=2))
 
 
 def test_load_chain_refuses_foreign_documents(small_schema, tmp_path):
