@@ -280,7 +280,8 @@ def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray
         values = np.array([r.values for r in rows], dtype=float)
         values = values.reshape(len(rows), schema.n_features)
         for k, r in enumerate(rows):
-            values[k, r.imputed] = np.nan
+            for j in r.imputed:
+                values[k, j] = np.nan
         for j, cells in enumerate(values.T):
             observed = cells[~np.isnan(cells)]
             if observed.size:
