@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from careercast.artifacts import normalize
 from careercast.autoencoder import ae_train, flatten_batch
 from careercast.baselines import LinearModel, last_value_predict, linear_fit
 from careercast.checks import gradcheck_suite
@@ -19,7 +20,6 @@ from careercast.cli import main as cli_main
 from careercast.clustering import kmeans_fit, select_k, silhouette_score
 from careercast.evaluation import mae, r2
 from careercast.forecaster import forecaster_train
-from careercast.artifacts import normalize
 from careercast.ingest import Split, split_and_normalize
 from careercast.schema import default_schema
 from careercast.synth import default_specs

@@ -791,7 +791,8 @@ def test_predict_names_the_schema_target(tmp_path, capsys):
     """Forecasts are printed in the unit of the schema's target, not always BPM."""
     schema = tmp_path / "schema.json"
     features = [{"name": name, "class": "counting"} for name in ("RAPM", "PTS", "AST")]
-    schema.write_text(json.dumps({"version": 1, "target": "RAPM", "features": features}))
+    doc = {"version": 1, "target": "RAPM", "features": features}
+    schema.write_text(json.dumps(doc), encoding="utf-8")
     config = tmp_path / "config.json"
     short = {"max_epochs": 2}  # the forecast's unit is at stake here, not its accuracy
     config.write_text(json.dumps({**SMALL_CONFIG, "autoencoder": short, "forecaster": short,

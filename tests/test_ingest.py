@@ -619,9 +619,9 @@ def test_parsed_rows_cost_about_their_cells(tmp_path):
 
 
 def test_ingest_holds_only_what_it_writes(tmp_path):
-    """On a seeded gappy pool, ``ingest_csv`` keeps little beyond the careers it
-    returns in original units (no normalized blocks, no per-row set of imputed
-    cells), and its peak stays under a bound between the two ways' measured peaks.
+    """On a seeded gappy pool, ``ingest_csv`` holds little beyond the careers it
+    returns in original units: no normalized blocks and no per-row set of
+    imputed cells, after it returns or at its peak.
     """
     schema = default_schema()
     path = tmp_path / "pool.csv"
@@ -629,10 +629,11 @@ def test_ingest_holds_only_what_it_writes(tmp_path):
     rng = np.random.default_rng(1)
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
-    short = {pid for pid in sorted({r[0] for r in rows}) if rng.random() < 0.2}
-    rows = [r for r in rows if not (r[0] in short and r[3] == "25")]  # one input-age row less
+    pid_at, age_at = header.index("player_id"), header.index("age")
+    short = {pid for pid in sorted({r[pid_at] for r in rows}) if rng.random() < 0.2}
+    rows = [r for r in rows if not (r[pid_at] in short and r[age_at] == "25")]  # no age 25
     for row in rows:
-        if int(row[3]) in INPUT_AGES:
+        if int(row[age_at]) in INPUT_AGES:
             for j in (header.index(name) for name in schema.names):
                 if rng.random() < 0.1:
                     row[j] = ""
