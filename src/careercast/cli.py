@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -104,6 +105,8 @@ def _proposed(chain):
 def cmd_synth(cfg: PipelineConfig, args) -> dict:
     if args.stars < 1 or args.regulars < 1:
         raise ConfigError("player counts must be at least 1")
+    if not math.isfinite(args.noise):
+        raise ConfigError(f"noise must be finite, got {args.noise}")
     if args.noise < 0:
         raise ConfigError(f"noise must be non-negative, got {args.noise}")
     specs = default_specs(args.stars, args.regulars, args.noise)

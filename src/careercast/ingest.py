@@ -178,6 +178,7 @@ def _read_records(path: str, reader, schema: FeatureSchema) -> list[SeasonRecord
 
     cells = array("d")  # every feature cell, row after row; NaN where missing
     rows = []  # (player_id, player_name, season, age, category) per row
+    share = {}.setdefault  # one str object per distinct identity value
     for row in reader:
         if not row:
             continue
@@ -219,9 +220,10 @@ def _read_records(path: str, reader, schema: FeatureSchema) -> list[SeasonRecord
                         f"{path}:{line_no}: unknown category {raw!r} "
                         f"(expected one of {CATEGORIES})"
                     )
-                category = raw
+                category = share(raw, raw)
 
-        rows.append((pid, (row[name_at] or "").strip(), season, age, category))
+        name = (row[name_at] or "").strip()
+        rows.append((share(pid, pid), share(name, name), season, age, category))
     matrix = np.frombuffer(cells, dtype=float).reshape(len(rows), schema.n_features)
     return [SeasonRecord(*identity, values) for identity, values in zip(rows, matrix)]
 

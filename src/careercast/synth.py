@@ -12,6 +12,7 @@ labels come back alongside, so clustering quality is checkable end to end.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ class ArchetypeSpec:
                 f"curvature must be non-positive (aging curve opens downward), "
                 f"got {self.curvature}"
             )
+        if not math.isfinite(self.noise_std):
+            raise ParameterError(f"noise_std must be finite, got {self.noise_std}")
         if self.noise_std < 0:
             raise ParameterError(f"noise_std must be non-negative, got {self.noise_std}")
         if self.category not in CATEGORIES:
@@ -145,17 +148,24 @@ def write_csv(
     seed: int = 0,
     schema: FeatureSchema | None = None,
 ) -> int:
-    """Emit season rows in the ingest CSV format; returns the row count."""
+    """Emit season rows in the ingest CSV format; returns the row count.
+
+    The header goes through ``csv.writer``, which quotes a schema name that
+    needs it. Data rows are joined by hand, one player's slice of the block
+    listed at a time: no field in them holds a comma, quote or newline
+    (ids, names, integers, categories, float ``repr``s), so the bytes are
+    those ``csv.writer`` would write, ``\\r\\n`` terminator included.
+    """
     if schema is None:
         schema = default_schema()
     block, ids, categories, _ = generate_block(specs, seed, schema)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*MANDATORY_COLUMNS, "category", *schema.names])
-        for p, (pid, category, career) in enumerate(zip(ids, categories, block.tolist())):
+        csv.writer(fh).writerow([*MANDATORY_COLUMNS, "category", *schema.names])
+        for p, (pid, category, career) in enumerate(zip(ids, categories, block)):
             birth = BIRTH_BASE + p % BIRTH_SPAN
-            for age, row in zip(CAREER_AGES, career):
-                writer.writerow(
-                    [pid, f"Synth Player {p:04d}", birth + age, age, category, *map(repr, row)]
+            for age, row in zip(CAREER_AGES, career.tolist()):
+                fh.write(
+                    f"{pid},Synth Player {p:04d},{birth + age},{age},{category},"
+                    f"{','.join(map(repr, row))}\r\n"
                 )
     return block.shape[0] * block.shape[1]

@@ -864,8 +864,10 @@ def test_gradcheck_refuses_flags_it_would_ignore(tmp_path, capsys, argv):
         (["--stars", "0"], "player counts must be at least 1"),
         (["--regulars", "0"], "player counts must be at least 1"),
         (["--noise", "-1"], "noise must be non-negative, got -1.0"),
+        (["--noise", "nan"], "noise must be finite, got nan"),
+        (["--noise", "inf"], "noise must be finite, got inf"),
     ],
-    ids=["stars", "regulars", "noise"],
+    ids=["stars", "regulars", "noise", "noise-nan", "noise-inf"],
 )
 def test_refused_synth_writes_nothing(tmp_path, capsys, flags, reason):
     out = tmp_path / "d"

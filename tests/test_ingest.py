@@ -618,6 +618,23 @@ def test_parsed_rows_cost_about_their_cells(tmp_path):
     assert peak <= 3 * n_rows * schema.n_features * 8
 
 
+def test_parsed_rows_of_a_player_share_identity_strings(tmp_path):
+    schema = default_schema()
+    path = str(tmp_path / "pool.csv")
+    write_csv(path, default_specs(2, 3), seed=1, schema=schema)
+    by_pid = {}
+    for rec in parse_season_csv(path, schema):
+        by_pid.setdefault(rec.player_id, []).append(rec)
+    assert len(by_pid) == 5
+    for recs in by_pid.values():
+        first = recs[0]
+        assert len(recs) == 10
+        for rec in recs:
+            assert rec.player_id is first.player_id
+            assert rec.player_name is first.player_name
+            assert rec.category is first.category
+
+
 def test_ingest_holds_only_what_it_writes(tmp_path):
     """On a seeded gappy pool, ``ingest_csv`` holds little beyond the careers it
     returns in original units: no normalized blocks and no per-row set of

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from careercast.ingest import (
     peer_medians,
     select_eligible_players,
 )
-from careercast.schema import default_schema
+from careercast.schema import COUNTING, FeatureSchema, default_schema
 from careercast.synth import (
     ArchetypeSpec,
     bpm_curve,
@@ -101,9 +102,10 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         ArchetypeSpec(count=1, peak_age=25, peak_bpm=0, curvature=0.1,
                       noise_std=1.0, category="star")
-    with pytest.raises(ParameterError):
-        ArchetypeSpec(count=1, peak_age=25, peak_bpm=0, curvature=-0.1,
-                      noise_std=-1.0, category="star")
+    for noise_std in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            ArchetypeSpec(count=1, peak_age=25, peak_bpm=0, curvature=-0.1,
+                          noise_std=noise_std, category="star")
     with pytest.raises(ParameterError):
         ArchetypeSpec(count=1, peak_age=25, peak_bpm=0, curvature=-0.1,
                       noise_std=1.0, category="bench")
@@ -185,3 +187,32 @@ def test_csv_round_trip_matches_direct_generation(tmp_path):
         assert np.array_equal(parsed.raw[i], direct.raw[ref])
         assert np.array_equal(parsed.target[i], direct.target[ref])
         assert parsed.category[i] == direct.category[ref]
+
+
+def test_csv_writer_holds_one_player_at_a_time(tmp_path):
+    """Writing a pool peaks below twice its career block: no list of every row."""
+    specs = default_specs(100, 300)
+    path = tmp_path / "synthetic.csv"
+    write_csv(path, specs, seed=2)  # lazy imports and first-call caches are not rows
+    tracemalloc.start()
+    try:
+        write_csv(path, specs, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 400 * 10 * 48 * 8
+
+
+def test_header_names_that_need_quoting_round_trip(tmp_path):
+    names = ("PTS, per 36", 'say "BPM"', "AST")
+    schema = FeatureSchema(names=names, target_name='say "BPM"',
+                           imputation_class=dict.fromkeys(names, COUNTING))
+    path = tmp_path / "synthetic.csv"
+    assert write_csv(path, small_specs(), seed=3, schema=schema) == 8 * 10
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert next(csv.reader(fh))[-3:] == list(names)
+    records = parse_season_csv(path, schema)  # raises unless every name resolves
+    block, ids, _, _ = generate_block(small_specs(), seed=3, schema=schema)
+    assert [r.player_id for r in records] == [pid for pid in ids for _ in range(10)]
+    parsed = np.array([r.values for r in records]).reshape(block.shape)
+    assert np.array_equal(parsed.view(np.uint64), block.view(np.uint64))
