@@ -15,6 +15,7 @@ sidecar, which is excluded from hashing and from determinism comparisons.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -182,18 +183,17 @@ def load_chain(out_dir, names) -> dict[str, Artifact]:
     return loaded
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv_table(path, columns, rows) -> None:
-    """Plain CSV with repr-formatted floats (17 significant digits survive)."""
-    lines = [",".join(str(c) for c in columns)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+    """CSV with repr-formatted floats (17 significant digits survive).
+
+    Cells are quoted where the csv module needs to, and None is an empty cell.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
 
 
 def write_run_info(out_dir, command: str, seed: int, artifact_hashes: dict) -> None:

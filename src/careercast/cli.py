@@ -39,7 +39,7 @@ from .config import MODEL_NAMES, PipelineConfig, load_config
 from .errors import ArtifactError, CareerCastError, ConfigError, IngestError, NumericError
 from .evaluation import evaluate, export_curves, export_scatter
 from .forecaster import forecaster_train
-from .ingest import INPUT_AGES, TARGET_AGES, ingest_csv
+from .ingest import INPUT_AGES, TARGET_AGES, ingest_csv, parse_season_csv
 from .nn.serialize import layer_to_doc
 from .schema import default_schema, load_schema
 from .synth import default_specs, write_csv as write_synth_csv
@@ -275,25 +275,16 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
             (
                 name,
                 train_report.overall.mae,
-                train_report.overall.r2 if train_report.overall.r2 is not None else "",
+                train_report.overall.r2,
                 test_report.overall.mae,
-                test_report.overall.r2 if test_report.overall.r2 is not None else "",
+                test_report.overall.r2,
                 train_report.overall.n,
                 test_report.overall.n,
             )
         )
         for split, report in (("train", train_report), ("test", test_report)):
             for cat, block in sorted(report.per_category.items()):
-                category_rows.append(
-                    (
-                        name,
-                        split,
-                        cat,
-                        block.mae,
-                        block.r2 if block.r2 is not None else "",
-                        block.n,
-                    )
-                )
+                category_rows.append((name, split, cat, block.mae, block.r2, block.n))
         for by in ("player", "category"):
             cols, rows = export_curves(test_report, by=by)
             artifacts.write_csv_table(
@@ -325,40 +316,33 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
     return {"reports/evaluation.json": eval_hash}
 
 
-def _parse_rows_csv(path, schema):
-    """Read a 7-row block of raw feature values in age order."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames is None:
-                raise IngestError(f"{path}: file is empty")
-            missing = [n for n in schema.names if n not in reader.fieldnames]
-            if missing:
-                raise IngestError(
-                    f"{path}: header lacks feature column(s): {', '.join(missing)}"
-                )
-            rows = list(reader)
-        except csv.Error as exc:
-            line = reader.reader.line_num  # DictReader's own count lags a failed row
-            raise IngestError(f"{path}:{line}: unreadable CSV line: {exc}") from None
-    if len(rows) != len(INPUT_AGES):
+def _rows_block(path, schema) -> np.ndarray:
+    """The (7, features) block of ages 22-28 from one player's season CSV.
+
+    The file is read as ``ingest`` reads a season CSV; rows at other ages
+    are ignored, but every row must carry one ``player_id``.
+    """
+    records = parse_season_csv(path, schema)
+    players = sorted({r.player_id for r in records})
+    if len(players) > 1:
+        raise IngestError(f"{path}: more than one player_id: {players[0]}, {players[1]}")
+    by_age = {}
+    for rec in records:
+        if rec.age in INPUT_AGES and rec.age in by_age:
+            raise IngestError(f"{path}: age {rec.age}: more than one row")
+        by_age[rec.age] = rec.values
+    absent = [str(age) for age in INPUT_AGES if age not in by_age]
+    if absent:
+        raise IngestError(f"{path}: no row at age(s) {', '.join(absent)}")
+    block = np.array([by_age[age] for age in INPUT_AGES])
+    missing = np.argwhere(np.isnan(block))
+    if missing.size:
+        i, j = missing[0]
         raise IngestError(
-            f"{path}: expected {len(INPUT_AGES)} rows (ages "
-            f"{INPUT_AGES[0]}-{INPUT_AGES[-1]}), got {len(rows)}"
+            f"{path}: age {INPUT_AGES[i]}: column {schema.names[j]!r} is missing "
+            "or not a finite number"
         )
-    matrix = np.empty((len(rows), schema.n_features))
-    for i, row in enumerate(rows):
-        for j, name in enumerate(schema.names):
-            try:
-                matrix[i, j] = float(row[name])
-            except (TypeError, ValueError):
-                matrix[i, j] = np.nan
-            if not np.isfinite(matrix[i, j]):
-                raise IngestError(
-                    f"{path}: row {i + 2}: column {name!r} is not a finite number "
-                    f"({row[name]!r})"
-                )
-    return matrix
+    return block
 
 
 def _upsert_predictions(path, series: str, predicted) -> None:
@@ -405,7 +389,7 @@ def cmd_predict(cfg: PipelineConfig, args) -> dict:
         block = split.input[split.player_ids.index(args.player)]
         series = args.player
     else:
-        raw = _parse_rows_csv(args.rows, dataset.schema)
+        raw = _rows_block(args.rows, dataset.schema)
         block = dataset.norm_stats.apply(raw, dataset.schema.names)
         series = f"file:{os.path.basename(args.rows)}"
     predicted = _proposed(chain)(block[None])[0]
@@ -502,7 +486,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("predict", parents=[common], help="three-season outlook")
     p.add_argument("--player", help="player_id present in the dataset artifact")
-    p.add_argument("--rows", help="CSV with one raw feature row per input age")
+    p.add_argument(
+        "--rows",
+        help="season CSV in ingest's format holding one player's rows at ages 22-28",
+    )
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", parents=[common], help="audit backward passes")

@@ -151,9 +151,10 @@ def parse_season_csv(path: str, schema: FeatureSchema) -> list[SeasonRecord]:
     a short row's absent cells are missing. Unparseable or non-finite
     numeric cells become missing (NaN) rather than errors; identity columns
     must parse. A line the csv module cannot read (a cell over its field
-    size limit, say) raises ``IngestError`` naming the line.
+    size limit, say) raises ``IngestError`` naming the line. A leading UTF-8
+    byte-order mark is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             return _read_records(path, reader, schema)

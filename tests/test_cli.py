@@ -16,6 +16,7 @@ import pytest
 import careercast
 from careercast import artifacts
 from careercast.cli import main
+from careercast.ingest import INPUT_AGES
 from careercast.nn.serialize import decode_f8, encode_f8
 from careercast.schema import default_schema
 from careercast.synth import default_specs, write_csv
@@ -41,6 +42,19 @@ ARTIFACTS = [
     "reports/evaluation.json",
     "reports/silhouette.csv",
 ]
+
+
+SEASON_HEADER = ",".join(["player_id", "player_name", "season", "age", *default_schema().names])
+
+
+def write_rows_csv(path, block, ages=INPUT_AGES, player_ids=None):
+    """A season CSV of ``block``'s feature rows at ``ages``, one player unless
+    ``player_ids`` names each row's."""
+    player_ids = player_ids or ["p1"] * len(ages)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(SEASON_HEADER + "\n")
+        for pid, age, row in zip(player_ids, ages, block):
+            fh.write(",".join([pid, "P", str(1980 + age), str(age), *map(str, row)]) + "\n")
 
 
 def run_pipeline(out_dir):
@@ -492,7 +506,6 @@ def test_malformed_predictions_row_is_refused(pipeline, tmp_path, capsys, row):
 
 DEEP_JSON = "[" * 200_000  # nested past the JSON decoder's recursion limit
 HUGE_CELL = "1" * 200_000  # over the csv module's 131,072-character field limit
-SEASON_HEADER = ",".join(["player_id", "player_name", "season", "age", *default_schema().names])
 
 
 @pytest.mark.parametrize(
@@ -507,7 +520,7 @@ SEASON_HEADER = ",".join(["player_id", "player_name", "season", "age", *default_
         (["ingest", "--input", "{path}"], "seasons.csv",
          f"{SEASON_HEADER}\np1,P,2000,22,{HUGE_CELL}\n", 2, "error: {path}:2: unreadable CSV"),
         (["predict", "--rows", "{path}"], "rows.csv",
-         f"{','.join(default_schema().names)}\n{HUGE_CELL}\n", 2,
+         f"{SEASON_HEADER}\np1,P,2000,22,{HUGE_CELL}\n", 2,
          "error: {path}:2: unreadable CSV"),
         (["predict", "--player", "syn0000"], "reports/predictions.csv",
          f"series,age,predicted\nsyn0001,29,{HUGE_CELL}\n", 2,
@@ -624,6 +637,46 @@ def pools(tmp_path_factory):
                "features": [{"name": f, "class": "counting"} for f in features]}
         (root / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     return root
+
+
+def test_a_byte_order_mark_does_not_hide_the_first_column(pools, tmp_path):
+    """A season CSV saved with a UTF-8 BOM ingests as the same file without one."""
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (pools / "a" / "synthetic.csv").read_bytes())
+    assert main(["ingest", "--out", str(tmp_path), "--input", str(bom)]) == 0
+    expected = (pools / "a" / "dataset.json").read_bytes()
+    assert (tmp_path / "dataset.json").read_bytes() == expected
+
+
+def test_ids_that_need_quoting_survive_the_reports(tmp_path):
+    """A player id holding a comma and a double quote is quoted in every report,
+    and a later ``predict`` reads back the predictions row an earlier one wrote."""
+    out = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG), encoding="utf-8")
+    base = ["--config", str(config), "--out", str(out), "--seed", "0"]
+    assert main(["synth", *base, "--stars", "3", "--regulars", "12"]) == 0
+    seasons = out / "synthetic.csv"
+    with open(seasons, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(seasons, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *([f'Smith, "{r[0]}"', *r[1:]] for r in rows)])
+    for argv in (
+        ["ingest", "--input", str(seasons)], ["stage1"], ["stage2"],
+        ["evaluate", "--models", "proposed", "last_value"],
+    ):
+        assert main([*argv, *base]) == 0, argv
+    players = ['Smith, "syn0000"', 'Smith, "syn0001"']
+    for player in players:
+        assert main(["predict", *base, "--player", player]) == 0
+    tables = {}
+    for report in (out / "reports").glob("*.csv"):
+        with open(report, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), report.name
+        tables[report.name] = rows
+    assert all(r[0].startswith('Smith, "') for r in tables["proposed_curves_player.csv"])
+    assert sorted({r[0] for r in tables["predictions.csv"]}) == players
 
 
 @pytest.mark.parametrize("flag", PRECEDENCE)
@@ -773,18 +826,44 @@ def test_predict_requires_exactly_one_source(pipeline, capsys):
 
 def test_predict_from_rows_csv(pipeline, tmp_path, capsys):
     out_dir, base = pipeline
-    schema = default_schema()
     careers, _ = generate(default_specs(n_star=1, n_regular=1), seed=99)
     rows_path = tmp_path / "rows.csv"
-    with open(rows_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(schema.names) + "\n")
-        for row in careers.raw[0]:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_rows_csv(rows_path, [[repr(float(v)) for v in row] for row in careers.raw[0]])
     rc = main(["predict", *base, "--rows", str(rows_path)])
     assert rc == 0
     assert "age 30:" in capsys.readouterr().out
     table = (out_dir / "reports" / "predictions.csv").read_text()
     assert "file:rows.csv" in table
+
+
+def predictions_of(path, series):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row[1:] for row in csv.reader(fh) if row[0] == series]
+
+
+def test_predict_rows_of_a_dataset_player_match_the_player(pipeline, tmp_path):
+    """A player's own season rows, shuffled, career-long, predict what the dataset
+    holds for them, bit for bit; a repeated or empty row outside ages 22-28 is
+    ignored."""
+    out_dir, _ = pipeline
+    copy = tmp_path / "run"
+    shutil.copytree(out_dir, copy)
+    base = ["--out", str(copy), "--seed", "0", "--config", str(copy / "config.json")]
+    with open(copy / "synthetic.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    own = [row for row in rows if row[0] == "syn0003"]
+    assert len(own) == 10
+    own += [own[-1], [*own[0][:3], "21", *[""] * (len(header) - 4)]]
+    np.random.default_rng(0).shuffle(own)
+    rows_path = tmp_path / "career.csv"
+    with open(rows_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *own])
+    assert main(["predict", *base, "--player", "syn0003"]) == 0
+    assert main(["predict", *base, "--rows", str(rows_path)]) == 0
+    pred_path = copy / "reports" / "predictions.csv"
+    by_player = predictions_of(pred_path, "syn0003")
+    assert len(by_player) == 3
+    assert predictions_of(pred_path, "file:career.csv") == by_player
 
 
 def test_predict_names_the_schema_target(tmp_path, capsys):
@@ -810,25 +889,49 @@ def test_predict_names_the_schema_target(tmp_path, capsys):
     assert all(line.endswith(" RAPM") for line in lines), lines
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-def test_predict_refuses_non_finite_rows(pipeline, tmp_path, capsys, cell):
+def refused_rows(pipeline, rows_path, capsys):
+    """The stderr of a ``predict --rows`` that must exit 2 and leave the
+    predictions table as it was."""
     out_dir, base = pipeline
+    predictions = out_dir / "reports" / "predictions.csv"
+    before = predictions.read_bytes() if predictions.exists() else None
+    rc = main(["predict", *base, "--rows", str(rows_path)])
+    assert rc == 2
+    assert (predictions.read_bytes() if predictions.exists() else None) == before
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cell", ["nan", "inf", "-inf", pytest.param("", id="blank"), pytest.param("abc", id="abc")]
+)
+def test_predict_refuses_non_finite_rows(pipeline, tmp_path, capsys, cell):
     schema = default_schema()
     careers, _ = generate(default_specs(n_star=1, n_regular=1), seed=99)
     rows = careers.raw[0].astype(object)
     rows[3, schema.names.index("PTS")] = cell
     rows_path = tmp_path / "rows.csv"
-    with open(rows_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(schema.names) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-    predictions = out_dir / "reports" / "predictions.csv"
-    before = predictions.read_bytes() if predictions.exists() else None
-    rc = main(["predict", *base, "--rows", str(rows_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"row 5: column 'PTS' is not a finite number ('{cell}')" in err
-    assert (predictions.read_bytes() if predictions.exists() else None) == before
+    write_rows_csv(rows_path, rows)
+    err = refused_rows(pipeline, rows_path, capsys)
+    assert f"{rows_path}: age 25: column 'PTS' is missing or not a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "ages, player_ids, message",
+    [
+        ((22, 23, 24, 26, 27, 28, 29, 30), None, "no row at age(s) 25"),
+        ((22, 23, 24, 25, 25, 26, 27, 28), None, "age 25: more than one row"),
+        (INPUT_AGES, ["p1"] * 6 + ["p2"], "more than one player_id: p1, p2"),
+    ],
+    ids=["missing-age", "repeated-age", "second-player"],
+)
+def test_predict_refuses_rows_without_one_player_row_per_input_age(
+    pipeline, tmp_path, capsys, ages, player_ids, message
+):
+    careers, _ = generate(default_specs(n_star=1, n_regular=1), seed=99)
+    block = np.concatenate([careers.raw[0], careers.raw[0]])
+    rows_path = tmp_path / "rows.csv"
+    write_rows_csv(rows_path, block, ages=ages, player_ids=player_ids)
+    assert f"error: {rows_path}: {message}" in refused_rows(pipeline, rows_path, capsys)
 
 
 def test_gradcheck_command(capsys):

@@ -1,10 +1,13 @@
-"""The README describes the configuration and the artifact version the code has."""
+"""The README describes the commands, the configuration and the artifact version
+the code has."""
 
+import argparse
 import json
 from dataclasses import fields
 from pathlib import Path
 
 from careercast import artifacts
+from careercast.cli import build_parser
 from careercast.config import TRAIN_KEYS, PipelineConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -18,3 +21,14 @@ def test_readme_matches_config_fields_and_artifact_version():
     assert tuple(block["autoencoder"]) == TRAIN_KEYS
     assert f"`version` ({artifacts.VERSION})" in text
     assert f"not a careercast-artifact v{artifacts.VERSION}" in text
+
+
+def test_readme_commands_table_matches_the_parser():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    named = [row.split("`")[1] for row in rows]
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert sorted(named) == sorted(subparsers.choices)
