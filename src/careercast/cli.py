@@ -33,16 +33,16 @@ from . import artifacts
 from .artifacts import AUTOENCODER, CLUSTERS, DATASET, FORECASTER, FORECASTER_STANDARD
 from .autoencoder import ae_train, flatten_batch
 from .baselines import last_value_predict, linear_fit, linear_predict, mlp_baseline_train
-from .checks import gradcheck_suite
 from .clustering import select_k
 from .config import MODEL_NAMES, PipelineConfig, load_config
 from .errors import ArtifactError, CareerCastError, ConfigError, IngestError, NumericError
-from .evaluation import evaluate, export_curves, export_scatter
 from .forecaster import forecaster_train
 from .ingest import INPUT_AGES, TARGET_AGES, ingest_csv, parse_season_csv
 from .nn.serialize import layer_to_doc
 from .schema import default_schema, load_schema
-from .synth import default_specs, write_csv as write_synth_csv
+
+# synth, evaluation and checks are imported by the one command that runs each,
+# so every other command starts without loading them.
 
 REPORTS = "reports"
 PREDICTIONS = "predictions.csv"
@@ -109,6 +109,7 @@ def cmd_synth(cfg: PipelineConfig, args) -> dict:
         raise ConfigError(f"noise must be finite, got {args.noise}")
     if args.noise < 0:
         raise ConfigError(f"noise must be non-negative, got {args.noise}")
+    from .synth import default_specs, write_csv as write_synth_csv
     specs = default_specs(args.stars, args.regulars, args.noise)
     schema = _schema_for(cfg)
     path = args.csv or _out_path(cfg, "synthetic.csv")
@@ -260,6 +261,7 @@ def _fmt_r2(value) -> str:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
+    from .evaluation import evaluate, export_curves, export_scatter
     models = cfg.models
     needs = {"proposed": FORECASTER, "standard_lstm": FORECASTER_STANDARD}
     dataset, chain = _chain(cfg, [needs[m] for m in models if m in needs])
@@ -408,6 +410,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"gradcheck takes no {', '.join(ignored)}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    from .checks import gradcheck_suite
     rows = gradcheck_suite(n_seeds=args.seeds)
     failed = [r for r in rows if not r["ok"]]
     for r in rows:

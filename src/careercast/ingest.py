@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyInputError, ImputationError, IngestError, SchemaError, SplitError
 from .rng import substream
-from .schema import COUNTING, RATIO_LIKE, FeatureSchema
+from .schema import COUNTING, FeatureSchema
 
 logger = logging.getLogger(__name__)
 
@@ -178,6 +179,7 @@ def _read_records(path: str, reader, schema: FeatureSchema) -> list[SeasonRecord
     feature_at = [column[name] for name in schema.names]
 
     cells = array("d")  # every feature cell, row after row; NaN where missing
+    nan = math.nan
     rows = []  # (player_id, player_name, season, age, category) per row
     share = {}.setdefault  # one str object per distinct identity value
     for row in reader:
@@ -205,12 +207,14 @@ def _read_records(path: str, reader, schema: FeatureSchema) -> list[SeasonRecord
                 f"{path}:{line_no}: season {season} outside bounds {SEASON_BOUNDS}"
             )
 
-        for j in feature_at:
-            try:
-                value = float(row[j])  # float() strips surrounding whitespace itself
-            except (TypeError, ValueError):
-                value = math.nan
-            cells.append(value if math.isfinite(value) else math.nan)
+        try:  # a blank or absent cell is NaN without a raise; float() strips whitespace
+            cells.extend([float(row[j] or nan) for j in feature_at])
+        except ValueError:  # unparseable text somewhere in the row: cell by cell
+            for j in feature_at:
+                try:
+                    cells.append(float(row[j] or nan))
+                except ValueError:
+                    cells.append(nan)
 
         category = None
         if category_at is not None:
@@ -226,6 +230,9 @@ def _read_records(path: str, reader, schema: FeatureSchema) -> list[SeasonRecord
         name = (row[name_at] or "").strip()
         rows.append((share(pid, pid), share(name, name), season, age, category))
     matrix = np.frombuffer(cells, dtype=float).reshape(len(rows), schema.n_features)
+    for start in range(0, len(matrix), 4096):  # row blocks keep the mask small
+        block = matrix[start : start + 4096]
+        block[~np.isfinite(block)] = nan
     return [SeasonRecord(*identity, values) for identity, values in zip(rows, matrix)]
 
 
@@ -272,23 +279,32 @@ def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray
 
     Row ``i`` is age ``INPUT_AGES[i]`` and column ``j`` is feature
     ``schema.names[j]``. Imputed and absent cells do not count; an entry is
-    NaN where no peer observes that feature at that age.
+    NaN where no peer observes that feature at that age. Each age's block is
+    sorted once along the peers, NaN last; a median is the middle observed
+    value or the mean of the two, ``np.median``'s bit for bit, except that a
+    zero comes from ``np.median`` itself, whose sign a sort need not match.
     """
     at_age = {age: [] for age in INPUT_AGES}
     for r in peers:
         if r.age in at_age:
             at_age[r.age].append(r)
     medians = np.full((len(INPUT_AGES), schema.n_features), np.nan)
+    columns = np.arange(schema.n_features)
     for i, rows in enumerate(at_age.values()):
+        if not rows:
+            continue
         values = np.array([r.values for r in rows], dtype=float)
-        values = values.reshape(len(rows), schema.n_features)
         for k, r in enumerate(rows):
-            for j in r.imputed:
-                values[k, j] = np.nan
-        for j, cells in enumerate(values.T):
-            observed = cells[~np.isnan(cells)]
-            if observed.size:
-                medians[i, j] = np.median(observed)
+            if r.imputed:
+                values[k, list(r.imputed)] = np.nan
+        ordered = np.sort(values, axis=0)
+        count = len(rows) - np.isnan(ordered).sum(axis=0)  # observed cells per feature
+        lower = ordered[(count - 1) // 2, columns]
+        upper = ordered[count // 2, columns]
+        medians[i] = np.where(count % 2 == 1, lower, (lower + upper) / 2)
+        for j in np.flatnonzero(medians[i] == 0.0):
+            cells = values[:, j]
+            medians[i, j] = np.median(cells[~np.isnan(cells)])
     return medians
 
 
@@ -308,78 +324,56 @@ def impute_missing(
     player's nearest observed value of that feature the same way, falling
     back to the peer median if the player never observed it. Returns the
     input-age rows in age order, then the target-age rows. Applying this to
-    its own output is the identity.
+    its own output is the identity. A player without gaps returns after one
+    sum per row; otherwise each season is read once as a list, and a counting
+    cell walks the player's ages from the nearest earlier one down, then up.
     """
     by_age = {r.age: r for r in seasons}
+    rows = [by_age.get(age) for age in INPUT_AGES]
+    targets = [by_age[a] for a in TARGET_AGES if a in by_age]
+    # NaN survives a sum, and finite cells can only overflow it to inf, never to NaN.
+    if None not in rows and not any(math.isnan(sum(r.values.tolist())) for r in rows):
+        return rows + targets
+
     own_ages = sorted(by_age)
+    own = []  # each season's cells as passed in, NaN where missing or imputed
+    for age in own_ages:
+        cells = by_age[age].values.tolist()
+        for j in by_age[age].imputed:
+            cells[j] = math.nan
+        own.append(cells)
     # Every copy is taken before any cell is filled, so it copies parsed cells only.
-    rows = [by_age.get(age) or _copy_nearest(by_age, own_ages, age) for age in INPUT_AGES]
-    observed_ages: dict[int, list[int]] = {}  # per counting column, built on first need
-    for rec, medians_at_age in zip(rows, medians):
-        _fill_cells(rec, schema, by_age, observed_ages, medians_at_age)
-    return rows + [by_age[a] for a in TARGET_AGES if a in by_age]
-
-
-def _copy_nearest(by_age: dict[int, SeasonRecord], own_ages: list[int], age: int) -> SeasonRecord:
-    """A new row at ``age``, copied whole from the player's nearest season."""
-    source_age = _nearest_age(own_ages, age)
-    if source_age is None:
-        raise ImputationError(f"player ? has no seasons to fill age {age}")  # no rows at all
-    src = by_age[source_age]
-    return SeasonRecord(
-        src.player_id, src.player_name, src.season_end_year + (age - src.age), age,
-        src.category, src.values.copy(), tuple(range(len(src.values))),
-    )
-
-
-def _nearest_age(ages: list[int], age: int) -> int | None:
-    """The nearest earlier age in ``ages`` (in any order), else the nearest later one."""
-    earlier = [a for a in ages if a < age]
-    later = [a for a in ages if a > age]
-    return max(earlier) if earlier else min(later) if later else None
-
-
-def _fill_cells(
-    rec: SeasonRecord,
-    schema: FeatureSchema,
-    own_by_age: dict[int, SeasonRecord],
-    observed_ages: dict[int, list[int]],
-    medians_at_age: np.ndarray,
-) -> None:
-    gaps = np.flatnonzero(np.isnan(rec.values)).tolist()
-    for j in gaps:
-        name = schema.names[j]
-        kind = schema.imputation_class[name]
-        if kind == RATIO_LIKE:
-            value = float(medians_at_age[j])
-            if math.isnan(value):
-                raise ImputationError(
-                    f"feature {name!r} has no observed peer values at age {rec.age}"
-                )
-        else:
-            assert kind == COUNTING
-            value = _own_nearest_value(own_by_age, observed_ages, j, rec.age)
-            if value is None:
-                # Never observed anywhere in this career; fall back to peers.
-                value = float(medians_at_age[j])
+    for i, age in enumerate(INPUT_AGES):
+        if rows[i] is None:  # copy the nearest earlier season, else the nearest later one
+            if not own_ages:
+                raise ImputationError(f"player ? has no seasons to fill age {age}")
+            src = by_age[own_ages[max(bisect_left(own_ages, age) - 1, 0)]]
+            rows[i] = SeasonRecord(
+                src.player_id, src.player_name, src.season_end_year + (age - src.age), age,
+                src.category, src.values.copy(), tuple(range(len(src.values))),
+            )
+    for rec, medians_at_age in zip(rows, medians.tolist()):
+        gaps = [j for j, v in enumerate(rec.values.tolist()) if v != v]  # NaN cells
+        if not gaps:
+            continue
+        split = bisect_left(own_ages, rec.age)
+        walk = own[:split][::-1] + own[split:]  # nearest earlier age first, then later
+        for j in gaps:
+            name = schema.names[j]
+            value = medians_at_age[j]
+            counting = schema.imputation_class[name] == COUNTING
+            if counting:
+                # Never observed anywhere in this career: the peer median.
+                value = next((c[j] for c in walk if c[j] == c[j]), value)
             if math.isnan(value):
                 raise ImputationError(
                     f"feature {name!r} unobserved for the player and the peer pool at age {rec.age}"
+                    if counting
+                    else f"feature {name!r} has no observed peer values at age {rec.age}"
                 )
-        rec.values[j] = value
-    if gaps:
+            rec.values[j] = value
         rec.imputed = tuple(sorted({*rec.imputed, *gaps}))
-
-
-def _own_nearest_value(
-    own_by_age: dict[int, SeasonRecord], observed_ages: dict[int, list[int]], j: int, age: int
-) -> float | None:
-    if j not in observed_ages:
-        observed_ages[j] = [a for a, r in own_by_age.items() if r.observed(j)]
-    nearest = _nearest_age(observed_ages[j], age)
-    if nearest is None:
-        return None
-    return own_by_age[nearest].values[j]
+    return rows + targets
 
 
 def build_sequences(

@@ -64,7 +64,7 @@ class Adam:
             np.multiply(g, 1.0 - self.beta1, out=s)
             m += s
             v *= self.beta2
-            np.multiply(g, g, out=s)
+            np.square(g, out=s)
             s *= 1.0 - self.beta2
             v += s
             np.sqrt(v, out=s)

@@ -1010,3 +1010,17 @@ def test_cli_import_leaves_numpy_random_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_single_command_modules_unloaded():
+    """synth, evaluation and checks load only in the command that runs each."""
+    src = os.path.dirname(os.path.dirname(careercast.__file__))
+    code = (
+        "import sys, careercast.cli; "
+        "print(sorted(m for m in ('synth', 'evaluation', 'checks') "
+        "if 'careercast.' + m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -24,8 +24,8 @@ from careercast.errors import (
 )
 from careercast.ingest import (
     INPUT_AGES,
+    SeasonRecord,
     Split,
-    _nearest_age,
     build_sequences,
     impute_missing,
     ingest_csv,
@@ -34,10 +34,10 @@ from careercast.ingest import (
     select_eligible_players,
     split_and_normalize,
 )
-from careercast.schema import COUNTING, default_schema
+from careercast.schema import COUNTING, FeatureSchema, default_schema
 from careercast.synth import default_specs, write_csv
 
-from conftest import career_rows
+from conftest import SMALL_NAMES, career_rows
 
 
 def full_career(pid, base_bpm, category=None, missing=()):
@@ -124,6 +124,45 @@ def test_parse_season_csv_reads_rows_as_dictreader_does(small_schema, tmp_path):
         parse_season_csv(str(path), small_schema)
 
 
+def float_cell(text):
+    """The per-cell reading of a feature cell: ``float()``, NaN unless finite."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+@pytest.mark.parametrize("names", [SMALL_NAMES, ("BPM",)], ids=["four-features", "one-feature"])
+def test_parse_season_csv_reads_each_cell_as_float_does(tmp_path, names):
+    """Every cell reads as ``float_cell`` reads it, NaN bits included, whatever else
+    its row holds: blank, whitespace-only, NaN and infinite spellings, padded and
+    underscored numbers, junk beside numbers, and the absent cells of a short row."""
+    schema = FeatureSchema(
+        names=names, target_name="BPM", imputation_class=dict.fromkeys(names, "ratio_like")
+    )
+    spellings = [
+        "   ", "nan", "-nan", "-inf", " 2.5 ", "1_000", "", "7", "1e400", "abc", "-0.0", "+3"
+    ]
+    rows = [
+        [spellings[(i + k) % len(spellings)] for k in range(len(names))]
+        for i in range(len(spellings))
+    ]
+    rows += [["1.5", "-2", "4e2", "0.25"][: len(names)], ["junk", "1.5", "2", "3"][: len(names)]]
+    lines = [f"p1,P1,{2000 + i},30," + ",".join(cells) for i, cells in enumerate(rows)]
+    lines.append(",".join(["p1", "P1", "1999", "30", *rows[-2][:-1]]))  # short: last cell absent
+    path = tmp_path / "cells.csv"
+    path.write_text(
+        "player_id,player_name,season,age," + ",".join(names) + "\n" + "\n".join(lines) + "\n",
+        encoding="utf-8",
+    )
+    records = parse_season_csv(str(path), schema)
+    expected = [[float_cell(text) for text in cells] for cells in rows]
+    expected.append([float_cell(text) for text in rows[-2][:-1]] + [math.nan])
+    got = np.array([r.values for r in records])
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
 def test_select_eligible_players(small_schema, write_season_csv):
     rows = []
     rows += full_career("keep", 2.0)
@@ -182,11 +221,38 @@ def test_impute_counting_copies_own_nearest(small_schema, write_season_csv):
     assert cell(filled, small_schema, "PTS") == cell(by_age[24], small_schema, "PTS")
 
 
-def test_nearest_age_takes_any_earlier_age_first():
-    assert _nearest_age([22, 27], 26) == 22  # 27 is nearer, but later
-    assert _nearest_age([27, 22, 24], 26) == 24  # input order does not matter
-    assert _nearest_age([29, 27], 26) == 27
-    assert _nearest_age([26], 26) is None
+def test_impute_counting_walks_every_age_the_player_has(small_schema, write_season_csv):
+    """A counting cell's nearest observed value may sit outside ages 22-31."""
+    ages = {age: 1.0 for age in range(19, 36)}
+    rows = career_rows("early", ages, missing=[(a, "PTS") for a in range(21, 34)])
+    rows += career_rows("late", ages, missing=[(a, "PTS") for a in range(19, 34)])
+    records = parse_season_csv(write_season_csv(rows), small_schema)
+    eligible, _ = select_eligible_players(records, small_schema.target_index)
+    peers = [r for rs in eligible.values() for r in rs]
+    medians = peer_medians(peers, small_schema)
+    for pid, source_age in (("early", 20), ("late", 34)):
+        source = next(r for r in eligible[pid] if r.age == source_age)
+        completed = impute_missing(eligible[pid], small_schema, medians)
+        for rec in completed[: len(INPUT_AGES)]:
+            assert cell(rec, small_schema, "PTS") == cell(source, small_schema, "PTS"), rec.age
+
+
+def test_impute_copies_an_absent_row_from_any_earlier_season_first(small_schema):
+    def season(age):
+        return SeasonRecord("p", "P", 1978 + age, age, None, np.full(4, float(age)))
+
+    medians = np.zeros((len(INPUT_AGES), small_schema.n_features))
+    for ages, sources in (
+        ((22, 27, 29, 30, 31), {26: 22}),  # 27 is nearer, but later
+        ((27, 22, 24, 29, 30, 31), {26: 24, 23: 22}),  # input order does not matter
+        ((29, 27, 30, 31), {26: 27, 22: 27, 28: 27}),
+    ):
+        by_age = {r.age: r for r in impute_missing([season(a) for a in ages], small_schema, medians)}
+        for age, source in sources.items():
+            assert by_age[age].values.tolist() == [float(source)] * 4
+            assert by_age[age].season_end_year == 1978 + age
+    with pytest.raises(ImputationError, match="player \\? has no seasons to fill age 22"):
+        impute_missing([], small_schema, medians)
 
 
 def test_impute_creates_missing_input_age_row(small_schema, write_season_csv):
@@ -385,23 +451,79 @@ def test_impute_matches_per_cell_peer_scan():
         impute_missing(holder, schema, peer_medians(peers, schema))
 
 
+def median_oracle(peers, n_features):
+    """``np.median`` over each age's and feature's observed peer cells, one at a time."""
+    table = np.full((len(INPUT_AGES), n_features), np.nan)
+    for i, age in enumerate(INPUT_AGES):
+        for j in range(n_features):
+            values = [r.values[j] for r in peers if r.age == age and r.observed(j)]
+            if values:
+                table[i, j] = np.median(np.array(values))
+    return table
+
+
+def random_peers(rng, n_features, draw):
+    """Peers at every input age, some ages with an odd count and some even; some
+    cells missing, some imputed (which must not count), and column 0 unobserved."""
+    peers = []
+    for age in (21, *INPUT_AGES):
+        for k in range(int(rng.integers(1, 10))):
+            values = draw(n_features)
+            values[rng.random(n_features) < 0.3] = np.nan
+            values[0] = np.nan
+            imputed = tuple(j for j in range(1, n_features) if rng.random() < 0.1)
+            peers.append(SeasonRecord(f"p{k}", "P", 2000, age, None, values, imputed))
+    return peers
+
+
+def test_peer_medians_equal_np_median_bit_for_bit():
+    rng = np.random.default_rng(5)
+    counts = set()
+    for _ in range(50):
+        peers = random_peers(rng, 6, lambda n: rng.normal(size=n) * 10.0 ** rng.integers(-3, 4))
+        schema = FeatureSchema(
+            names=tuple("abcdef"), target_name="a", imputation_class=dict.fromkeys("abcdef", COUNTING)
+        )
+        table = peer_medians(peers, schema)
+        assert table.tobytes() == median_oracle(peers, 6).tobytes()
+        assert np.isnan(table[:, 0]).all()
+        counts |= {sum(r.age == age for r in peers) % 2 for age in INPUT_AGES}
+    assert counts == {0, 1}
+
+
+def test_peer_medians_keep_np_median_signed_zero():
+    """Where the middle values are zeros of either sign, the table holds np.median's zero."""
+    rng = np.random.default_rng(6)
+    schema = FeatureSchema(
+        names=tuple("abcd"), target_name="a", imputation_class=dict.fromkeys("abcd", COUNTING)
+    )
+    zeros = 0
+    for _ in range(200):
+        peers = random_peers(rng, 4, lambda n: rng.choice([-0.0, 0.0, 0.0, -1.0, 1.0], size=n))
+        table = peer_medians(peers, schema)
+        assert table.tobytes() == median_oracle(peers, 4).tobytes()
+        zeros += np.count_nonzero(table == 0.0)
+    assert zeros > 1000
+
+
 def test_ingest_computes_each_peer_median_once(write_season_csv, monkeypatch):
+    """The median table sorts each input age's block once, however gappy the pool."""
     schema = default_schema()
     calls = []
-    median = np.median
+    sort = np.sort
 
-    def counting_median(*args, **kwargs):
+    def counting_sort(*args, **kwargs):
         calls.append(1)
-        return median(*args, **kwargs)
+        return sort(*args, **kwargs)
 
-    monkeypatch.setattr(np, "median", counting_median)
+    monkeypatch.setattr(np, "sort", counting_sort)
     counts = []
     for share in (0.0, 0.1):
         _, rows = gappy_pool(schema, seed=12, cell_share=share, player_share=2 * share)
         calls.clear()
         ingest_csv(write_season_csv(rows, f"pool{share}.csv", schema.names), schema)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= len(INPUT_AGES) * schema.n_features
+    assert 0 < counts[0] == counts[1] <= len(INPUT_AGES)
 
 
 def test_imputation_medians_ignore_test_players(small_schema, write_season_csv):
