@@ -4,9 +4,9 @@ Centroids are fit with k-means++ seeding and several restarts, keeping
 the lowest-inertia run. The number of clusters is chosen by mean
 silhouette over a candidate range, smaller K winning ties.
 
-Memory rule: ``select_k`` builds one (n, n) distance matrix, in row chunks
-of exact differences, and scores every candidate K from it. No temporary
-grows as n^2 * d.
+Memory rule: ``select_k`` fits every candidate K, then makes one pass over
+row blocks of exact distances that gives each candidate its per-cluster
+distance sums. No array grows as n^2, and no temporary as n^2 * d.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ParameterError, ShapeError
+from .errors import ArtifactError, ParameterError, ShapeError
 
 DEFAULT_K_RANGE = range(2, 9)
 DEFAULT_RESTARTS = 10
 MAX_ITERS = 300
-# floats per row-chunk temporary in pairwise_distances (1 MB)
+# floats in a distance block's (rows, n, d) difference temporary (1 MB), but a
+# block has one row at least: past n * d = 2^17 it is n * d (2 MB at 3983 x 64)
 _CHUNK_ELEMENTS = 1 << 17
 
 
@@ -173,23 +174,32 @@ def kmeans_fit(
     return best
 
 
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix, (n, n), built in row chunks.
+def _cluster_sums(points: np.ndarray, labelings) -> list:
+    """Each point's summed distance to each cluster, an (n, k) array per
+    labeling, from one pass over row blocks of ``sqrt(_sq_dists)``.
 
-    Each chunk takes exact differences, so a temporary holds at most
-    ``_CHUNK_ELEMENTS`` floats and the only O(n^2) array is the result.
+    Each block's columns are gathered in each labeling's stable label order
+    and ``np.add.reduceat`` sums every occupied cluster's run, so no sum
+    depends on the block size or the BLAS thread count. Empty clusters stay 0.
     """
-    points = _check_points(points)
-    n, d = points.shape
-    rows = max(1, _CHUNK_ELEMENTS // max(1, n * d))
-    dists = np.empty((n, n), dtype=float)
+    if not labelings:
+        return []
+    n = points.shape[0]
+    rows = max(1, _CHUNK_ELEMENTS // max(1, points.size))
+    plans = []
+    for labels in labelings:
+        order = np.argsort(labels, kind="stable")
+        occupied, starts = np.unique(labels[order], return_index=True)
+        plans.append((order, occupied, starts, np.zeros((n, int(occupied[-1]) + 1))))
     for lo in range(0, n, rows):
-        dists[lo:lo + rows] = _sq_dists(points[lo:lo + rows], points)
-    return np.sqrt(dists, out=dists)
+        block = np.sqrt(_sq_dists(points[lo:lo + rows], points))
+        for order, occupied, starts, sums in plans:
+            sums[lo:lo + rows, occupied] = np.add.reduceat(block[:, order], starts, axis=1)
+    return [sums for *_, sums in plans]
 
 
 def silhouette_score(
-    points: np.ndarray, assignments: np.ndarray, dists: np.ndarray | None = None
+    points: np.ndarray, assignments: np.ndarray, cluster_sums: np.ndarray | None = None
 ) -> float:
     """Mean silhouette over all points, Euclidean distance.
 
@@ -197,10 +207,9 @@ def silhouette_score(
     between distances are both 0. Empty cluster labels are skipped. Fewer
     than two occupied clusters gives 0 overall.
 
-    ``dists`` is the points' ``pairwise_distances`` matrix; ``select_k``
-    builds it once and shares it across every candidate K. Without it the
-    matrix is built here, so the call holds one (n, n) array plus
-    (n, k) cluster sums.
+    ``cluster_sums`` is these assignments' (n, max label + 1) array from
+    ``_cluster_sums``, which ``select_k`` fills for every candidate K in one
+    pass. Without it this call makes that pass itself: no array grows as n^2.
     """
     points = _check_points(points)
     assignments = np.asarray(assignments)
@@ -215,17 +224,14 @@ def silhouette_score(
         )
     if n and assignments.min() < 0:
         raise ParameterError(f"negative assignment {assignments.min()} found")
-    if dists is not None and dists.shape != (n, n):
-        raise ShapeError(f"dists shape {dists.shape} does not match {n} points")
+    k = int(assignments.max()) + 1 if n else 0
+    if cluster_sums is not None and cluster_sums.shape != (n, k):
+        raise ShapeError(f"cluster_sums shape {cluster_sums.shape} is not ({n}, {k})")
     if np.unique(assignments).size < 2:
         return 0.0
-    if dists is None:
-        dists = pairwise_distances(points)
-    k = int(assignments.max()) + 1
+    if cluster_sums is None:
+        (cluster_sums,) = _cluster_sums(points, [assignments])
     counts = np.bincount(assignments, minlength=k)
-    onehot = np.zeros((n, k), dtype=float)
-    onehot[np.arange(n), assignments] = 1.0
-    cluster_sums = dists @ onehot
     own = counts[assignments]
     a = np.divide(
         cluster_sums[np.arange(n), assignments],
@@ -270,12 +276,28 @@ class ClusterModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ClusterModel":
-        return cls(
-            k=int(doc["k"]),
-            centroids=np.array(doc["centroids"], dtype=float),
-            train_assignments=np.array(doc["train_assignments"], dtype=int),
-            silhouette_by_k={int(kk): float(s) for kk, s in doc["silhouette_by_k"].items()},
-        )
+        """Rebuild a model from ``to_doc`` output.
+
+        Raises ``ArtifactError`` unless ``k`` is an integer of at least 1,
+        the centroids form a finite (k, d) matrix, every train assignment
+        is an integral value in [0, k), and the silhouette trace holds k.
+        """
+        k = doc["k"]
+        if type(k) is not int or k < 1:
+            raise ArtifactError(f"k is {k!r}, not an integer of at least 1")
+        centroids = np.array(doc["centroids"], dtype=float)
+        if centroids.ndim != 2 or centroids.shape[0] != k or not centroids.shape[1]:
+            raise ArtifactError(f"centroids have shape {centroids.shape}, expected ({k}, d)")
+        if not np.all(np.isfinite(centroids)):
+            raise ArtifactError("centroids contain non-finite values")
+        labels = np.array(doc["train_assignments"], dtype=float)
+        in_range = (labels >= 0) & (labels < k) & (labels == np.floor(labels))
+        if labels.ndim != 1 or not in_range.all():
+            raise ArtifactError(f"train_assignments are not integral labels in [0, {k})")
+        table = {int(kk): float(s) for kk, s in doc["silhouette_by_k"].items()}
+        if k not in table:
+            raise ArtifactError(f"silhouette_by_k has no score for k = {k}")
+        return cls(k, centroids, labels.astype(int), table)
 
 
 def select_k(
@@ -286,8 +308,9 @@ def select_k(
 ) -> ClusterModel:
     """Fit k-means for each candidate K and keep the best mean silhouette.
 
-    The pairwise distance matrix is built once and shared by every K's
-    ``silhouette_score`` call.
+    Every candidate is fit first. One ``_cluster_sums`` pass then gives each
+    fit with two or more occupied clusters its sums, and ``silhouette_score``
+    scores each K from its own.
 
     Candidates needing more centroids than there are points are skipped.
     Exact silhouette ties go to the smaller K.
@@ -296,27 +319,18 @@ def select_k(
     ks = [int(k) for k in k_range]
     if not ks:
         raise ParameterError("k_range is empty")
-    dists = pairwise_distances(embeddings)
-    best_k = None
-    best_fit = None
-    table = {}
-    for k in sorted(ks):
-        if k > embeddings.shape[0]:
-            continue
-        fit = kmeans_fit(embeddings, k, restarts=restarts, seed=seed)
-        score = silhouette_score(embeddings, fit.assignments, dists=dists)
-        table[k] = score
-        if best_k is None or score > table[best_k]:
-            best_k = k
-            best_fit = fit
-    if best_k is None:
-        raise ParameterError(
-            f"no candidate K in {ks} is feasible for {embeddings.shape[0]} points"
-        )
+    n = embeddings.shape[0]
+    fits = {k: kmeans_fit(embeddings, k, restarts, seed) for k in sorted(ks) if k <= n}
+    if not fits:
+        raise ParameterError(f"no candidate K in {ks} is feasible for {n} points")
+    scored = [k for k, fit in fits.items() if np.unique(fit.assignments).size > 1]
+    sums = dict(zip(scored, _cluster_sums(embeddings, [fits[k].assignments for k in scored])))
+    table = {k: silhouette_score(embeddings, f.assignments, sums.get(k)) for k, f in fits.items()}
+    best_k = max(table, key=table.get)  # the first, so the smallest, of equal scores
     return ClusterModel(
         k=best_k,
-        centroids=best_fit.centroids,
-        train_assignments=best_fit.assignments,
+        centroids=fits[best_k].centroids,
+        train_assignments=fits[best_k].assignments,
         silhouette_by_k=table,
     )
 

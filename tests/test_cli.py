@@ -361,6 +361,47 @@ def test_malformed_dataset_is_a_data_error(pipeline, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("nan centroid", "centroids contain non-finite values"),
+        ("extra centroid row", "centroids have shape ({k1}, {d}), expected ({k}, d)"),
+        ("fractional assignment", "train_assignments are not integral labels in [0, {k})"),
+        ("assignment k", "train_assignments are not integral labels in [0, {k})"),
+        ("k missing from trace", "silhouette_by_k has no score for k = {k}"),
+        ("k zero", "k is 0, not an integer of at least 1"),
+    ],
+    ids=["nan-centroid", "extra-centroid-row", "fractional-assignment", "assignment-k",
+         "k-missing-from-trace", "k-zero"],
+)
+def test_malformed_clusters_are_refused(pipeline, tmp_path, capsys, case, reason):
+    out_dir, _ = pipeline
+    copy = tmp_path / "clusters"
+    shutil.copytree(out_dir, copy)
+    doc = json.loads((copy / "clusters.json").read_text())
+    clusters = doc["clusters"]
+    k, d = clusters["k"], len(clusters["centroids"][0])
+    if case == "nan centroid":
+        clusters["centroids"][0][0] = float("nan")
+    elif case == "extra centroid row":
+        clusters["centroids"].append(clusters["centroids"][0])
+    elif case == "fractional assignment":
+        clusters["train_assignments"][0] = 1.5
+    elif case == "assignment k":
+        clusters["train_assignments"][0] = k
+    elif case == "k missing from trace":
+        del clusters["silhouette_by_k"][str(k)]
+    else:
+        clusters["k"] = 0
+    # json.dumps writes NaN as the bare token Python's json reads back
+    (copy / "clusters.json").write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["stage2", "--config", str(copy / "config.json"), "--out", str(copy)])
+    assert rc == 2
+    reason = reason.format(k=k, k1=k + 1, d=d)
+    assert f"clusters.json: corrupt artifact: {reason}; rerun stage1" in capsys.readouterr().err
+    assert (copy / "forecaster.json").read_bytes() == (out_dir / "forecaster.json").read_bytes()
+
+
+@pytest.mark.parametrize(
     "case, warning",
     [
         ("duplicate", "duplicate season for player syn0000 age 22; keeping first row"),

@@ -1,5 +1,8 @@
 """K-means, silhouette selection, and cluster utilities against brute force."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -94,7 +97,7 @@ def test_silhouette_edge_cases():
     with pytest.raises(ShapeError):
         silhouette_score(points, np.array([[0, 0], [1, 1]]))
     with pytest.raises(ShapeError):
-        silhouette_score(points, np.array([0, 0, 1, 1]), dists=np.zeros((3, 3)))
+        silhouette_score(points, np.array([0, 0, 1, 1]), cluster_sums=np.zeros((4, 3)))
     with pytest.raises(ParameterError):
         silhouette_score(points, np.array([0, 0, -1, -1]))
     with pytest.raises(ParameterError):
@@ -103,7 +106,7 @@ def test_silhouette_edge_cases():
         silhouette_score(points, np.array([False, False, True, True]))
 
 
-def test_silhouette_memory_is_one_distance_matrix():
+def test_silhouette_memory_stays_below_a_quarter_distance_matrix():
     n = 1600
     points = np.random.default_rng(4).normal(size=(n, 64))
     labels = np.arange(n) % 5
@@ -113,21 +116,26 @@ def test_silhouette_memory_is_one_distance_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n * n * 8
+    assert peak < n * n * 8 / 4
 
 
 def test_distance_matrix_temporaries_stay_small():
-    """The (n, n) result plus row-chunk temporaries of at most 2 MB."""
-    n = 800
-    points = np.random.default_rng(6).normal(size=(n, 64))
-    clustering.pairwise_distances(points)  # first-call caches are not chunks
+    """select_k holds one row block's difference, distance and gathered
+    temporaries plus every candidate's (n, k) cluster sums, never (n, n)."""
+    n, d, ks = 800, 64, range(2, 9)
+    points = np.random.default_rng(6).normal(size=(n, d))
+    select_k(points[:50], k_range=range(2, 4))  # first-call caches are not blocks
     tracemalloc.start()
     try:
-        clustering.pairwise_distances(points)
+        select_k(points, k_range=ks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= n * n * 8 + 2 * 2**20
+    rows = max(1, clustering._CHUNK_ELEMENTS // (n * d))
+    temporaries = 8 * rows * n * (d + 2)
+    sums = 8 * n * sum(ks)
+    # the fits, the sort orders and numpy's bookkeeping
+    assert peak <= temporaries + sums + 2**18
 
 
 def test_select_k_scores_match_standalone_silhouette(monkeypatch):
@@ -139,10 +147,32 @@ def test_select_k_scores_match_standalone_silhouette(monkeypatch):
     for k, score in model.silhouette_by_k.items():
         labels = kmeans_fit(points, k, restarts=3, seed=5).assignments
         assert score == silhouette_score(points, labels)
-        # many row chunks with a ragged last one give the same bits
-        with monkeypatch.context() as m:
-            m.setattr(clustering, "_CHUNK_ELEMENTS", 3 * points.size)
-            assert score == silhouette_score(points, labels)
+        # one-row blocks, many blocks with a ragged last one, and one block
+        # of every row give the same bits
+        for chunk in (1, 3 * points.size, len(points) * points.size):
+            with monkeypatch.context() as m:
+                m.setattr(clustering, "_CHUNK_ELEMENTS", chunk)
+                assert score == silhouette_score(points, labels)
+
+
+def test_select_k_does_not_depend_on_the_blas_thread_count():
+    """No BLAS call sums a distance, so clusters.json is the same at 1 and 2
+    OpenBLAS threads given the same embeddings."""
+    src = os.path.dirname(os.path.dirname(clustering.__file__))
+    code = (
+        "import json, numpy as np; from careercast.clustering import select_k; "
+        "x = np.random.default_rng(12).normal(size=(1200, 64)); "
+        "print(json.dumps(select_k(x, seed=0).to_doc()))"
+    )
+    docs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        docs.append(proc.stdout)
+    assert docs[0] == docs[1]
 
 
 def test_select_k_finds_three_blobs_and_breaks_ties_low():
