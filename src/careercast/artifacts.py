@@ -251,11 +251,18 @@ def dataset_from_doc(doc: dict) -> Dataset:
         rows = doc[name]
 
         def block(key, *shape) -> np.ndarray:
-            arrays = [decode_f8(d[key], f"{name} {key}") for d in rows]
-            sizes = sorted({a.size for a in arrays})
-            if rows and sizes != [int(np.prod(shape))]:
-                raise ArtifactError(f"{name} {key} holds {sizes} values a player, expected {shape}")
-            return np.reshape(arrays, (len(rows), *shape))
+            """Each player's values decoded straight into one (players, *shape) array."""
+            out = np.empty((len(rows), *shape))
+            flat = out.reshape(len(rows), int(np.prod(shape)))
+            for d, dst in zip(rows, flat):
+                values = decode_f8(d[key], f"{name} {key}")
+                if values.size != dst.size:
+                    sizes = sorted({decode_f8(r[key], f"{name} {key}").size for r in rows})
+                    raise ArtifactError(
+                        f"{name} {key} holds {sizes} values a player, expected {shape}"
+                    )
+                dst[...] = values
+            return out
 
         raw = block("raw_input", len(INPUT_AGES), schema.n_features)
         target = block("target", len(TARGET_AGES))

@@ -75,10 +75,7 @@ def linear_fit(x: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
             "add an l2 penalty or drop redundant columns"
         )
     gram = xa.T @ xa
-    if l2 > 0.0:
-        penalty = np.eye(p + 1) * l2
-        penalty[p, p] = 0.0
-        gram = gram + penalty
+    gram[np.diag_indices(p)] += l2  # in place; the intercept's entry is gram[p, p]
     try:
         weights = np.linalg.solve(gram, xa.T @ y)
     except np.linalg.LinAlgError as exc:

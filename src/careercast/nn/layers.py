@@ -215,6 +215,9 @@ class Dropout(Layer):
         return grad_out * self._mask
 
 
+INFER_ROWS = 128  # rows per block of an LSTM inference forward
+
+
 class LSTM(Layer):
     """Single LSTM layer over (batch, steps, n_in); returns the final hidden state.
 
@@ -224,6 +227,11 @@ class LSTM(Layer):
     hidden state. No layer emits the (batch, steps, n_in) block an LSTM
     reads, so it is always a model's first layer: backward computes the
     parameter gradients only and returns None.
+
+    An inference forward runs ``INFER_ROWS`` rows at a time, so scoring
+    every player holds one block's gates, not the whole batch's; rows are
+    independent, and the block products equal the whole-batch ones bit for
+    bit. A training forward runs its batch as one block.
     """
 
     params = ("w_input", "w_hidden", "bias")
@@ -272,16 +280,23 @@ class LSTM(Layer):
             raise ShapeError(
                 f"lstm expects (batch, steps, {self.n_in}), got {x.shape}"
             )
-        batch, steps, _ = x.shape
-        h = np.zeros((batch, self.n_hidden))
-        c = np.zeros((batch, self.n_hidden))
-        cache = []
-        for t in range(steps):
+        self._x, self._cache = (x, []) if train else (None, None)
+        if train:
+            return self._unroll(x, self._cache)
+        h = np.empty((x.shape[0], self.n_hidden))
+        for lo in range(0, x.shape[0], INFER_ROWS):
+            h[lo : lo + INFER_ROWS] = self._unroll(x[lo : lo + INFER_ROWS])
+        return h
+
+    def _unroll(self, x, cache=None):
+        """The final hidden state of rows ``x``; appends each step's state to ``cache``."""
+        h = np.zeros((x.shape[0], self.n_hidden))
+        c = np.zeros((x.shape[0], self.n_hidden))
+        for t in range(x.shape[1]):
             h_prev, c_prev = h, c
             h, c, gates = self.step(x[:, t], h_prev, c_prev)
-            if train:
+            if cache is not None:
                 cache.append((gates, h_prev, c_prev))
-        self._x, self._cache = (x, cache) if train else (None, None)
         return h
 
     def backward(self, grad_out):
@@ -313,7 +328,8 @@ class LSTM(Layer):
             self.grad_w_input += da.T @ x[:, t]
             self.grad_w_hidden += da.T @ h_prev
             self.grad_bias += da.sum(axis=0)
-            dh = da @ self.w_hidden
+            if t:  # the first step's hidden gradient would flow to h_0, a constant
+                dh = da @ self.w_hidden
         return None
 
 

@@ -89,6 +89,9 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
     The model's parameters and gradients are first moved into one flat
     buffer each (see ``Layer.bind``) and stay there afterwards, so every
     Adam step, snapshot and restore is one whole-model array operation.
+    The best epoch's snapshot (one copy of the flat parameters and of each
+    state array) is allocated up front and overwritten in place at each
+    improving epoch.
     """
     config.validate()
     n = _n_samples(inputs)
@@ -115,7 +118,8 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
     optimizer = Adam(learning_rate=config.learning_rate)
     params, grads = _flatten(model)
     result = TrainResult()
-    best_snapshot = None
+    live = [params, *(arr for _, arr in model.state_items())]
+    best = [np.empty_like(arr) for arr in live]
     epochs_without_improvement = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -138,14 +142,17 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
         if val_loss < result.best_val_loss:
             result.best_val_loss = val_loss
             result.best_epoch = epoch
-            best_snapshot = _snapshot(model, params)
+            for dst, src in zip(best, live):
+                np.copyto(dst, src)
             epochs_without_improvement = 0
         else:
             epochs_without_improvement += 1
             if epochs_without_improvement >= config.patience:
                 break
 
-    _restore(model, params, best_snapshot)
+    if result.best_epoch:
+        for dst, src in zip(live, best):
+            np.copyto(dst, src)
     return result
 
 
@@ -165,16 +172,3 @@ def _flatten(model):
         for lo, hi, arr in zip(bounds[:-1], bounds[1:], arrays)
     )
     return params, grads
-
-
-def _snapshot(model, params):
-    return params.copy(), [arr.copy() for _, arr in model.state_items()]
-
-
-def _restore(model, params, snapshot):
-    if snapshot is None:
-        return
-    best_params, best_state = snapshot
-    np.copyto(params, best_params)
-    for (_, dst), src in zip(model.state_items(), best_state):
-        np.copyto(dst, src)

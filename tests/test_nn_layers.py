@@ -1,5 +1,8 @@
 """Forward/backward behavior of the individual network layers."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 from careercast.errors import ParameterError, ShapeError
 from careercast.forecaster import Forecaster
-from careercast.nn import BatchNorm, Dense, Dropout, LSTM, ReLU, Sequential
+from careercast.nn import BatchNorm, Dense, Dropout, LSTM, ReLU, Sequential, layers
 from careercast.rng import substream
 
 
@@ -195,6 +198,54 @@ def test_forecaster_inference_keeps_no_per_step_state():
     assert kept <= blocks.nbytes
     for layer in model.head.layers:  # no Dense input or ReLU mask outlives the call
         assert getattr(layer, "_x", None) is None and getattr(layer, "_mask", None) is None
+
+
+def test_lstm_inference_in_row_blocks_equals_one_whole_batch_unroll():
+    """Blocks of INFER_ROWS, twice over plus a remainder, give the bits of one
+    step loop over the whole batch (forecaster shapes, 1 OpenBLAS thread)."""
+    code = (
+        "import numpy as np; from careercast.nn import layers; "
+        "from careercast.rng import substream; "
+        "lstm = layers.LSTM(48, 64, substream(6, 'test.lstm')); "
+        "n = 2 * layers.INFER_ROWS + 37; "
+        "x = np.random.default_rng(7).normal(size=(n, 7, 48)); "
+        "h = c = np.zeros((n, 64))\n"
+        "for t in range(7): h, c, _ = lstm.step(x[:, t], h, c)\n"
+        "print(np.array_equal(lstm.forward(x), h))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.dirname(layers.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+def test_forecaster_inference_holds_one_row_block_of_gates():
+    """Scoring 2000 careers holds the head's whole-batch activations plus one
+    row block's LSTM step, not (2000, 4H) gate products.
+
+    Bound: the hidden state, the head input and the first Dense layer's two
+    outputs, at most 3 n (H + k) floats together (3.26 MB here), plus one
+    block's step: two (rows, 4H) products and eight (rows, H) gate and state
+    arrays (1.05 MB). Measured 3.27 MB; 15.5 MB when the whole batch ran as
+    one block.
+    """
+    n, k = 2000, 4
+    model = Forecaster(48, k=k, rng=substream(8, "test.lstm"))
+    rng = np.random.default_rng(9)
+    blocks = rng.normal(size=(n, 7, 48))
+    assignments = rng.integers(0, k, size=n)
+    model.predict_batch(blocks[:10], assignments[:10])  # first-call caches are not blocks
+    tracemalloc.start()
+    try:
+        out = model.predict_batch(blocks, assignments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    H = model.n_hidden
+    whole = 3 * n * (H + k) * 8
+    block = (2 * 4 * H + 8 * H) * layers.INFER_ROWS * 8
+    assert peak < out.nbytes + whole + block
 
 
 def test_sequential_composes_and_prefixes_names():

@@ -1,9 +1,11 @@
 """Adam, the training loop, and early stopping."""
 
+import math
+
 import numpy as np
 import pytest
 
-from careercast.errors import ConfigError, NumericError
+from careercast.errors import ConfigError, NumericError, ParameterError
 from careercast.forecaster import Forecaster
 from careercast.nn import (
     Adam,
@@ -13,6 +15,7 @@ from careercast.nn import (
     Sequential,
     TrainConfig,
     mse_loss,
+    optim,
     train_loop,
 )
 from careercast.rng import substream
@@ -74,6 +77,47 @@ def test_adam_matches_textbook_algorithm():
         opt.step(got, step_grads)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+def whole_buffer_adam(p, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam's folded update as whole-array passes, in Adam.step's op order."""
+    m, v, s = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
+    for t, g in enumerate(grads, 1):
+        root_c2 = math.sqrt(1.0 - beta2**t)
+        step_size = lr * root_c2 / (1.0 - beta1**t)
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=s)
+        m += s
+        v *= beta2
+        np.square(g, out=s)
+        s *= 1.0 - beta2
+        v += s
+        np.sqrt(v, out=s)
+        s += eps * root_c2
+        np.divide(m, s, out=s)
+        s *= step_size
+        p -= s
+
+
+def test_adam_in_blocks_equals_whole_buffer_passes():
+    """More than two blocks plus a remainder, 50 steps: the same bits."""
+    n = 40_001
+    assert n > 2 * optim.BLOCK and n % optim.BLOCK
+    rng = np.random.default_rng(11)
+    start = rng.normal(size=n)
+    grads = [rng.normal(size=n) * 10.0 ** rng.uniform(-4, 2) for _ in range(50)]
+    want = start.copy()
+    whole_buffer_adam(want, grads)
+    got = start.copy()
+    opt = Adam()
+    for g in grads:
+        opt.step([got], [g])
+    assert np.array_equal(got, want)
+
+
+def test_adam_refuses_a_parameter_it_cannot_update_in_place():
+    with pytest.raises(ParameterError):
+        Adam().step([np.zeros((4, 3)).T], [np.zeros((3, 4))])
 
 
 @pytest.mark.parametrize("kind", ["dense_batchnorm", "forecaster"])
