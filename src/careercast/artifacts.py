@@ -230,15 +230,19 @@ def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
 
 
 def normalize(dataset: Dataset) -> Dataset:
-    """Z-score each split's kept columns into ``input``: the one place that builds it."""
+    """Z-score each split's kept columns into ``input``: the one place that builds it.
+
+    ``stage1``, ``stage2`` and ``evaluate`` call it on the dataset they load;
+    ``predict`` applies ``norm_stats`` to the one block it scores instead.
+    """
     for part in (dataset.train, dataset.test):
         part.input = dataset.norm_stats.apply(part.raw, dataset.schema.names)
     return dataset
 
 
 def dataset_from_doc(doc: dict) -> Dataset:
-    """Rebuild a dataset from its document: refit ``norm_stats`` on the train
-    ``raw_input`` blocks, as ingest did, and ``normalize`` both splits.
+    """Rebuild a dataset from its document, refitting ``norm_stats`` on the
+    train ``raw_input`` blocks as ingest did; ``input`` stays None (see ``normalize``).
 
     A player whose ``encode_f8`` ``raw_input`` and ``target`` do not hold
     7 x features and 3 values raises ``ArtifactError``, and an empty train
@@ -272,4 +276,4 @@ def dataset_from_doc(doc: dict) -> Dataset:
 
     train, test = split("train"), split("test")
     stats = NormStats.fit(train.raw, schema.names)
-    return normalize(Dataset(train, test, stats, int(doc["seed"]), schema))
+    return Dataset(train, test, stats, int(doc["seed"]), schema)

@@ -83,9 +83,9 @@ def _schema_for(cfg: PipelineConfig):
 
 
 def _chain(cfg: PipelineConfig, names=()):
-    """The checked artifact chain behind ``names``, plus its dataset."""
+    """The checked artifact chain behind ``names``, plus its dataset, normalized."""
     chain = artifacts.load_chain(cfg.out_dir, (DATASET, *names))
-    return chain[DATASET].value, chain
+    return artifacts.normalize(chain[DATASET].value), chain
 
 
 def _proposed(chain):
@@ -379,7 +379,8 @@ def _upsert_predictions(path, series: str, predicted) -> None:
 def cmd_predict(cfg: PipelineConfig, args) -> dict:
     if bool(args.player) == bool(args.rows):
         raise ConfigError("pass exactly one of --player or --rows")
-    dataset, chain = _chain(cfg, (FORECASTER,))
+    chain = artifacts.load_chain(cfg.out_dir, (DATASET, FORECASTER))
+    dataset = chain[DATASET].value
     if args.player:
         split = next(
             (s for s in (dataset.train, dataset.test) if args.player in s.player_ids), None
@@ -388,12 +389,12 @@ def cmd_predict(cfg: PipelineConfig, args) -> dict:
             raise ArtifactError(
                 f"player {args.player!r} not found in the dataset artifact"
             )
-        block = split.input[split.player_ids.index(args.player)]
+        raw = split.raw[split.player_ids.index(args.player)]
         series = args.player
     else:
         raw = _rows_block(args.rows, dataset.schema)
-        block = dataset.norm_stats.apply(raw, dataset.schema.names)
         series = f"file:{os.path.basename(args.rows)}"
+    block = dataset.norm_stats.apply(raw, dataset.schema.names)  # only the scored block
     predicted = _proposed(chain)(block[None])[0]
     for age, value in zip(TARGET_AGES, predicted):
         print(f"age {age}: {value:+.2f} {dataset.schema.target_name}")

@@ -74,7 +74,7 @@ class Forecaster(Layer):
         hidden = self.lstm.forward(blocks, train=train, rng=rng)
         return self.head.forward(np.concatenate([hidden, extras], axis=1), train=train, rng=rng)
 
-    def backward(self, grad_out: np.ndarray):
+    def backward(self, grad_out: np.ndarray, input_grad=True):
         grad_hidden = self.head.backward(grad_out)
         # the one-hot block receives no gradient; peel off the LSTM part
         self.lstm.backward(grad_hidden[:, : self.n_hidden])

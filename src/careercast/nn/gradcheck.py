@@ -6,6 +6,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .losses import mse_loss
+from .training import _flatten
 
 
 def grad_check(
@@ -18,9 +19,10 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Runs one train-mode forward/backward to collect analytic gradients,
-    then perturbs parameter coordinates one at a time. Models under check
-    must be deterministic in train mode, i.e. dropout layers at rate 0
+    Binds the model's gradients as ``train_loop`` does, runs one train-mode
+    forward/backward to collect analytic gradients, then perturbs parameter
+    coordinates one at a time. Models under check must be deterministic in
+    train mode, i.e. dropout layers at rate 0
     (batchnorm is fine: its train-mode output is a pure function of the
     batch). With ``max_coords_per_param`` set, a seeded subset of
     coordinates per tensor is perturbed instead of all of them, which
@@ -32,6 +34,7 @@ def grad_check(
     if max_coords_per_param is not None and rng is None:
         raise ParameterError("coordinate sampling needs a generator")
 
+    _flatten(model)
     pred = model.forward(inputs, train=True)
     _, grad = mse_loss(pred, targets)
     model.backward(grad)

@@ -21,10 +21,11 @@ from ..errors import ParameterError, ShapeError
 class Layer:
     """Base interface: forward/backward plus named array access.
 
-    ``params`` names the trainable attributes in a fixed order; each has a
-    ``grad_<name>`` twin of the same shape. ``backward`` writes gradients
-    into those twin arrays rather than rebinding them, because
-    ``train_loop`` binds both to views of one flat buffer each. ``state``
+    ``params`` names the trainable attributes in a fixed order. A layer has
+    no gradients until ``bind`` gives each parameter a ``grad_<name>`` twin
+    (``train_loop`` and ``grad_check`` do); ``backward`` writes into those
+    arrays rather than rebinding them. A caller that discards ``backward``'s
+    input gradient passes ``input_grad=False``; Dense then skips it. ``state``
     names arrays that are not trained but still shape inference.
     ``children`` returns a composite's named sub-layers; every ``*_items``
     list and ``bind`` walk them after the layer's own arrays, prefixing
@@ -40,7 +41,7 @@ class Layer:
     def forward(self, x, train: bool = False, rng=None):
         raise NotImplementedError
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         raise NotImplementedError
 
     def children(self) -> list[tuple[str, "Layer"]]:
@@ -66,16 +67,16 @@ class Layer:
         return self._items("state")
 
     def bind(self, views) -> None:
-        """Move each parameter and its gradient into the next pair of ``views``.
+        """Move each parameter into the next pair of ``views``; the pair's other
+        array becomes its ``grad_<name>``, which nothing else creates.
 
         ``views`` yields (parameter, gradient) arrays in ``param_items``
-        order. Current values are copied in, so the layer computes exactly
+        order. Parameter values are copied in, so the layer computes exactly
         as before, but from then on it reads and writes the given arrays.
         """
         for name in self.params:
             param, grad = next(views)
             param[...] = getattr(self, name)
-            grad[...] = getattr(self, "grad_" + name)
             setattr(self, name, param)
             setattr(self, "grad_" + name, grad)
         for _, child in self.children():
@@ -96,8 +97,6 @@ class Dense(Layer):
         else:
             self.weight = rng.uniform(-limit, limit, size=(n_out, n_in))
         self.bias = np.zeros(n_out)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
         self._x = None
 
     def forward(self, x, train=False, rng=None):
@@ -108,12 +107,12 @@ class Dense(Layer):
         self._x = x if train else None
         return x @ self.weight.T + self.bias
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._x is None:
             raise ParameterError("dense backward requires a train-mode forward first")
         np.matmul(grad_out.T, self._x, out=self.grad_weight)
         np.sum(grad_out, axis=0, out=self.grad_bias)
-        return grad_out @ self.weight
+        return grad_out @ self.weight if input_grad else None
 
 
 class ReLU(Layer):
@@ -123,7 +122,7 @@ class ReLU(Layer):
         self._mask = mask if train else None
         return np.where(mask, x, 0.0)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._mask is None:
             raise ParameterError("relu backward requires a train-mode forward first")
         return grad_out * self._mask
@@ -148,8 +147,6 @@ class BatchNorm(Layer):
         self.shift = np.zeros(n)
         self.running_mean = np.zeros(n)
         self.running_var = np.ones(n)
-        self.grad_scale = np.zeros_like(self.scale)
-        self.grad_shift = np.zeros_like(self.shift)
         self._normed = None
         self._inv_std = None
 
@@ -174,7 +171,7 @@ class BatchNorm(Layer):
         self._normed = (x - mean) * self._inv_std
         return self.scale * self._normed + self.shift
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._normed is None:
             raise ParameterError("batchnorm backward requires a train-mode forward first")
         np.sum(grad_out * self._normed, axis=0, out=self.grad_scale)
@@ -209,7 +206,7 @@ class Dropout(Layer):
         self._mask = (rng.random(x.shape) >= self.rate) / keep
         return x * self._mask
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
@@ -249,9 +246,6 @@ class LSTM(Layer):
             self.w_hidden = rng.uniform(-lim_h, lim_h, size=(4 * n_hidden, n_hidden))
         self.bias = np.zeros(4 * n_hidden)
         self.bias[n_hidden : 2 * n_hidden] = 1.0  # forget gate starts open
-        self.grad_w_input = np.zeros_like(self.w_input)
-        self.grad_w_hidden = np.zeros_like(self.w_hidden)
-        self.grad_bias = np.zeros_like(self.bias)
         self._cache = None
         self._x = None
 
@@ -299,7 +293,7 @@ class LSTM(Layer):
                 cache.append((gates, h_prev, c_prev))
         return h
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._cache is None:
             raise ParameterError("lstm backward requires a train-mode forward first")
         x = self._x
@@ -344,10 +338,12 @@ class Sequential(Layer):
             x = layer.forward(x, train=train, rng=rng)
         return x
 
-    def backward(self, grad_out):
-        for layer in reversed(self.layers):
+    def backward(self, grad_out, input_grad=True):
+        for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        if input_grad:  # passed only to opt out, so a backward(grad_out) override composes
+            return self.layers[0].backward(grad_out)
+        return self.layers[0].backward(grad_out, input_grad=False)
 
     def children(self):
         return [(str(idx), layer) for idx, layer in enumerate(self.layers)]

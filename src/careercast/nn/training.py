@@ -86,9 +86,10 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
     validation epoch are restored. Fully deterministic given ``rng``, which
     draws the validation slice, every epoch's order and dropout masks.
 
-    The model's parameters and gradients are first moved into one flat
-    buffer each (see ``Layer.bind``) and stay there afterwards, so every
-    Adam step, snapshot and restore is one whole-model array operation.
+    The model's parameters are first moved into one flat buffer, and its
+    gradients created in another (see ``Layer.bind``); both stay there
+    afterwards, so every Adam step, snapshot and restore is one whole-model
+    array operation. Its backward skips the input gradient, which nothing reads.
     The best epoch's snapshot (one copy of the flat parameters and of each
     state array) is allocated up front and overwritten in place at each
     improving epoch.
@@ -129,7 +130,7 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
             batch_idx = epoch_order[lo:hi]
             pred = model.forward(_take(inputs, batch_idx), train=True, rng=rng)
             loss, grad = mse_loss(pred, targets[batch_idx])
-            model.backward(grad)
+            model.backward(grad, input_grad=False)
             optimizer.step([params], [grads])
             total += loss * batch_idx.size
         result.train_loss.append(total / train_idx.size)
@@ -157,16 +158,16 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
 
 
 def _flatten(model):
-    """One parameter buffer and one gradient buffer for the whole model.
+    """One parameter buffer and one zero-filled gradient buffer for the whole model.
 
-    Every layer's parameters and gradients are rebound to views of the two
-    buffers, in ``param_items`` order, so one optimizer step and one
-    snapshot copy cover the model.
+    Every layer's parameters are rebound to, and its gradients created as,
+    views of the two buffers in ``param_items`` order, so one optimizer step
+    and one snapshot copy cover the model.
     """
     arrays = [arr for _, arr in model.param_items()]
     bounds = np.cumsum([0] + [arr.size for arr in arrays])
     params = np.empty(bounds[-1])
-    grads = np.empty(bounds[-1])
+    grads = np.zeros(bounds[-1])
     model.bind(
         (params[lo:hi].reshape(arr.shape), grads[lo:hi].reshape(arr.shape))
         for lo, hi, arr in zip(bounds[:-1], bounds[1:], arrays)

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ import pytest
 
 import careercast
 from careercast import artifacts
-from careercast.cli import main
+from careercast.cli import _proposed, main
 from careercast.ingest import INPUT_AGES
 from careercast.nn.serialize import decode_f8, encode_f8
+from careercast.nn.training import _flatten
 from careercast.schema import default_schema
 from careercast.synth import default_specs, write_csv
 
@@ -905,6 +907,57 @@ def test_predict_rows_of_a_dataset_player_match_the_player(pipeline, tmp_path):
     by_player = predictions_of(pred_path, "syn0003")
     assert len(by_player) == 3
     assert predictions_of(pred_path, "file:career.csv") == by_player
+
+
+PREDICT_TOLERANCE = 1e-9  # one-row head products may differ from whole-split ones in the last bits
+
+
+def test_predict_by_player_agrees_with_evaluate(pipeline, tmp_path):
+    """``predict --player`` forecasts what ``evaluate`` scored: a test player's rows
+    of the per-player curves report, and a train player's row of the train-split
+    forecast (which no report holds), recomputed here as ``evaluate`` computes it."""
+    out_dir, _ = pipeline
+    copy = tmp_path / "run"
+    shutil.copytree(out_dir, copy)
+    base = ["--out", str(copy), "--seed", "0", "--config", str(copy / "config.json")]
+    chain = artifacts.load_chain(copy, [artifacts.FORECASTER])
+    dataset = artifacts.normalize(chain[artifacts.DATASET].value)
+    with open(copy / "reports" / "proposed_curves_player.csv", newline="", encoding="utf-8") as fh:
+        curves = list(csv.DictReader(fh))
+    test_id = dataset.test.player_ids[-1]
+    train_id = dataset.train.player_ids[-1]
+    expected = {
+        test_id: [float(r["predicted"]) for r in curves if r["series"] == test_id],
+        train_id: _proposed(chain)(dataset.train.input)[-1],
+    }
+    for pid, want in expected.items():
+        assert main(["predict", *base, "--player", pid]) == 0
+        got = [float(v) for _, v in predictions_of(copy / "reports" / "predictions.csv", pid)]
+        assert len(got) == len(want) == 3
+        assert np.max(np.abs(np.subtract(got, want))) <= PREDICT_TOLERANCE, pid
+
+
+def test_loaded_models_hold_no_gradients_until_bound(pipeline):
+    """Decoding the forecaster's chain keeps each parameter once: no gradient twin
+    exists until training or a gradient check binds one."""
+    out_dir, _ = pipeline
+    tracemalloc.start()
+    try:
+        chain = artifacts.load_chain(out_dir, [artifacts.FORECASTER])
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    models = [chain[name].value for name in (artifacts.AUTOENCODER, artifacts.FORECASTER)]
+    param_bytes = sum(arr.nbytes for model in models for _, arr in model.param_items())
+    # the parameters, plus under half their size for the dataset, the state and
+    # the objects; a zero twin of every parameter would double the first term
+    assert kept < 1.5 * param_bytes
+    for model in models:
+        with pytest.raises(AttributeError):
+            model.grad_items()
+        _flatten(model)
+        assert [n for n, _ in model.grad_items()] == [n for n, _ in model.param_items()]
+        assert not any(arr.any() for _, arr in model.grad_items())
 
 
 def test_predict_names_the_schema_target(tmp_path, capsys):

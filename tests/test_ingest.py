@@ -299,7 +299,7 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
     assert len(careers) == 1
     assert careers.player_ids == ("great",)
     assert careers.raw.shape == (1, 7, 4)
-    assert careers.input is None  # only loading a dataset normalizes
+    assert careers.input is None  # only artifacts.normalize builds it
     assert np.array_equal(careers.target[0], np.array([8.80, 7.10, 9.00]))
     ti = small_schema.target_index
     assert np.array_equal(
@@ -630,7 +630,8 @@ def test_flattened_train_inputs_share_the_dataset_block(tmp_path):
     path = str(tmp_path / "pool.csv")
     write_csv(path, default_specs(3, 9), seed=5, schema=schema)
     dataset, _ = ingest_csv(path, schema)
-    loaded = artifacts.dataset_from_doc(artifacts.dataset_to_doc(dataset))
+    doc = artifacts.dataset_to_doc(dataset)
+    loaded = artifacts.normalize(artifacts.dataset_from_doc(doc))
     for ds in (artifacts.normalize(dataset), loaded):
         assert np.shares_memory(flatten_batch(ds.train.input), ds.train.input)
 

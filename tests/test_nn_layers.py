@@ -8,9 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from careercast.autoencoder import Autoencoder
 from careercast.errors import ParameterError, ShapeError
 from careercast.forecaster import Forecaster
 from careercast.nn import BatchNorm, Dense, Dropout, LSTM, ReLU, Sequential, layers
+from careercast.nn.training import _flatten
 from careercast.rng import substream
 
 
@@ -28,6 +30,7 @@ def test_dense_forward_oracle():
 
 def test_dense_backward_oracle():
     layer = Dense(2, 1)
+    _flatten(layer)  # gradients exist only once bound
     layer.weight[:] = [[2.0, -1.0]]
     x = np.array([[1.0, 3.0], [0.5, -2.0]])
     layer.forward(x, train=True)
@@ -47,6 +50,23 @@ def test_dense_init_scale_and_shape():
         assert np.array_equal(layer.bias, np.zeros(20))
     with pytest.raises(ShapeError):
         Dense(3, 2).forward(np.zeros((4, 5)))
+
+
+def test_skipping_the_unread_input_gradient_keeps_parameter_gradients():
+    """``input_grad=False``, as ``train_loop`` passes it, drops only the first Dense
+    layer's input-gradient product; every parameter gradient keeps its bits."""
+    rng = np.random.default_rng(6)
+    x, grad_out = rng.normal(size=(9, 12)), rng.normal(size=(9, 12))
+    runs = []
+    for input_grad in (True, False):
+        model = Autoencoder(12, 8, 4, 0.0, rng=substream(6, "test.input_grad")).model
+        _flatten(model)
+        model.forward(x, train=True)
+        returned = model.backward(grad_out, input_grad=input_grad)
+        runs.append((returned, [arr.tobytes() for _, arr in model.grad_items()]))
+    (full, grads), (skipped, grads_skipped) = runs
+    assert full.shape == x.shape and skipped is None
+    assert grads_skipped == grads
 
 
 def test_relu_forward_backward():
@@ -172,6 +192,7 @@ def test_lstm_train_and_inference_forwards_agree():
 
 def test_lstm_backward_needs_a_train_mode_forward():
     layer = LSTM(5, 8, substream(3, "test.lstm"))
+    _flatten(layer)
     x = np.random.default_rng(4).normal(size=(6, 7, 5))
     with pytest.raises(ParameterError):
         layer.backward(np.ones((6, 8)))
@@ -264,4 +285,5 @@ def test_sequential_composes_and_prefixes_names():
     ]:
         # training flattens, and Adam keeps its slots, in this order
         assert [name for name, _ in composite.param_items()] == expected
+        _flatten(composite)
         assert [name for name, _ in composite.grad_items()] == expected

@@ -65,7 +65,7 @@ def test_counts_labels_and_categories():
     assert careers.category == ("star",) * 3 + ("regular",) * 5
     assert len(set(careers.player_ids)) == 8
     assert careers.raw.shape == (8, 7, 48)
-    assert careers.input is None  # only loading a dataset normalizes
+    assert careers.input is None  # only artifacts.normalize builds it
 
 
 def test_noiseless_careers_follow_the_curve_exactly():
