@@ -952,9 +952,14 @@ def test_loaded_models_hold_no_gradients_until_bound(pipeline):
     # the parameters, plus under half their size for the dataset, the state and
     # the objects; a zero twin of every parameter would double the first term
     assert kept < 1.5 * param_bytes
+
+    def layers_of(layer):
+        yield layer
+        for _, child in layer.children():
+            yield from layers_of(child)
+
     for model in models:
-        with pytest.raises(AttributeError):
-            model.grad_items()
+        assert not [n for layer in layers_of(model) for n in vars(layer) if n.startswith("grad_")]
         _flatten(model)
         assert [n for n, _ in model.grad_items()] == [n for n, _ in model.param_items()]
         assert not any(arr.any() for _, arr in model.grad_items())

@@ -235,7 +235,9 @@ def test_dataset_round_trip_recomputes_inputs_bit_exactly(small_schema, tmp_path
     write_artifact(tmp_path, DATASET, dataset_to_doc(ds, {"rows_parsed": 140}))
     doc = json.loads((tmp_path / DATASET).read_text())
     assert "input" not in doc["train"][0]
-    loaded = normalize(load_chain(tmp_path, [DATASET])[DATASET].value)
+    loaded = load_chain(tmp_path, [DATASET])[DATASET].value
+    assert loaded.train.input is None and loaded.test.input is None  # commands normalize
+    loaded = normalize(loaded)
 
     assert loaded.seed == ds.seed and loaded.schema == ds.schema
     for attr in ("names", "dropped"):
