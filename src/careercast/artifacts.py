@@ -6,11 +6,12 @@ and hashed in bounded batches rather than held whole. Weights and career rows
 are bit-exact ``nn.serialize.encode_f8`` text. Every pipeline artifact is
 one flat envelope: the header keys ``format``, ``version``, ``kind`` and
 ``inputs`` (the SHA-256 of each artifact it was built from, by file name)
-sit beside the body keys. ``load_chain`` reads the artifacts a command needs
-plus everything they were built from, refuses the chain unless every
-recorded hash matches the bytes it read, and decodes each document into the
-object it holds. Anything time-dependent goes in the ``run_info.json``
-sidecar, which is excluded from hashing and from determinism comparisons.
+sit beside the body keys. ``load_chain`` reads the artifacts a command names
+plus everything they were built from, refuses the chain unless every header
+and every recorded hash matches the bytes it read, and decodes only the
+named documents into the objects they hold. Anything time-dependent goes in
+the ``run_info.json`` sidecar, which is excluded from hashing and from
+determinism comparisons.
 """
 
 from __future__ import annotations
@@ -133,21 +134,23 @@ def write_artifact(out_dir, name: str, body: dict, inputs: dict | None = None) -
 
 
 def load_chain(out_dir, names) -> dict[str, Artifact]:
-    """Load ``names`` and every artifact they were built from, by file name.
+    """Build ``names``, by file name, after checking everything they were built from.
 
-    Each file is read once and hashed from the bytes parsed, and each
-    document is decoded (a ``Dataset``, ``Autoencoder``, ``ClusterModel``
-    or ``Forecaster``) before the next file is read, so only one parsed
-    document is alive at a time. A missing, corrupt or foreign artifact, a
+    Every file of the chain is read once, hashed from the bytes parsed and
+    header-checked, and its ``inputs`` are compared with the files on disk;
+    only a named file is decoded (into a ``Dataset``, ``Autoencoder``,
+    ``ClusterModel`` or ``Forecaster``) and returned. Each document is
+    dropped before the next file is read, so only one parsed document is
+    alive at a time. A missing, corrupt or foreign artifact, a named
     document that does not decode, or an ``inputs`` hash that differs from
     the file on disk, raises ``ArtifactError`` naming the file or the
     command to rerun.
     """
-    loaded = {}
+    digests, built = {}, {}
 
-    def load(name):
-        if name in loaded:
-            return loaded[name]
+    def check(name):
+        if name in digests:
+            return digests[name]
         if name not in CHAIN:
             raise ArtifactError(f"unknown artifact {name!r} in an inputs list")
         path = os.path.join(out_dir, name)
@@ -163,28 +166,29 @@ def load_chain(out_dir, names) -> dict[str, Artifact]:
                 f"{path}: not a {FORMAT} v{VERSION} {kind!r} artifact "
                 f"(found format, version, kind {header}); rerun {rerun}"
             )
-        inputs = doc["inputs"]
-        try:
-            loaded[name] = Artifact(decode(doc), digest)
-        except (CareerCastError, LookupError, TypeError, ValueError) as exc:
-            detail = exc if isinstance(exc, CareerCastError) else repr(exc)
-            raise ArtifactError(f"{path}: corrupt artifact: {detail}; rerun {rerun}") from None
+        inputs, digests[name] = doc["inputs"], digest
+        if name in names:
+            try:
+                built[name] = Artifact(decode(doc), digest)
+            except (CareerCastError, LookupError, TypeError, ValueError) as exc:
+                detail = exc if isinstance(exc, CareerCastError) else repr(exc)
+                raise ArtifactError(f"{path}: corrupt artifact: {detail}; rerun {rerun}") from None
         del doc  # before any upstream file is parsed
         for upstream, expected in inputs.items():
-            if load(upstream).sha256 != expected:
+            if check(upstream) != expected:
                 raise ArtifactError(
                     f"{name} was built from a different {upstream} "
                     f"(hash mismatch); rerun {rerun}"
                 )
-        return loaded[name]
+        return digest
 
     for name in names:
-        load(name)
-    return loaded
+        check(name)
+    return built
 
 
-def write_csv_table(path, columns, rows) -> None:
-    """CSV with repr-formatted floats (17 significant digits survive).
+def write_csv_table(path, columns, rows) -> str:
+    """CSV with repr-formatted floats (17 significant digits survive); returns its SHA-256.
 
     Cells are quoted where the csv module needs to, and None is an empty cell.
     """
@@ -194,6 +198,7 @@ def write_csv_table(path, columns, rows) -> None:
         writer.writerows(
             [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
         )
+    return file_hash(path)
 
 
 def write_run_info(out_dir, command: str, seed: int, artifact_hashes: dict) -> None:

@@ -9,8 +9,9 @@ right before a file is written into it, so a refused command creates nothing.
 
 Artifacts live under the output directory with fixed names. Each is one
 ``artifacts.envelope`` carrying the SHA-256 of the artifacts it was built
-from, and each command reads only the artifacts its request needs, through
-``artifacts.load_chain``, which refuses inputs from a different run.
+from. Each command names every artifact it reads to ``artifacts.load_chain``,
+which builds only those and refuses them unless every file they were built
+from, hash-checked but not decoded, is from the same run.
 Exit codes: 0 success, 1 usage or configuration error (a ``--config`` that
 cannot be read included), 2 data or artifact error (any other file that
 cannot be read or written included), 3 numeric failure. Warnings from the
@@ -46,6 +47,8 @@ from .schema import default_schema, load_schema
 
 REPORTS = "reports"
 PREDICTIONS = "predictions.csv"
+# the artifacts each stored forecaster reads besides dataset.json
+READS = {"proposed": (AUTOENCODER, CLUSTERS, FORECASTER), "standard_lstm": (FORECASTER_STANDARD,)}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,23 +86,29 @@ def _schema_for(cfg: PipelineConfig):
 
 
 def _chain(cfg: PipelineConfig, names=()):
-    """The checked artifact chain behind ``names``, plus its dataset, normalized."""
+    """``names`` and the dataset, normalized, built from their checked chain."""
     chain = artifacts.load_chain(cfg.out_dir, (DATASET, *names))
     return artifacts.normalize(chain[DATASET].value), chain
 
 
 def _proposed(chain):
-    """The conditioned forecast of (n, steps, features) blocks.
+    """The conditioned forecast of (n, steps, features) blocks, from ``READS["proposed"]``.
 
     Each block is embedded, assigned its nearest career type, and fed with
     that type to the forecaster; ``evaluate`` and ``predict`` both use it.
     """
-    ae, clusters, model = (chain[n].value for n in (AUTOENCODER, CLUSTERS, FORECASTER))
+    ae, clusters, model = (chain[n].value for n in READS["proposed"])
 
     def forecast(blocks):
         return model.predict_batch(blocks, clusters.assign(ae.encode(flatten_batch(blocks))))
 
     return forecast
+
+
+def _write_report(cfg: PipelineConfig, name: str, columns, rows) -> dict:
+    """Write the table ``reports/<name>``; returns its SHA-256 by that path."""
+    path = _out_path(cfg, REPORTS, name)
+    return {f"{REPORTS}/{name}": artifacts.write_csv_table(path, columns, rows)}
 
 
 def cmd_synth(cfg: PipelineConfig, args) -> dict:
@@ -171,8 +180,9 @@ def cmd_stage1(cfg: PipelineConfig, args) -> dict:
         {"clusters": clusters.to_doc(), "seed": cfg.seed},
         {**inputs, AUTOENCODER: ae_hash},
     )
-    artifacts.write_csv_table(
-        _out_path(cfg, REPORTS, "silhouette.csv"),
+    silhouette = _write_report(
+        cfg,
+        "silhouette.csv",
         ("k", "silhouette", "selected"),
         [
             (k, score, 1 if k == clusters.k else 0)
@@ -189,7 +199,7 @@ def cmd_stage1(cfg: PipelineConfig, args) -> dict:
     )
     sizes = np.bincount(clusters.train_assignments, minlength=clusters.k)
     print(f"cluster sizes: {' '.join(str(int(c)) for c in sizes)}")
-    return {AUTOENCODER: ae_hash, CLUSTERS: cl_hash}
+    return {AUTOENCODER: ae_hash, CLUSTERS: cl_hash, **silhouette}
 
 
 def cmd_stage2(cfg: PipelineConfig, args) -> dict:
@@ -263,13 +273,13 @@ def _fmt_r2(value) -> str:
 def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
     from .evaluation import evaluate, export_curves, export_scatter
     models = cfg.models
-    needs = {"proposed": FORECASTER, "standard_lstm": FORECASTER_STANDARD}
-    dataset, chain = _chain(cfg, [needs[m] for m in models if m in needs])
+    dataset, chain = _chain(cfg, [name for m in models for name in READS.get(m, ())])
     fns = _predict_fns(cfg, dataset, chain, models)
 
     comparison_rows = []
     category_rows = []
     summary = {}
+    written = {}
     for name in models:
         train_report = evaluate(name, fns[name], dataset.train)
         test_report = evaluate(name, fns[name], dataset.test)
@@ -288,12 +298,10 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
             for cat, block in sorted(report.per_category.items()):
                 category_rows.append((name, split, cat, block.mae, block.r2, block.n))
         for by in ("player", "category"):
-            cols, rows = export_curves(test_report, by=by)
-            artifacts.write_csv_table(
-                _out_path(cfg, REPORTS, f"{name}_curves_{by}.csv"), cols, rows
+            written |= _write_report(
+                cfg, f"{name}_curves_{by}.csv", *export_curves(test_report, by=by)
             )
-        cols, rows = export_scatter(test_report)
-        artifacts.write_csv_table(_out_path(cfg, REPORTS, f"{name}_scatter.csv"), cols, rows)
+        written |= _write_report(cfg, f"{name}_scatter.csv", *export_scatter(test_report))
         summary[name] = {"train": train_report.to_doc(), "test": test_report.to_doc()}
         print(
             f"{name:<14} train MAE {train_report.overall.mae:6.3f} "
@@ -302,20 +310,22 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
             f"R2 {_fmt_r2(test_report.overall.r2):>7}"
         )
 
-    artifacts.write_csv_table(
-        _out_path(cfg, REPORTS, "comparison.csv"),
+    written |= _write_report(
+        cfg,
+        "comparison.csv",
         ("model", "train_mae", "train_r2", "test_mae", "test_r2", "n_train", "n_test"),
         comparison_rows,
     )
-    artifacts.write_csv_table(
-        _out_path(cfg, REPORTS, "per_category.csv"),
+    written |= _write_report(
+        cfg,
+        "per_category.csv",
         ("model", "split", "category", "mae", "r2", "n"),
         category_rows,
     )
-    eval_hash = artifacts.write_json(
+    written[f"{REPORTS}/evaluation.json"] = artifacts.write_json(
         _out_path(cfg, REPORTS, "evaluation.json"), {"models": summary}
     )
-    return {"reports/evaluation.json": eval_hash}
+    return written
 
 
 def _rows_block(path, schema) -> np.ndarray:
@@ -347,8 +357,9 @@ def _rows_block(path, schema) -> np.ndarray:
     return block
 
 
-def _upsert_predictions(path, series: str, predicted) -> None:
-    """Rewrite the predictions table with this series' rows replaced."""
+def _upsert_predictions(path, series: str, predicted) -> str:
+    """Rewrite the predictions table with this series' rows replaced; returns
+    its SHA-256."""
     table = {}
     if os.path.exists(path):
         with open(path, newline="", encoding="utf-8") as fh:
@@ -373,13 +384,13 @@ def _upsert_predictions(path, series: str, predicted) -> None:
     for age, value in zip(TARGET_AGES, predicted):
         table[(series, age)] = repr(float(value))
     rows = [(s, a, v) for (s, a), v in sorted(table.items())]
-    artifacts.write_csv_table(path, ("series", "age", "predicted"), rows)
+    return artifacts.write_csv_table(path, ("series", "age", "predicted"), rows)
 
 
 def cmd_predict(cfg: PipelineConfig, args) -> dict:
     if bool(args.player) == bool(args.rows):
         raise ConfigError("pass exactly one of --player or --rows")
-    chain = artifacts.load_chain(cfg.out_dir, (DATASET, FORECASTER))
+    chain = artifacts.load_chain(cfg.out_dir, (DATASET, *READS["proposed"]))
     dataset = chain[DATASET].value
     if args.player:
         split = next(
@@ -399,8 +410,7 @@ def cmd_predict(cfg: PipelineConfig, args) -> dict:
     for age, value in zip(TARGET_AGES, predicted):
         print(f"age {age}: {value:+.2f} {dataset.schema.target_name}")
     pred_path = _out_path(cfg, REPORTS, PREDICTIONS)
-    _upsert_predictions(pred_path, series, predicted)
-    return {f"reports/{PREDICTIONS}": artifacts.file_hash(pred_path)}
+    return {f"{REPORTS}/{PREDICTIONS}": _upsert_predictions(pred_path, series, predicted)}
 
 
 def cmd_gradcheck(args) -> int:

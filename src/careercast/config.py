@@ -61,8 +61,8 @@ class PipelineConfig:
             )
         if not all(is_real(v) and v >= 0 for v in (self.ridge_lambda, self.linear_lambda)):
             raise ConfigError("regression penalties must be non-negative numbers")
-        if not isinstance(self.models, (list, tuple)):
-            raise ConfigError(f"models must be a list of names, got {self.models!r}")
+        if not isinstance(self.models, (list, tuple)) or not self.models:
+            raise ConfigError(f"models must be a non-empty list of names, got {self.models!r}")
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise ConfigError(

@@ -16,7 +16,8 @@ import pytest
 
 import careercast
 from careercast import artifacts
-from careercast.cli import _proposed, main
+from careercast.cli import READS, _proposed, main
+from careercast.config import MODEL_NAMES
 from careercast.ingest import INPUT_AGES
 from careercast.nn.serialize import decode_f8, encode_f8
 from careercast.nn.training import _flatten
@@ -445,15 +446,49 @@ def test_evaluate_loads_only_what_the_models_need(pipeline, tmp_path):
 
 
 def test_load_chain_reads_each_file_once(pipeline, monkeypatch):
+    """Every file of the chain is read once; only the named ones are returned."""
     out_dir, _ = pipeline
     reads = []
     real = artifacts.read_json
     monkeypatch.setattr(artifacts, "read_json", lambda path: reads.append(path) or real(path))
-    chain = artifacts.load_chain(out_dir, ["forecaster.json", "forecaster_standard.json"])
-    assert sorted(chain) == sorted(CHAINED)
+    named = ["forecaster.json", "forecaster_standard.json"]
+    chain = artifacts.load_chain(out_dir, named)
+    assert sorted(chain) == sorted(named)
     assert sorted(os.path.basename(p) for p in reads) == sorted(CHAINED)
-    for name in CHAINED:
+    for name in named:
         assert chain[name].sha256 == hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, built, checked",
+    [
+        (["stage2"], ["clusters.json"], ["autoencoder.json"]),
+        (["stage2", "--standard"], [], []),
+        (["evaluate", "--models", "standard_lstm"], ["forecaster_standard.json"], []),
+        (["predict", "--player", "syn0000"], list(READS["proposed"]), []),
+    ],
+    ids=["stage2", "stage2-standard", "evaluate-standard_lstm", "predict"],
+)
+def test_each_command_builds_only_what_it_names(pipeline, tmp_path, monkeypatch, argv, built,
+                                                checked):
+    """A command decodes ``dataset.json`` and the artifacts it reads; every file
+    those were built from is read and hash-checked once, but not decoded."""
+    out_dir, _ = pipeline
+    copy = tmp_path / "run"
+    shutil.copytree(out_dir, copy)
+    decoded, reads = [], []
+    for name, (rerun, decode) in list(artifacts.CHAIN.items()):
+        monkeypatch.setitem(artifacts.CHAIN, name, (
+            rerun, lambda doc, name=name, decode=decode: decoded.append(name) or decode(doc)
+        ))
+    real = artifacts.read_json
+    monkeypatch.setattr(
+        artifacts, "read_json", lambda path: reads.append(os.path.basename(path)) or real(path)
+    )
+    assert main([*argv, "--out", str(copy), "--seed", "0",
+                 "--config", str(copy / "config.json")]) == 0
+    assert sorted(decoded) == sorted(["dataset.json", *built])
+    assert sorted(reads) == sorted(["dataset.json", *built, *checked])
 
 
 def test_stage1_prints_cluster_sizes(pipeline, tmp_path, capsys):
@@ -592,10 +627,14 @@ def test_malformed_input_file_is_refused(pipeline, tmp_path, capsys, argv, name,
 RUN_RECORDS = [
     (["synth", "--stars", "3", "--regulars", "12"], ["synthetic.csv"]),
     (["ingest", "--input", "{out}/synthetic.csv"], ["dataset.json"]),
-    (["stage1"], ["autoencoder.json", "clusters.json"]),
+    (["stage1"], ["autoencoder.json", "clusters.json", "reports/silhouette.csv"]),
     (["stage2"], ["forecaster.json"]),
     (["stage2", "--standard"], ["forecaster_standard.json"]),
-    (["evaluate"], ["reports/evaluation.json"]),
+    (["evaluate"], [
+        "reports/evaluation.json", "reports/comparison.csv", "reports/per_category.csv",
+        *(f"reports/{model}_{table}.csv" for model in MODEL_NAMES
+          for table in ("curves_player", "curves_category", "scatter")),
+    ]),
     (["predict", "--player", "syn0000"], ["reports/predictions.csv"]),
 ]
 
@@ -798,6 +837,7 @@ def test_usage_errors(tmp_path, capsys):
         ({"k_range": 5}, []),
         ({"models": "proposed"}, []),
         ({"models": 5}, []),
+        ({"models": []}, []),
     ],
     ids=[
         "seed-flag",
@@ -814,10 +854,12 @@ def test_usage_errors(tmp_path, capsys):
         "k_range-int",
         "models-str",
         "models-int",
+        "models-empty",
     ],
 )
 def test_mistyped_config_is_a_config_error(tmp_path, capsys, config, flags):
-    """A negative seed or a value of the wrong type exits 1 with a config error."""
+    """A negative seed, a value of the wrong type or an empty model list exits 1
+    with a config error."""
     argv = ["synth", "--out", str(tmp_path / "o"), *flags]
     if config is not None:
         path = tmp_path / "config.json"
@@ -920,7 +962,7 @@ def test_predict_by_player_agrees_with_evaluate(pipeline, tmp_path):
     copy = tmp_path / "run"
     shutil.copytree(out_dir, copy)
     base = ["--out", str(copy), "--seed", "0", "--config", str(copy / "config.json")]
-    chain = artifacts.load_chain(copy, [artifacts.FORECASTER])
+    chain = artifacts.load_chain(copy, [artifacts.DATASET, *READS["proposed"]])
     dataset = artifacts.normalize(chain[artifacts.DATASET].value)
     with open(copy / "reports" / "proposed_curves_player.csv", newline="", encoding="utf-8") as fh:
         curves = list(csv.DictReader(fh))
@@ -938,12 +980,12 @@ def test_predict_by_player_agrees_with_evaluate(pipeline, tmp_path):
 
 
 def test_loaded_models_hold_no_gradients_until_bound(pipeline):
-    """Decoding the forecaster's chain keeps each parameter once: no gradient twin
+    """Building what ``predict`` reads keeps each parameter once: no gradient twin
     exists until training or a gradient check binds one."""
     out_dir, _ = pipeline
     tracemalloc.start()
     try:
-        chain = artifacts.load_chain(out_dir, [artifacts.FORECASTER])
+        chain = artifacts.load_chain(out_dir, [artifacts.DATASET, *READS["proposed"]])
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

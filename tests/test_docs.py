@@ -32,3 +32,10 @@ def test_readme_commands_table_matches_the_parser():
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
     assert sorted(named) == sorted(subparsers.choices)
+
+
+def test_readme_artifacts_tree_names_every_chained_file():
+    text = README.read_text(encoding="utf-8")
+    tree = text.split("\n## Artifacts\n", 1)[1].split("```\n", 2)[1]
+    listed = {line.split()[0] for line in tree.splitlines() if line.strip()}
+    assert set(artifacts.CHAIN) <= listed
