@@ -17,6 +17,12 @@ from .ingest import TARGET_AGES
 from .nn import Dense, ReLU, Sequential, TrainConfig, TrainResult, train_loop
 
 MLP_HIDDEN = (64, 32)
+# The flattened design matrix usually has more columns than there are players,
+# so exact unpenalized least squares is rank-deficient by construction; this
+# penalty keeps the linear baseline well-defined while staying numerically
+# indistinguishable from OLS on full-rank problems.
+LINEAR_LAMBDA = 1e-8
+RIDGE_LAMBDA = 1.0
 
 
 def last_value_predict(raw: np.ndarray, target_index: int) -> np.ndarray:

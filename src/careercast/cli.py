@@ -1,17 +1,19 @@
 """Command-line pipeline: ingest, embed and cluster, forecast, evaluate.
 
-``main`` frames every command but ``gradcheck``: it validates one
-``PipelineConfig`` (the defaults, then ``--config``, then the flags, whose
-``dest`` is the field they set), runs ``cmd_<name>(cfg, args)``, which returns
-the SHA-256 of each file it wrote by its path relative to the output
-directory, and records that map in ``run_info.json``. A directory is made only
-right before a file is written into it, so a refused command creates nothing.
+``main`` frames every command but ``gradcheck``. Before anything is read, it
+checks the flags and validates one ``PipelineConfig`` (the defaults, then
+``--config``, then the flags, whose ``dest`` is the field they set). It loads
+the artifacts the command declares as its ``reads`` with one ``load_chain``
+call, runs ``cmd_<name>(cfg, args, chain)``, which returns the SHA-256 of each
+file it wrote by its path relative to the output directory, and records that
+map in ``run_info.json``. A directory is made only right before a file is
+written into it, so a refused command creates nothing.
 
 Artifacts live under the output directory with fixed names. Each is one
 ``artifacts.envelope`` carrying the SHA-256 of the artifacts it was built
-from. Each command names every artifact it reads to ``artifacts.load_chain``,
-which builds only those and refuses them unless every file they were built
-from, hash-checked but not decoded, is from the same run.
+from, which are the ones its command read. ``load_chain`` builds only the
+declared artifacts and refuses them unless every file they were built from,
+hash-checked but not decoded, is from the same run.
 Exit codes: 0 success, 1 usage or configuration error (a ``--config`` that
 cannot be read included), 2 data or artifact error (any other file that
 cannot be read or written included), 3 numeric failure. Warnings from the
@@ -33,7 +35,8 @@ import numpy as np
 from . import artifacts
 from .artifacts import AUTOENCODER, CLUSTERS, DATASET, FORECASTER, FORECASTER_STANDARD
 from .autoencoder import ae_train, flatten_batch
-from .baselines import last_value_predict, linear_fit, linear_predict, mlp_baseline_train
+from .baselines import LINEAR_LAMBDA, RIDGE_LAMBDA, last_value_predict, linear_fit
+from .baselines import linear_predict, mlp_baseline_train
 from .clustering import select_k
 from .config import MODEL_NAMES, PipelineConfig, load_config
 from .errors import ArtifactError, CareerCastError, ConfigError, IngestError, NumericError
@@ -85,12 +88,6 @@ def _schema_for(cfg: PipelineConfig):
     return default_schema()
 
 
-def _chain(cfg: PipelineConfig, names=()):
-    """``names`` and the dataset, normalized, built from their checked chain."""
-    chain = artifacts.load_chain(cfg.out_dir, (DATASET, *names))
-    return artifacts.normalize(chain[DATASET].value), chain
-
-
 def _proposed(chain):
     """The conditioned forecast of (n, steps, features) blocks, from ``READS["proposed"]``.
 
@@ -111,7 +108,7 @@ def _write_report(cfg: PipelineConfig, name: str, columns, rows) -> dict:
     return {f"{REPORTS}/{name}": artifacts.write_csv_table(path, columns, rows)}
 
 
-def cmd_synth(cfg: PipelineConfig, args) -> dict:
+def cmd_synth(cfg: PipelineConfig, args, chain) -> dict:
     if args.stars < 1 or args.regulars < 1:
         raise ConfigError("player counts must be at least 1")
     if not math.isfinite(args.noise):
@@ -128,7 +125,7 @@ def cmd_synth(cfg: PipelineConfig, args) -> dict:
     return {os.path.relpath(path, cfg.out_dir): artifacts.file_hash(path)}
 
 
-def cmd_ingest(cfg: PipelineConfig, args) -> dict:
+def cmd_ingest(cfg: PipelineConfig, args, chain) -> dict:
     if not cfg.input_csv:
         raise ConfigError("no input CSV; pass --input or set input_csv in the config")
     schema = _schema_for(cfg)
@@ -158,8 +155,8 @@ def cmd_ingest(cfg: PipelineConfig, args) -> dict:
     return {DATASET: digest}
 
 
-def cmd_stage1(cfg: PipelineConfig, args) -> dict:
-    dataset, chain = _chain(cfg)
+def cmd_stage1(cfg: PipelineConfig, args, chain) -> dict:
+    dataset = artifacts.normalize(chain[DATASET].value)
     flat = flatten_batch(dataset.train.input)
     ae, result = ae_train(flat, seed=cfg.seed, config=cfg.train_config("autoencoder"))
     embeddings = ae.encode(flat)
@@ -167,7 +164,7 @@ def cmd_stage1(cfg: PipelineConfig, args) -> dict:
     clusters = select_k(
         embeddings, k_range=range(lo, hi + 1), restarts=cfg.kmeans_restarts, seed=cfg.seed
     )
-    inputs = {DATASET: chain[DATASET].sha256}
+    inputs = {name: a.sha256 for name, a in chain.items()}
     ae_hash = artifacts.write_artifact(
         cfg.out_dir,
         AUTOENCODER,
@@ -202,9 +199,8 @@ def cmd_stage1(cfg: PipelineConfig, args) -> dict:
     return {AUTOENCODER: ae_hash, CLUSTERS: cl_hash, **silhouette}
 
 
-def cmd_stage2(cfg: PipelineConfig, args) -> dict:
-    dataset, chain = _chain(cfg, () if args.standard else (CLUSTERS,))
-    inputs = {DATASET: chain[DATASET].sha256}
+def cmd_stage2(cfg: PipelineConfig, args, chain) -> dict:
+    dataset = artifacts.normalize(chain[DATASET].value)
     if args.standard:
         assignments, k, out_name = None, 0, FORECASTER_STANDARD
     else:
@@ -212,7 +208,6 @@ def cmd_stage2(cfg: PipelineConfig, args) -> dict:
         # stored assignments are in train-player order
         clusters = chain[CLUSTERS].value
         assignments, k, out_name = clusters.train_assignments, clusters.k, FORECASTER
-        inputs[CLUSTERS] = chain[CLUSTERS].sha256
     model, result = forecaster_train(
         dataset.train.input,
         dataset.train.target,
@@ -225,7 +220,7 @@ def cmd_stage2(cfg: PipelineConfig, args) -> dict:
         cfg.out_dir,
         out_name,
         {"model": layer_to_doc(model), "seed": cfg.seed, "train": asdict(result)},
-        inputs,
+        {name: a.sha256 for name, a in chain.items()},
     )
     label = "standard" if args.standard else "cluster-conditioned"
     print(
@@ -251,7 +246,7 @@ def _predict_fns(cfg: PipelineConfig, dataset, chain, models):
         elif name == "last_value":
             fns[name] = lambda split: last_value_predict(split.raw, target_index)
         elif name in ("linear", "ridge"):
-            lam = cfg.linear_lambda if name == "linear" else cfg.ridge_lambda
+            lam = LINEAR_LAMBDA if name == "linear" else RIDGE_LAMBDA
             model = linear_fit(flat_train, targets, lam)
             fns[name] = lambda split, model=model: linear_predict(
                 model, flatten_batch(split.input)
@@ -270,10 +265,10 @@ def _fmt_r2(value) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
+def cmd_evaluate(cfg: PipelineConfig, args, chain) -> dict:
     from .evaluation import evaluate, export_curves, export_scatter
     models = cfg.models
-    dataset, chain = _chain(cfg, [name for m in models for name in READS.get(m, ())])
+    dataset = artifacts.normalize(chain[DATASET].value)
     fns = _predict_fns(cfg, dataset, chain, models)
 
     comparison_rows = []
@@ -387,10 +382,7 @@ def _upsert_predictions(path, series: str, predicted) -> str:
     return artifacts.write_csv_table(path, ("series", "age", "predicted"), rows)
 
 
-def cmd_predict(cfg: PipelineConfig, args) -> dict:
-    if bool(args.player) == bool(args.rows):
-        raise ConfigError("pass exactly one of --player or --rows")
-    chain = artifacts.load_chain(cfg.out_dir, (DATASET, *READS["proposed"]))
+def cmd_predict(cfg: PipelineConfig, args, chain) -> dict:
     dataset = chain[DATASET].value
     if args.player:
         split = next(
@@ -439,6 +431,12 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+def _nonempty(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("expected a non-empty value")
+    return value
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
@@ -457,6 +455,8 @@ def build_parser() -> _Parser:
         parents=[common],
         description="Career-trend forecasting pipeline over player season data.",
     )
+    # each command's reads(cfg, args): the artifacts main loads for it, dataset first
+    parser.set_defaults(reads=lambda cfg, args: ())
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
@@ -479,15 +479,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "stage1", parents=[common], help="train the embedder and cluster careers"
     )
-    p.set_defaults(func=cmd_stage1)
+    p.set_defaults(func=cmd_stage1, reads=lambda cfg, args: (DATASET,))
 
     p = sub.add_parser("stage2", parents=[common], help="train the forecaster")
-    p.add_argument(
-        "--standard",
-        action="store_true",
-        help="train the cluster-free variant instead",
+    p.add_argument("--standard", action="store_true", help="train the cluster-free variant instead")
+    p.set_defaults(
+        func=cmd_stage2,
+        reads=lambda cfg, args: (DATASET,) if args.standard else (DATASET, CLUSTERS),
     )
-    p.set_defaults(func=cmd_stage2)
 
     p = sub.add_parser("evaluate", parents=[common], help="score models on the split")
     p.add_argument(
@@ -496,15 +495,20 @@ def build_parser() -> _Parser:
         metavar="NAME",
         help=f"subset of {', '.join(MODEL_NAMES)}",
     )
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(
+        func=cmd_evaluate,
+        reads=lambda cfg, args: (DATASET, *(n for m in cfg.models for n in READS.get(m, ()))),
+    )
 
     p = sub.add_parser("predict", parents=[common], help="three-season outlook")
-    p.add_argument("--player", help="player_id present in the dataset artifact")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--player", type=_nonempty, help="player_id in the dataset artifact")
+    source.add_argument(
         "--rows",
+        type=_nonempty,
         help="season CSV in ingest's format holding one player's rows at ages 22-28",
     )
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, reads=lambda cfg, args: (DATASET, *READS["proposed"]))
 
     p = sub.add_parser("gradcheck", parents=[common], help="audit backward passes")
     p.add_argument("--seeds", type=int, default=20, help="seeded draws per config")
@@ -524,7 +528,8 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(args)
         cfg = _config(args)
-        produced = args.func(cfg, args)
+        # passed, not held here, so the chain is freed before run_info.json is written
+        produced = args.func(cfg, args, artifacts.load_chain(cfg.out_dir, args.reads(cfg, args)))
         artifacts.write_run_info(cfg.out_dir, args.command, cfg.seed, produced)
         return EXIT_OK
     except (_UsageError, ConfigError) as exc:

@@ -18,14 +18,7 @@ TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 @dataclass
 class PipelineConfig:
-    """Everything a pipeline run needs, with usable defaults throughout.
-
-    ``linear_lambda`` exists because the flattened design matrix has more
-    columns than there are players, so exact unpenalized least squares is
-    rank-deficient by construction; a tiny penalty keeps the baseline
-    well-defined while staying numerically indistinguishable from OLS on
-    full-rank problems.
-    """
+    """Everything a pipeline run needs, with usable defaults throughout."""
 
     input_csv: str | None = None
     schema_json: str | None = None
@@ -36,8 +29,6 @@ class PipelineConfig:
     kmeans_restarts: int = 10
     autoencoder: dict = field(default_factory=dict)
     forecaster: dict = field(default_factory=dict)
-    ridge_lambda: float = 1.0
-    linear_lambda: float = 1e-8
     models: tuple = MODEL_NAMES
 
     def validate(self) -> "PipelineConfig":
@@ -59,8 +50,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"kmeans_restarts must be an integer >= 1, got {self.kmeans_restarts!r}"
             )
-        if not all(is_real(v) and v >= 0 for v in (self.ridge_lambda, self.linear_lambda)):
-            raise ConfigError("regression penalties must be non-negative numbers")
         if not isinstance(self.models, (list, tuple)) or not self.models:
             raise ConfigError(f"models must be a non-empty list of names, got {self.models!r}")
         unknown = [m for m in self.models if m not in MODEL_NAMES]

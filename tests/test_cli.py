@@ -462,20 +462,28 @@ def test_load_chain_reads_each_file_once(pipeline, monkeypatch):
 @pytest.mark.parametrize(
     "argv, built, checked",
     [
-        (["stage2"], ["clusters.json"], ["autoencoder.json"]),
-        (["stage2", "--standard"], [], []),
-        (["evaluate", "--models", "standard_lstm"], ["forecaster_standard.json"], []),
-        (["predict", "--player", "syn0000"], list(READS["proposed"]), []),
+        (["synth", "--stars", "1", "--regulars", "1"], [], []),
+        (["ingest", "--input", "{copy}/synthetic.csv"], [], []),
+        (["stage1"], ["dataset.json"], []),
+        (["stage2"], ["dataset.json", "clusters.json"], ["autoencoder.json"]),
+        (["stage2", "--standard"], ["dataset.json"], []),
+        (["evaluate"], CHAINED, []),
+        (["evaluate", "--models", "standard_lstm"],
+         ["dataset.json", "forecaster_standard.json"], []),
+        (["predict", "--player", "syn0000"], ["dataset.json", *READS["proposed"]], []),
     ],
-    ids=["stage2", "stage2-standard", "evaluate-standard_lstm", "predict"],
+    ids=["synth", "ingest", "stage1", "stage2", "stage2-standard", "evaluate",
+         "evaluate-standard_lstm", "predict"],
 )
 def test_each_command_builds_only_what_it_names(pipeline, tmp_path, monkeypatch, argv, built,
                                                 checked):
-    """A command decodes ``dataset.json`` and the artifacts it reads; every file
-    those were built from is read and hash-checked once, but not decoded."""
+    """A command decodes the artifacts it reads in the order it declares them,
+    ``dataset.json`` first; every file those were built from is read and
+    hash-checked once, but not decoded. ``synth`` and ``ingest`` read no artifact."""
     out_dir, _ = pipeline
     copy = tmp_path / "run"
     shutil.copytree(out_dir, copy)
+    argv = [a.format(copy=copy) for a in argv]
     decoded, reads = [], []
     for name, (rerun, decode) in list(artifacts.CHAIN.items()):
         monkeypatch.setitem(artifacts.CHAIN, name, (
@@ -487,8 +495,8 @@ def test_each_command_builds_only_what_it_names(pipeline, tmp_path, monkeypatch,
     )
     assert main([*argv, "--out", str(copy), "--seed", "0",
                  "--config", str(copy / "config.json")]) == 0
-    assert sorted(decoded) == sorted(["dataset.json", *built])
-    assert sorted(reads) == sorted(["dataset.json", *built, *checked])
+    assert decoded == built
+    assert sorted(reads) == sorted([*built, *checked])
 
 
 def test_stage1_prints_cluster_sizes(pipeline, tmp_path, capsys):
@@ -807,6 +815,29 @@ def test_file_errors_exit_without_a_traceback(tmp_path, capsys, argv, code, path
     assert sorted(os.listdir(tmp_path)) == ["in.csv"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict"],
+        ["predict", "--player", ""],
+        ["evaluate", "--models", "nonsense"],
+        ["stage1", "--config", "{tmp}/bad.json"],
+    ],
+    ids=["predict-no-source", "predict-empty-player", "evaluate-unknown-model", "bad-config"],
+)
+def test_refused_command_reads_no_artifact(tmp_path, monkeypatch, argv):
+    """Flags and config are checked before any artifact is read: a refused
+    command exits 1, reads nothing and creates no directory."""
+    (tmp_path / "bad.json").write_text(json.dumps({"kmeans_restarts": "3"}), encoding="utf-8")
+    reads = []
+    real = artifacts.read_json
+    monkeypatch.setattr(artifacts, "read_json", lambda path: reads.append(path) or real(path))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert reads == []
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
 def test_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "u")
     assert main(["ingest", "--out", out]) == 1  # no --input
@@ -821,23 +852,24 @@ def test_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, flags",
+    "config, flags, named",
     [
-        (None, ["--seed", "-1"]),
-        ({"seed": -1}, []),
-        ({"k_range": ["a", 3]}, []),
-        ({"k_range": [2.5, 3]}, []),
-        ({"kmeans_restarts": "3"}, []),
-        ({"test_fraction": "0.2"}, []),
-        ({"ridge_lambda": "1"}, []),
-        ({"autoencoder": {"max_epochs": "5"}}, []),
-        ({"forecaster": {"patience": True}}, []),
-        ({"forecaster": 5}, []),
-        ({"input_csv": 5}, []),
-        ({"k_range": 5}, []),
-        ({"models": "proposed"}, []),
-        ({"models": 5}, []),
-        ({"models": []}, []),
+        (None, ["--seed", "-1"], "seed"),
+        ({"seed": -1}, [], "seed"),
+        ({"k_range": ["a", 3]}, [], "k_range"),
+        ({"k_range": [2.5, 3]}, [], "k_range"),
+        ({"kmeans_restarts": "3"}, [], "kmeans_restarts"),
+        ({"test_fraction": "0.2"}, [], "test_fraction"),
+        # not a config key: the regression penalties are constants in baselines
+        ({"ridge_lambda": "1"}, [], "unknown config key(s): ridge_lambda"),
+        ({"autoencoder": {"max_epochs": "5"}}, [], "max_epochs"),
+        ({"forecaster": {"patience": True}}, [], "patience"),
+        ({"forecaster": 5}, [], "forecaster"),
+        ({"input_csv": 5}, [], "input_csv"),
+        ({"k_range": 5}, [], "k_range"),
+        ({"models": "proposed"}, [], "models"),
+        ({"models": 5}, [], "models"),
+        ({"models": []}, [], "models"),
     ],
     ids=[
         "seed-flag",
@@ -857,9 +889,9 @@ def test_usage_errors(tmp_path, capsys):
         "models-empty",
     ],
 )
-def test_mistyped_config_is_a_config_error(tmp_path, capsys, config, flags):
-    """A negative seed, a value of the wrong type or an empty model list exits 1
-    with a config error."""
+def test_mistyped_config_is_a_config_error(tmp_path, capsys, config, flags, named):
+    """A negative seed, a value of the wrong type, an unknown key or an empty
+    model list exits 1 with a config error that names the key."""
     argv = ["synth", "--out", str(tmp_path / "o"), *flags]
     if config is not None:
         path = tmp_path / "config.json"
@@ -868,6 +900,7 @@ def test_mistyped_config_is_a_config_error(tmp_path, capsys, config, flags):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+    assert named in err
     assert not (tmp_path / "o" / "synthetic.csv").exists()
 
 
@@ -907,6 +940,10 @@ def test_predict_requires_exactly_one_source(pipeline, capsys):
     _, base = pipeline
     assert main(["predict", *base]) == 1
     assert main(["predict", *base, "--player", "syn0000", "--rows", "x.csv"]) == 1
+    for empty in ("--player=", "--rows="):
+        assert main(["predict", *base, empty]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err
 
 
 def test_predict_from_rows_csv(pipeline, tmp_path, capsys):
