@@ -223,8 +223,8 @@ def _split_to_doc(split: Split) -> list[dict]:
 
 
 def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
-    """The dataset body; the statistics and normalized inputs are left out and
-    recomputed on load."""
+    """The dataset body; the statistics are left out and refit on load, and the
+    normalized inputs are left out for ``normalize`` to build."""
     return {
         "seed": dataset.seed,
         "schema": dataset.schema.to_doc(),

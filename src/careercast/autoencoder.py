@@ -78,12 +78,7 @@ class Autoencoder(Layer):
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Map (n, n_inputs) rows to (n, n_code) embeddings, inference mode."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n_inputs:
-            raise ShapeError(
-                f"encode expects (n, {self.n_inputs}) input, got shape {x.shape}"
-            )
-        return self.encoder.forward(x, train=False)
+        return self.encoder.forward(np.asarray(x, dtype=float), train=False)
 
     def children(self):
         return self.model.children()

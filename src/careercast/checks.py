@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import Autoencoder
-from .clustering import one_hot
-from .forecaster import Forecaster
+from .forecaster import Forecaster, cluster_indicators
 from .nn import LSTM, BatchNorm, Dense, Dropout, ReLU, Sequential, grad_check
 from .rng import substream
 
@@ -65,8 +64,8 @@ def _autoencoder(rng):
 def _forecaster(rng):
     model = Forecaster(4, k=3, rng=rng)
     blocks = rng.normal(size=(5, 7, 4))
-    onehot = one_hot(rng.integers(0, 3, size=5), 3)
-    return model, (blocks, onehot), rng.normal(size=(5, 3))
+    indicators = cluster_indicators(rng.integers(0, 3, size=5), 3, 5)
+    return model, (blocks, indicators), rng.normal(size=(5, 3))
 
 
 def _mlp(rng):

@@ -158,7 +158,7 @@ def cmd_ingest(cfg: PipelineConfig, args, chain) -> dict:
 def cmd_stage1(cfg: PipelineConfig, args, chain) -> dict:
     dataset = artifacts.normalize(chain[DATASET].value)
     flat = flatten_batch(dataset.train.input)
-    ae, result = ae_train(flat, seed=cfg.seed, config=cfg.train_config("autoencoder"))
+    ae, result = ae_train(flat, seed=cfg.seed, config=cfg.autoencoder)
     embeddings = ae.encode(flat)
     lo, hi = cfg.k_range
     clusters = select_k(
@@ -214,7 +214,7 @@ def cmd_stage2(cfg: PipelineConfig, args, chain) -> dict:
         assignments=assignments,
         k=k,
         seed=cfg.seed,
-        config=cfg.train_config("forecaster"),
+        config=cfg.forecaster,
     )
     digest = artifacts.write_artifact(
         cfg.out_dir,
@@ -252,9 +252,7 @@ def _predict_fns(cfg: PipelineConfig, dataset, chain, models):
                 model, flatten_batch(split.input)
             )
         elif name == "mlp":
-            model, _ = mlp_baseline_train(
-                flat_train, targets, seed=cfg.seed, config=cfg.train_config("forecaster")
-            )
+            model, _ = mlp_baseline_train(flat_train, targets, seed=cfg.seed, config=cfg.forecaster)
             fns[name] = lambda split, model=model: model.forward(
                 flatten_batch(split.input), train=False
             )
@@ -366,12 +364,16 @@ def _upsert_predictions(path, series: str, predicted) -> str:
                 for line_no, row in enumerate(reader, start=2):
                     try:
                         series_id, age, value = row
-                        table[(series_id, int(age))] = value
+                        age, value = int(age), float(value)
+                        if age not in TARGET_AGES or not math.isfinite(value):
+                            raise ValueError
                     except ValueError:
                         raise ArtifactError(
-                            f"{path}:{line_no}: expected series, integer age and "
-                            f"predicted value, got {row}"
+                            f"{path}:{line_no}: expected series, integer age in "
+                            f"{TARGET_AGES[0]}-{TARGET_AGES[-1]} and finite predicted value, "
+                            f"got {row}"
                         ) from None
+                    table[(series_id, age)] = repr(value)
             except csv.Error as exc:
                 raise ArtifactError(
                     f"{path}:{reader.line_num}: unreadable CSV line: {exc}"

@@ -103,24 +103,23 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _repair_empty(points, centroids, assignments, k):
-    """Re-seat empty clusters on the points farthest from their centroids."""
-    for _ in range(k):
+    """Re-seat empty clusters on the points farthest from their centroids.
+
+    No steal takes a cluster's last member, so one pass leaves none empty.
+    """
+    empties = np.flatnonzero(np.bincount(assignments, minlength=k) == 0)
+    if empties.size == 0:
+        return centroids, assignments
+    d2 = ((points - centroids[assignments]) ** 2).sum(axis=1)
+    centroids = centroids.copy()
+    assignments = assignments.copy()
+    for j in empties:
         counts = np.bincount(assignments, minlength=k)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size == 0:
-            break
-        d2 = ((points - centroids[assignments]) ** 2).sum(axis=1)
-        centroids = centroids.copy()
-        assignments = assignments.copy()
-        for j in empties:
-            counts = np.bincount(assignments, minlength=k)
-            # never steal the last member of another cluster
-            eligible = counts[assignments] > 1
-            candidate = np.where(eligible, d2, -1.0)
-            p = int(np.argmax(candidate))
-            centroids[j] = points[p]
-            assignments[p] = j
-            d2[p] = 0.0
+        candidate = np.where(counts[assignments] > 1, d2, -1.0)
+        p = int(np.argmax(candidate))
+        centroids[j] = points[p]
+        assignments[p] = j
+        d2[p] = 0.0
     return centroids, assignments
 
 
@@ -334,16 +333,3 @@ def select_k(
         silhouette_by_k=table,
     )
 
-
-def one_hot(assignments: np.ndarray, k: int) -> np.ndarray:
-    assignments = np.asarray(assignments, dtype=int)
-    if assignments.ndim != 1:
-        raise ShapeError(f"expected 1-d assignments, got shape {assignments.shape}")
-    if assignments.size and (assignments.min() < 0 or assignments.max() >= k):
-        raise ParameterError(
-            f"assignment outside [0, {k}) found: "
-            f"min {assignments.min()}, max {assignments.max()}"
-        )
-    out = np.zeros((assignments.size, k), dtype=float)
-    out[np.arange(assignments.size), assignments] = 1.0
-    return out

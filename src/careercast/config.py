@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
+from .clustering import DEFAULT_K_RANGE, DEFAULT_RESTARTS
 from .errors import ConfigError
 from .ingest import DEFAULT_TEST_FRACTION
 from .nn import TrainConfig
@@ -25,10 +26,10 @@ class PipelineConfig:
     out_dir: str = "out"
     seed: int = 0
     test_fraction: float = DEFAULT_TEST_FRACTION
-    k_range: tuple = (2, 8)
-    kmeans_restarts: int = 10
-    autoencoder: dict = field(default_factory=dict)
-    forecaster: dict = field(default_factory=dict)
+    k_range: tuple = (DEFAULT_K_RANGE[0], DEFAULT_K_RANGE[-1])
+    kmeans_restarts: int = DEFAULT_RESTARTS
+    autoencoder: TrainConfig = field(default_factory=TrainConfig)
+    forecaster: TrainConfig = field(default_factory=TrainConfig)
     models: tuple = MODEL_NAMES
 
     def validate(self) -> "PipelineConfig":
@@ -60,23 +61,9 @@ class PipelineConfig:
         repeated = sorted({m for m in self.models if self.models.count(m) > 1})
         if repeated:
             raise ConfigError(f"model(s) {repeated} listed more than once")
-        for block_name in ("autoencoder", "forecaster"):
-            self.train_config(block_name)
+        self.autoencoder.validate()
+        self.forecaster.validate()
         return self
-
-    def train_config(self, block_name: str) -> TrainConfig:
-        """Build the training configuration for one stage."""
-        block = getattr(self, block_name)
-        if not isinstance(block, dict):
-            raise ConfigError(f"{block_name!r} block must be a JSON object, got {block!r}")
-        bad = [k for k in block if k not in TRAIN_KEYS]
-        if bad:
-            raise ConfigError(
-                f"unknown key(s) {bad} in {block_name!r} block; allowed: {list(TRAIN_KEYS)}"
-            )
-        cfg = TrainConfig(**block)
-        cfg.validate()
-        return cfg
 
 
 def load_config(path) -> PipelineConfig:
@@ -94,4 +81,14 @@ def load_config(path) -> PipelineConfig:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    for name in ("autoencoder", "forecaster"):
+        block = doc.get(name, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"{name!r} block must be a JSON object, got {block!r}")
+        bad = [k for k in block if k not in TRAIN_KEYS]
+        if bad:
+            raise ConfigError(
+                f"unknown key(s) {bad} in {name!r} block; allowed: {list(TRAIN_KEYS)}"
+            )
+        doc[name] = TrainConfig(**block)
     return PipelineConfig(**doc)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng as rngmod
-from .clustering import one_hot
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ParameterError, ShapeError
+from .ingest import TARGET_AGES
 from .nn import (
     LSTM,
     Dense,
@@ -26,7 +26,7 @@ from .nn import (
 )
 
 N_HIDDEN = 64
-N_OUTPUTS = 3
+N_OUTPUTS = len(TARGET_AGES)
 
 
 class Forecaster(Layer):
@@ -96,10 +96,15 @@ def cluster_indicators(assignments, k: int, n: int) -> np.ndarray:
         return np.zeros((n, 0))
     if assignments is None:
         raise ConfigError("k > 0 requires cluster assignments for every row")
-    indicator = one_hot(np.asarray(assignments), k)
-    if indicator.shape[0] != n:
-        raise ShapeError(f"{indicator.shape[0]} assignments for {n} rows")
-    return indicator
+    assignments = np.asarray(assignments, dtype=int)
+    if assignments.shape != (n,):
+        raise ShapeError(f"expected ({n},) assignments, got shape {assignments.shape}")
+    if n and (assignments.min() < 0 or assignments.max() >= k):
+        raise ParameterError(
+            f"assignment outside [0, {k}) found: "
+            f"min {assignments.min()}, max {assignments.max()}"
+        )
+    return np.eye(k)[assignments]
 
 
 def forecaster_train(

@@ -3,8 +3,9 @@
 Parses per-season rows, keeps players whose careers are complete enough to
 learn from, fills input-side gaps, and splits the careers into train/test
 blocks in original units with train-fit, unapplied normalization statistics;
-loading the dataset z-scores them. Targets (BPM at ages 29-31) are never
-imputed and never normalized; eligibility requires them to be observed.
+``artifacts.normalize`` z-scores the inputs for the commands that train or
+evaluate. Targets (BPM at ages 29-31) are never imputed and never
+normalized; eligibility requires them to be observed.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class Split:
     ``raw`` is the (n, 7, features) block of ages 22-28 in original units,
     every schema column kept; the last-value baseline and the dataset
     artifact read it. ``input`` is what models consume: the z-scored kept
-    columns, which ``artifacts.normalize`` sets when a dataset is loaded,
-    and None until then. ``target`` is the (n, 3) BPM at ages 29-31.
+    columns, which ``artifacts.normalize`` sets (``stage1``, ``stage2`` and
+    ``evaluate`` call it), and None until then. ``target`` is the (n, 3) BPM
+    at ages 29-31.
     """
 
     player_ids: tuple[str, ...]
@@ -134,7 +136,7 @@ class NormStats:
 
 @dataclass
 class Dataset:
-    """Train/test careers plus their train-fit statistics; loading sets ``input``."""
+    """Train/test careers plus their train-fit statistics, which ingest does not apply."""
 
     train: Split
     test: Split
@@ -438,10 +440,10 @@ def split_and_normalize(
     """Seeded player-level split, plus the train-only normalization statistics.
 
     This fits ``NormStats`` on the train careers but does not apply them:
-    each split holds ``raw`` and ``target`` only, and loading the dataset
-    (``artifacts.normalize``) builds the z-scored ``input``. Constant train
-    features are named in ``norm_stats.dropped`` with a warning (they carry
-    no signal and would divide by zero); ``raw`` keeps every column.
+    each split holds ``raw`` and ``target`` only, and ``artifacts.normalize``
+    builds the z-scored ``input``. Constant train features are named in
+    ``norm_stats.dropped`` with a warning (they carry no signal and would
+    divide by zero); ``raw`` keeps every column.
     """
     test_idx, train_idx = _split_indices(
         len(careers), test_fraction, substream(seed, "ingest.split")

@@ -341,9 +341,7 @@ class Sequential(Layer):
     def backward(self, grad_out, input_grad=True):
         for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
-        if input_grad:  # passed only to opt out, so a backward(grad_out) override composes
-            return self.layers[0].backward(grad_out)
-        return self.layers[0].backward(grad_out, input_grad=False)
+        return self.layers[0].backward(grad_out, input_grad=input_grad)
 
     def children(self):
         return [(str(idx), layer) for idx, layer in enumerate(self.layers)]

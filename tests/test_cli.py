@@ -576,7 +576,9 @@ def test_misshapen_forecaster_is_refused(pipeline, tmp_path, capsys, case, reaso
     assert f"{copy / 'forecaster.json'}: corrupt artifact: {reason}" in err
 
 
-@pytest.mark.parametrize("row", ["syn0000,29", "syn0000,abc,1.0"])
+@pytest.mark.parametrize(
+    "row", ["syn0000,29", "syn0000,abc,1.0", "syn0000,29,abc", "syn0000,29,nan", "syn0000,35,1.0"]
+)
 def test_malformed_predictions_row_is_refused(pipeline, tmp_path, capsys, row):
     out_dir, _ = pipeline
     copy = tmp_path / "rows"

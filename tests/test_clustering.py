@@ -13,7 +13,6 @@ from careercast.clustering import (
     ClusterModel,
     assign,
     kmeans_fit,
-    one_hot,
     select_k,
     silhouette_score,
 )
@@ -244,16 +243,52 @@ def test_assign_matches_exact_distance_oracle():
         assert np.array_equal(assign(points, centroids), want), name
 
 
-def test_one_hot():
-    out = one_hot(np.array([2, 0, 1]), 3)
-    assert np.array_equal(out, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float))
-    assert np.array_equal(one_hot(np.array([], dtype=int), 2), np.zeros((0, 2)))
-    with pytest.raises(ParameterError):
-        one_hot(np.array([0, 3]), 3)
-    with pytest.raises(ParameterError):
-        one_hot(np.array([-1]), 2)
-    with pytest.raises(ShapeError):
-        one_hot(np.zeros((2, 2), dtype=int), 2)
+def repair_empty_until_full(points, centroids, assignments, k):
+    """The former repair: re-run the stealing pass until no cluster is empty."""
+    for _ in range(k):
+        counts = np.bincount(assignments, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            break
+        d2 = ((points - centroids[assignments]) ** 2).sum(axis=1)
+        centroids = centroids.copy()
+        assignments = assignments.copy()
+        for j in empties:
+            counts = np.bincount(assignments, minlength=k)
+            eligible = counts[assignments] > 1
+            candidate = np.where(eligible, d2, -1.0)
+            p = int(np.argmax(candidate))
+            centroids[j] = points[p]
+            assignments[p] = j
+            d2[p] = 0.0
+    return centroids, assignments
+
+
+def test_one_repair_pass_matches_repeating_it():
+    rng = np.random.default_rng(11)
+    with_empties = 0
+    for case in range(400):
+        k = int(rng.integers(2, 7))
+        n = int(rng.integers(k, 25))
+        d = int(rng.integers(1, 4))
+        if case % 2:  # a few distinct points repeated: ties and zero distances
+            m = int(rng.integers(1, 4))
+            points = rng.normal(size=(m, d))[rng.integers(0, m, size=n)]
+        else:
+            points = rng.normal(size=(n, d))
+        # centroids far off own no point, so at least one cluster starts empty
+        near = int(rng.integers(1, k))
+        centroids = np.concatenate(
+            [points[rng.integers(0, n, size=near)], rng.normal(50.0, 1.0, size=(k - near, d))]
+        )[rng.permutation(k)]
+        assignments = assign(points, centroids)
+        with_empties += np.bincount(assignments, minlength=k).min() == 0
+        want = repair_empty_until_full(points, centroids, assignments, k)
+        got = clustering._repair_empty(points, centroids, assignments, k)
+        assert got[0].tobytes() == want[0].tobytes(), case
+        assert got[1].tobytes() == want[1].tobytes(), case
+        assert np.bincount(got[1], minlength=k).min() >= 1, case
+    assert with_empties == 400
 
 
 def test_purity_hand_cases():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from careercast.errors import ConfigError, ShapeError
-from careercast.forecaster import Forecaster, forecaster_train
+from careercast.errors import ConfigError, ParameterError, ShapeError
+from careercast.forecaster import Forecaster, cluster_indicators, forecaster_train
 from careercast.nn import TrainConfig
 from careercast.nn.serialize import layer_from_doc, layer_to_doc
 from careercast.rng import substream
@@ -84,6 +84,19 @@ def test_input_validation():
         plain.forward(blocks)  # a bare block, even at k=0
     with pytest.raises(ShapeError):
         plain.forward((blocks, np.zeros((6, 1))))  # indicator columns at k=0
+
+
+def test_cluster_indicators():
+    out = cluster_indicators(np.array([2, 0, 1]), 3, 3)
+    assert np.array_equal(out, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float))
+    empty = cluster_indicators(np.array([], dtype=int), 2, 0)
+    assert empty.dtype == float and np.array_equal(empty, np.zeros((0, 2)))
+    with pytest.raises(ParameterError):
+        cluster_indicators(np.array([0, 3]), 3, 2)
+    with pytest.raises(ParameterError):
+        cluster_indicators(np.array([-1]), 2, 1)
+    with pytest.raises(ShapeError):
+        cluster_indicators(np.zeros((2, 2), dtype=int), 2, 2)
 
 
 def test_training_reduces_loss_and_fits_constants():

@@ -43,8 +43,8 @@ def test_linear_stack_agrees_tightly():
 
 def test_corrupted_backward_is_detected():
     class CrookedDense(Dense):
-        def backward(self, grad_out):
-            grad_in = super().backward(grad_out)
+        def backward(self, grad_out, input_grad=True):
+            grad_in = super().backward(grad_out, input_grad=input_grad)
             self.grad_weight *= 1.05
             return grad_in
 
@@ -66,8 +66,8 @@ def test_grad_check_parameter_errors():
 
 def test_sampled_coordinates_still_find_errors():
     class CrookedDense(Dense):
-        def backward(self, grad_out):
-            grad_in = super().backward(grad_out)
+        def backward(self, grad_out, input_grad=True):
+            grad_in = super().backward(grad_out, input_grad=input_grad)
             self.grad_weight *= 1.05
             return grad_in
 
