@@ -401,10 +401,10 @@ def cmd_predict(cfg: PipelineConfig, args, chain) -> dict:
         series = f"file:{os.path.basename(args.rows)}"
     block = dataset.norm_stats.apply(raw, dataset.schema.names)  # only the scored block
     predicted = _proposed(chain)(block[None])[0]
-    for age, value in zip(TARGET_AGES, predicted):
+    digest = _upsert_predictions(_out_path(cfg, REPORTS, PREDICTIONS), series, predicted)
+    for age, value in zip(TARGET_AGES, predicted):  # a refused write prints no forecast
         print(f"age {age}: {value:+.2f} {dataset.schema.target_name}")
-    pred_path = _out_path(cfg, REPORTS, PREDICTIONS)
-    return {f"{REPORTS}/{PREDICTIONS}": _upsert_predictions(pred_path, series, predicted)}
+    return {f"{REPORTS}/{PREDICTIONS}": digest}
 
 
 def cmd_gradcheck(args) -> int:

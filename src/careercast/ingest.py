@@ -39,7 +39,7 @@ DEFAULT_TEST_FRACTION = 36.0 / 177.0
 
 @dataclass(slots=True)
 class SeasonRecord:
-    """One player-season row.
+    """One player-season row: only what ingest reads after parsing.
 
     ``values`` is the row's view of the parsed (rows, features) matrix, in
     schema order, NaN where a cell is missing; ``imputed`` is the sorted
@@ -47,8 +47,6 @@ class SeasonRecord:
     """
 
     player_id: str
-    player_name: str
-    season_end_year: int
     age: int
     category: str | None
     values: np.ndarray
@@ -149,13 +147,15 @@ def parse_season_csv(path: str, schema: FeatureSchema) -> list[SeasonRecord]:
     """Read season rows from a CSV file into one (rows, features) float matrix.
 
     The header must name player_id, player_name, season, age and every
-    schema feature; a ``category`` column (star/regular) is optional. A
-    repeated header name reads its last column, blank lines are skipped, and
-    a short row's absent cells are missing. Unparseable or non-finite
-    numeric cells become missing (NaN) rather than errors; identity columns
-    must parse. A line the csv module cannot read (a cell over its field
-    size limit, say) raises ``IngestError`` naming the line. A leading UTF-8
-    byte-order mark is skipped.
+    schema feature; a ``category`` column (star/regular) is optional. The
+    name and season are checked but not kept; a player's rows share one
+    ``str`` for the id and one for the category. A repeated header name
+    reads its last column, blank lines are skipped, and a short row's absent
+    cells are missing. Unparseable or non-finite numeric cells become
+    missing (NaN) rather than errors; identity columns must parse. A line
+    the csv module cannot read (a cell over its field size limit, say)
+    raises ``IngestError`` naming the line. A leading UTF-8 byte-order mark
+    is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -176,13 +176,13 @@ def _read_records(path: str, reader, schema: FeatureSchema) -> list[SeasonRecord
     if missing:
         raise SchemaError(f"{path}: header lacks required column(s): {', '.join(missing)}")
     column = {name: j for j, name in enumerate(header)}  # a repeated name: its last column
-    pid_at, name_at, season_at, age_at = (column[c] for c in MANDATORY_COLUMNS)
+    pid_at, _, season_at, age_at = (column[c] for c in MANDATORY_COLUMNS)
     category_at = column.get("category")
     feature_at = [column[name] for name in schema.names]
 
     cells = array("d")  # every feature cell, row after row; NaN where missing
     nan = math.nan
-    rows = []  # (player_id, player_name, season, age, category) per row
+    rows = []  # (player_id, age, category) per row
     share = {}.setdefault  # one str object per distinct identity value
     for row in reader:
         if not row:
@@ -229,8 +229,7 @@ def _read_records(path: str, reader, schema: FeatureSchema) -> list[SeasonRecord
                     )
                 category = share(raw, raw)
 
-        name = (row[name_at] or "").strip()
-        rows.append((share(pid, pid), share(name, name), season, age, category))
+        rows.append((share(pid, pid), age, category))
     matrix = np.frombuffer(cells, dtype=float).reshape(len(rows), schema.n_features)
     for start in range(0, len(matrix), 4096):  # row blocks keep the mask small
         block = matrix[start : start + 4096]
@@ -348,11 +347,10 @@ def impute_missing(
     for i, age in enumerate(INPUT_AGES):
         if rows[i] is None:  # copy the nearest earlier season, else the nearest later one
             if not own_ages:
-                raise ImputationError(f"player ? has no seasons to fill age {age}")
+                raise ImputationError(f"an empty career has no season to fill age {age} from")
             src = by_age[own_ages[max(bisect_left(own_ages, age) - 1, 0)]]
             rows[i] = SeasonRecord(
-                src.player_id, src.player_name, src.season_end_year + (age - src.age), age,
-                src.category, src.values.copy(), tuple(range(len(src.values))),
+                src.player_id, age, src.category, src.values.copy(), tuple(range(len(src.values)))
             )
     for rec, medians_at_age in zip(rows, medians.tolist()):
         gaps = [j for j, v in enumerate(rec.values.tolist()) if v != v]  # NaN cells
@@ -368,10 +366,10 @@ def impute_missing(
                 # Never observed anywhere in this career: the peer median.
                 value = next((c[j] for c in walk if c[j] == c[j]), value)
             if math.isnan(value):
+                lack = ("unobserved for the player and the peer pool" if counting
+                        else "has no observed peer values")
                 raise ImputationError(
-                    f"feature {name!r} unobserved for the player and the peer pool at age {rec.age}"
-                    if counting
-                    else f"feature {name!r} has no observed peer values at age {rec.age}"
+                    f"player {rec.player_id}: feature {name!r} {lack} at age {rec.age}"
                 )
             rec.values[j] = value
         rec.imputed = tuple(sorted({*rec.imputed, *gaps}))
@@ -432,22 +430,18 @@ def _split_indices(
 
 
 def split_and_normalize(
-    careers: Split,
-    schema: FeatureSchema,
-    test_fraction: float = DEFAULT_TEST_FRACTION,
-    seed: int = 0,
+    careers: Split, schema: FeatureSchema, test_idx: np.ndarray, train_idx: np.ndarray, seed: int
 ) -> Dataset:
-    """Seeded player-level split, plus the train-only normalization statistics.
+    """Split ``careers`` at the caller's player indices, plus train-only statistics.
 
-    This fits ``NormStats`` on the train careers but does not apply them:
-    each split holds ``raw`` and ``target`` only, and ``artifacts.normalize``
-    builds the z-scored ``input``. Constant train features are named in
-    ``norm_stats.dropped`` with a warning (they carry no signal and would
-    divide by zero); ``raw`` keeps every column.
+    ``ingest_csv`` draws (``test_idx``, ``train_idx``) once with
+    ``_split_indices``; ``seed`` is only recorded. Duplicate ids and a player
+    in both splits are refused. ``NormStats`` is fit on the train careers
+    but not applied: each split holds ``raw`` and ``target`` only, and
+    ``artifacts.normalize`` builds the z-scored ``input``. Constant train
+    features are named in ``norm_stats.dropped`` with a warning (they carry
+    no signal and would divide by zero); ``raw`` keeps every column.
     """
-    test_idx, train_idx = _split_indices(
-        len(careers), test_fraction, substream(seed, "ingest.split")
-    )
     ids = careers.player_ids
     if len(set(ids)) != len(ids):
         raise SplitError("duplicate player_id in careers; cannot guarantee a leak-free split")
@@ -480,7 +474,7 @@ def ingest_csv(
     """Run the whole ingestion chain and return the dataset plus a summary.
 
     Imputation medians come from train players only: the seeded split is
-    drawn before imputing, and ``split_and_normalize`` draws the same one.
+    drawn once, before imputing, and ``split_and_normalize`` stores that draw.
     The summary counts players kept and dropped by reason, and under
     ``imputed_cells`` the cells filled at each age for each feature (nonzero
     counts only); the CLI prints the player counts and stores it all in the
@@ -497,7 +491,7 @@ def ingest_csv(
     if not eligible:
         raise IngestError("no eligible players")
     pids = list(eligible)
-    _, train_idx = _split_indices(len(pids), test_fraction, split_rng)
+    test_idx, train_idx = _split_indices(len(pids), test_fraction, split_rng)
     medians = peer_medians([r for i in sorted(train_idx) for r in eligible[pids[i]]], schema)
     # Filled in place: the parsed matrix stays the only copy of the cells.
     complete = {pid: impute_missing(eligible.pop(pid), schema, medians) for pid in pids}
@@ -509,7 +503,7 @@ def ingest_csv(
         imputed.setdefault(str(age), {})[schema.names[j]] = n
     careers = build_sequences(complete, schema)
     del complete
-    dataset = split_and_normalize(careers, schema, test_fraction, seed)
+    dataset = split_and_normalize(careers, schema, test_idx, train_idx, seed)
     summary = {
         "rows_parsed": rows_parsed,
         "players_total": len(pids) + sum(dropped.values()),

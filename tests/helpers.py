@@ -4,7 +4,15 @@ import numpy as np
 
 from careercast.baselines import LinearModel, _check_xy, linear_predict
 from careercast.errors import ParameterError, ShapeError
-from careercast.ingest import INPUT_AGES, Split
+from careercast.ingest import (
+    DEFAULT_TEST_FRACTION,
+    INPUT_AGES,
+    Dataset,
+    Split,
+    _split_indices,
+    split_and_normalize,
+)
+from careercast.rng import substream
 from careercast.schema import default_schema
 from careercast.synth import generate_block
 
@@ -46,6 +54,17 @@ def reconstruction_error(ae, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     recon = reconstruct(ae, x)
     return np.mean((recon - x) ** 2, axis=1)
+
+
+def seeded_split(
+    careers: Split, schema, seed: int, test_fraction: float = DEFAULT_TEST_FRACTION
+) -> Dataset:
+    """``careers`` split as ``ingest_csv`` splits its careers: one draw from the
+    ``ingest.split`` substream of ``seed``, handed to ``split_and_normalize``."""
+    test_idx, train_idx = _split_indices(
+        len(careers), test_fraction, substream(seed, "ingest.split")
+    )
+    return split_and_normalize(careers, schema, test_idx, train_idx, seed)
 
 
 def generate(specs, seed: int = 0, schema=None) -> tuple[Split, np.ndarray]:

@@ -20,11 +20,11 @@ from careercast.cli import main as cli_main
 from careercast.clustering import kmeans_fit, select_k, silhouette_score
 from careercast.evaluation import mae, r2
 from careercast.forecaster import forecaster_train
-from careercast.ingest import Split, split_and_normalize
+from careercast.ingest import Split
 from careercast.schema import default_schema
 from careercast.synth import default_specs
 
-from helpers import generate, penalized_objective, purity
+from helpers import generate, penalized_objective, purity, seeded_split
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -166,7 +166,7 @@ def test_cluster_conditioning_beats_standard_lstm():
     chosen_k = set()
     gaps = []
     for seed in range(10):
-        ds = normalize(split_and_normalize(careers, schema, seed=seed))
+        ds = normalize(seeded_split(careers, schema, seed))
         blocks, targets = ds.train.input, ds.train.target
         test_blocks, test_targets = ds.test.input, ds.test.target
 

@@ -588,7 +588,9 @@ def test_malformed_predictions_row_is_refused(pipeline, tmp_path, capsys, row):
     predictions.write_text(text, encoding="utf-8")
     rc = main(["predict", "--out", str(copy), "--seed", "0", "--player", "syn0000"])
     assert rc == 2
-    assert f"{predictions}:3: expected series, integer age" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"{predictions}:3: expected series, integer age" in captured.err
+    assert captured.out == ""  # no forecast is printed for a refused write
     assert predictions.read_text(encoding="utf-8") == text
 
 

@@ -38,6 +38,7 @@ from careercast.schema import COUNTING, FeatureSchema, default_schema
 from careercast.synth import default_specs, write_csv
 
 from conftest import SMALL_NAMES, career_rows
+from helpers import seeded_split
 
 
 def full_career(pid, base_bpm, category=None, missing=()):
@@ -239,7 +240,7 @@ def test_impute_counting_walks_every_age_the_player_has(small_schema, write_seas
 
 def test_impute_copies_an_absent_row_from_any_earlier_season_first(small_schema):
     def season(age):
-        return SeasonRecord("p", "P", 1978 + age, age, None, np.full(4, float(age)))
+        return SeasonRecord("p", age, None, np.full(4, float(age)))
 
     medians = np.zeros((len(INPUT_AGES), small_schema.n_features))
     for ages, sources in (
@@ -250,9 +251,16 @@ def test_impute_copies_an_absent_row_from_any_earlier_season_first(small_schema)
         by_age = {r.age: r for r in impute_missing([season(a) for a in ages], small_schema, medians)}
         for age, source in sources.items():
             assert by_age[age].values.tolist() == [float(source)] * 4
-            assert by_age[age].season_end_year == 1978 + age
-    with pytest.raises(ImputationError, match="player \\? has no seasons to fill age 22"):
+    with pytest.raises(ImputationError, match="^an empty career has no season to fill age 22"):
         impute_missing([], small_schema, medians)
+
+    # A copied row's gaps are filled like a parsed row's, and a refusal names the player.
+    early = season(22)
+    early.values[small_schema.names.index("TS%")] = np.nan
+    medians[INPUT_AGES.index(23), small_schema.names.index("TS%")] = np.nan
+    message = "^player p: feature 'TS%' has no observed peer values at age 23$"
+    with pytest.raises(ImputationError, match=message):
+        impute_missing([early, *map(season, (29, 30, 31))], small_schema, medians)
 
 
 def test_impute_creates_missing_input_age_row(small_schema, write_season_csv):
@@ -267,7 +275,6 @@ def test_impute_creates_missing_input_age_row(small_schema, write_season_csv):
     created = next(r for r in completed if r.age == 25)
     source = next(r for r in completed if r.age == 24)
     assert np.array_equal(created.values, source.values)
-    assert created.season_end_year == source.season_end_year + 1
     assert set(created.imputed) == set(range(small_schema.n_features))
 
 
@@ -345,8 +352,8 @@ def gappy_pool(schema, seed, cell_share=0.1, player_share=0.2):
     rows = [
         {
             "player_id": r.player_id,
-            "player_name": r.player_name,
-            "season": r.season_end_year,
+            "player_name": r.player_id,
+            "season": 1978 + r.age,  # within the season bounds at every allowed age
             "age": r.age,
             "category": r.category,
             **features(r, schema),
@@ -442,12 +449,15 @@ def test_impute_matches_per_cell_peer_scan():
             rec.values[column[ratio]] = np.nan
     medians = peer_medians(peers, schema)
     assert np.isnan(medians[INPUT_AGES.index(24), schema.names.index(ratio)])
-    with pytest.raises(ImputationError, match=f"'{ratio}' has no observed peer values at age 24"):
+    pid = holder[0].player_id
+    message = f"^player {pid}: feature '{ratio}' has no observed peer values at age 24$"
+    with pytest.raises(ImputationError, match=message):
         impute_missing(holder, schema, medians)
 
     for rec in records:
         rec.values[column[counting]] = np.nan
-    with pytest.raises(ImputationError, match=f"'{counting}' unobserved for the player"):
+    message = f"^player {pid}: feature '{counting}' unobserved for the player and the peer pool"
+    with pytest.raises(ImputationError, match=message):
         impute_missing(holder, schema, peer_medians(peers, schema))
 
 
@@ -472,7 +482,7 @@ def random_peers(rng, n_features, draw):
             values[rng.random(n_features) < 0.3] = np.nan
             values[0] = np.nan
             imputed = tuple(j for j in range(1, n_features) if rng.random() < 0.1)
-            peers.append(SeasonRecord(f"p{k}", "P", 2000, age, None, values, imputed))
+            peers.append(SeasonRecord(f"p{k}", age, None, values, imputed))
     return peers
 
 
@@ -524,6 +534,31 @@ def test_ingest_computes_each_peer_median_once(write_season_csv, monkeypatch):
         ingest_csv(write_season_csv(rows, f"pool{share}.csv", schema.names), schema)
         counts.append(len(calls))
     assert 0 < counts[0] == counts[1] <= len(INPUT_AGES)
+
+
+def test_ingest_draws_the_split_once(write_season_csv, monkeypatch):
+    """One ``_split_indices`` draw gives both the players whose rows feed the
+    imputation medians and the stored train split."""
+    schema = default_schema()
+    _, rows = gappy_pool(schema, seed=13)
+    module = careercast.ingest
+    draw, medians = module._split_indices, module.peer_medians
+    draws, median_players = [], []
+
+    def spy_draw(*args):
+        draws.append(args)
+        return draw(*args)
+
+    def spy_medians(peers, schema):
+        median_players.append({r.player_id for r in peers})
+        return medians(peers, schema)
+
+    monkeypatch.setattr(module, "_split_indices", spy_draw)
+    monkeypatch.setattr(module, "peer_medians", spy_medians)
+    dataset, summary = ingest_csv(write_season_csv(rows, "pool.csv", schema.names), schema)
+    assert summary["imputed_cells"]
+    assert len(draws) == 1
+    assert median_players == [set(dataset.train.player_ids)]
 
 
 def test_imputation_medians_ignore_test_players(small_schema, write_season_csv):
@@ -578,9 +613,7 @@ def take(careers, idx):
 def test_split_normalizes_with_train_stats_only(small_schema):
     rng = np.random.default_rng(7)
     careers = make_careers(30, small_schema.n_features, rng)
-    ds = artifacts.normalize(
-        split_and_normalize(careers, small_schema, test_fraction=0.2, seed=3)
-    )
+    ds = artifacts.normalize(seeded_split(careers, small_schema, 3, test_fraction=0.2))
     assert len(ds.test) == 6
     assert len(ds.train) == 24
     assert not set(ds.train.player_ids) & set(ds.test.player_ids)
@@ -598,16 +631,16 @@ def test_split_normalizes_with_train_stats_only(small_schema):
             assert np.array_equal(raw, careers.raw[row[pid]])
             assert np.array_equal(target, careers.target[row[pid]])
 
-    again = split_and_normalize(careers, small_schema, test_fraction=0.2, seed=3)
+    again = seeded_split(careers, small_schema, 3, test_fraction=0.2)
     assert again.train.player_ids == ds.train.player_ids
-    other = split_and_normalize(careers, small_schema, test_fraction=0.2, seed=4)
+    other = seeded_split(careers, small_schema, 4, test_fraction=0.2)
     assert other.test.player_ids != ds.test.player_ids
 
 
 def test_split_drops_constant_features(small_schema):
     rng = np.random.default_rng(0)
     careers = make_careers(12, small_schema.n_features, rng, constant_column=3)
-    ds = artifacts.normalize(split_and_normalize(careers, small_schema, seed=0))
+    ds = artifacts.normalize(seeded_split(careers, small_schema, 0))
     assert ds.norm_stats.dropped == ("G",)
     assert ds.norm_stats.names == ("BPM", "PTS", "TS%")
     assert ds.train.input.shape[1:] == (7, 3)
@@ -618,7 +651,7 @@ def test_normalized_blocks_are_c_ordered(small_schema):
     rng = np.random.default_rng(2)
     for constant_column in (None, 3):
         careers = make_careers(12, small_schema.n_features, rng, constant_column)
-        stats = split_and_normalize(careers, small_schema, seed=0).norm_stats
+        stats = seeded_split(careers, small_schema, 0).norm_stats
         block = stats.apply(careers.raw, small_schema.names)
         assert block.flags.c_contiguous
         keep = [small_schema.names.index(name) for name in stats.names]
@@ -640,12 +673,14 @@ def test_split_rejects_degenerate_inputs(small_schema):
     rng = np.random.default_rng(1)
     careers = make_careers(6, small_schema.n_features, rng)
     with pytest.raises(SplitError):
-        split_and_normalize(careers, small_schema, test_fraction=1.5)
+        seeded_split(careers, small_schema, 0, test_fraction=1.5)
     with pytest.raises(SplitError):
-        split_and_normalize(take(careers, [0]), small_schema)
+        seeded_split(take(careers, [0]), small_schema, 0)
     dupes = take(careers, [0, 1, 2, 3, 4, 5, 0])
-    with pytest.raises(SplitError):
-        split_and_normalize(dupes, small_schema)
+    with pytest.raises(SplitError, match="duplicate player_id"):
+        seeded_split(dupes, small_schema, 0)
+    with pytest.raises(SplitError, match=r"leaked into both splits: \['p001'\]"):
+        split_and_normalize(careers, small_schema, np.array([0, 1]), np.array([1, 2, 3]), 0)
 
 
 def test_split_rejects_wrong_shapes():
@@ -754,7 +789,6 @@ def test_parsed_rows_of_a_player_share_identity_strings(tmp_path):
         assert len(recs) == 10
         for rec in recs:
             assert rec.player_id is first.player_id
-            assert rec.player_name is first.player_name
             assert rec.category is first.category
 
 

@@ -24,12 +24,14 @@ from careercast.artifacts import (
 from careercast.autoencoder import Autoencoder
 from careercast.errors import ArtifactError
 from careercast.forecaster import Forecaster, forecaster_train
-from careercast.ingest import INPUT_AGES, Split, ingest_csv, split_and_normalize
+from careercast.ingest import INPUT_AGES, Split, ingest_csv
 from careercast.nn import BatchNorm, Layer, TrainConfig, layers
 from careercast.nn.serialize import decode_f8, encode_f8, layer_from_doc, layer_to_doc
 from careercast.rng import substream
 from careercast.schema import default_schema
 from careercast.synth import default_specs, write_csv
+
+from helpers import seeded_split
 
 
 def round_trip(model, tmp_path):
@@ -213,7 +215,7 @@ def small_dataset(schema):
         raw=raw,
         target=np.stack([target for _, target in draws]),
     )
-    return normalize(split_and_normalize(careers, schema, test_fraction=0.25, seed=2))
+    return normalize(seeded_split(careers, schema, 2, test_fraction=0.25))
 
 
 def test_load_chain_refuses_foreign_documents(small_schema, tmp_path):
