@@ -280,17 +280,15 @@ def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray
 
     Row ``i`` is age ``INPUT_AGES[i]`` and column ``j`` is feature
     ``schema.names[j]``. Imputed and absent cells do not count; an entry is
-    NaN where no peer observes that feature at that age. Each age's block is
-    sorted once along the peers, NaN last; a median is the middle observed
-    value or the mean of the two, ``np.median``'s bit for bit, except that a
-    zero comes from ``np.median`` itself, whose sign a sort need not match.
+    NaN where no peer observes that feature at that age. Each entry is one
+    ``np.median`` of that feature's observed peer cells, in peer order, so
+    the table costs one median per (age, feature) however gappy the pool.
     """
     at_age = {age: [] for age in INPUT_AGES}
     for r in peers:
         if r.age in at_age:
             at_age[r.age].append(r)
     medians = np.full((len(INPUT_AGES), schema.n_features), np.nan)
-    columns = np.arange(schema.n_features)
     for i, rows in enumerate(at_age.values()):
         if not rows:
             continue
@@ -298,14 +296,10 @@ def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray
         for k, r in enumerate(rows):
             if r.imputed:
                 values[k, list(r.imputed)] = np.nan
-        ordered = np.sort(values, axis=0)
-        count = len(rows) - np.isnan(ordered).sum(axis=0)  # observed cells per feature
-        lower = ordered[(count - 1) // 2, columns]
-        upper = ordered[count // 2, columns]
-        medians[i] = np.where(count % 2 == 1, lower, (lower + upper) / 2)
-        for j in np.flatnonzero(medians[i] == 0.0):
-            cells = values[:, j]
-            medians[i, j] = np.median(cells[~np.isnan(cells)])
+        for j, cells in enumerate(values.T):
+            observed = cells[~np.isnan(cells)]
+            if observed.size:
+                medians[i, j] = np.median(observed)
     return medians
 
 

@@ -517,23 +517,23 @@ def test_peer_medians_keep_np_median_signed_zero():
 
 
 def test_ingest_computes_each_peer_median_once(write_season_csv, monkeypatch):
-    """The median table sorts each input age's block once, however gappy the pool."""
+    """The median table takes each (age, feature) median once, however gappy the pool."""
     schema = default_schema()
     calls = []
-    sort = np.sort
+    median = np.median
 
-    def counting_sort(*args, **kwargs):
+    def counting_median(*args, **kwargs):
         calls.append(1)
-        return sort(*args, **kwargs)
+        return median(*args, **kwargs)
 
-    monkeypatch.setattr(np, "sort", counting_sort)
+    monkeypatch.setattr(np, "median", counting_median)
     counts = []
     for share in (0.0, 0.1):
         _, rows = gappy_pool(schema, seed=12, cell_share=share, player_share=2 * share)
         calls.clear()
         ingest_csv(write_season_csv(rows, f"pool{share}.csv", schema.names), schema)
         counts.append(len(calls))
-    assert 0 < counts[0] == counts[1] <= len(INPUT_AGES)
+    assert 0 < counts[0] == counts[1] <= len(INPUT_AGES) * schema.n_features
 
 
 def test_ingest_draws_the_split_once(write_season_csv, monkeypatch):
