@@ -130,9 +130,7 @@ def cmd_ingest(cfg: PipelineConfig, args, chain) -> dict:
         raise ConfigError("no input CSV; pass --input or set input_csv in the config")
     schema = _schema_for(cfg)
     try:
-        dataset, summary = ingest_csv(
-            cfg.input_csv, schema, cfg.test_fraction, cfg.seed
-        )
+        dataset, summary = ingest_csv(cfg.input_csv, schema, cfg.seed)
     except FileNotFoundError:
         raise IngestError(f"input CSV not found: {cfg.input_csv}") from None
     digest = artifacts.write_artifact(
@@ -475,7 +473,6 @@ def build_parser() -> _Parser:
         "--schema", dest="schema_json", metavar="SCHEMA",
         help="feature schema JSON (default: built-in)",
     )
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser(

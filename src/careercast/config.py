@@ -7,9 +7,8 @@ from dataclasses import dataclass, field, fields
 
 from .clustering import DEFAULT_K_RANGE, DEFAULT_RESTARTS
 from .errors import ConfigError
-from .ingest import DEFAULT_TEST_FRACTION
 from .nn import TrainConfig
-from .nn.training import is_int, is_real
+from .nn.training import is_int
 
 MODEL_NAMES = ("proposed", "standard_lstm", "last_value", "linear", "ridge", "mlp")
 
@@ -25,7 +24,6 @@ class PipelineConfig:
     schema_json: str | None = None
     out_dir: str = "out"
     seed: int = 0
-    test_fraction: float = DEFAULT_TEST_FRACTION
     k_range: tuple = (DEFAULT_K_RANGE[0], DEFAULT_K_RANGE[-1])
     kmeans_restarts: int = DEFAULT_RESTARTS
     autoencoder: TrainConfig = field(default_factory=TrainConfig)
@@ -43,10 +41,6 @@ class PipelineConfig:
         pair = isinstance(kr, (list, tuple)) and len(kr) == 2 and all(is_int(v) for v in kr)
         if not (pair and 1 <= kr[0] <= kr[1]):
             raise ConfigError(f"k_range must be integers with 1 <= lo <= hi, got {kr!r}")
-        if not (is_real(self.test_fraction) and 0.0 < self.test_fraction < 1.0):
-            raise ConfigError(
-                f"test_fraction must be in (0, 1), got {self.test_fraction!r}"
-            )
         if not (is_int(self.kmeans_restarts) and self.kmeans_restarts >= 1):
             raise ConfigError(
                 f"kmeans_restarts must be an integer >= 1, got {self.kmeans_restarts!r}"

@@ -28,13 +28,13 @@ logger = logging.getLogger(__name__)
 INPUT_AGES = tuple(range(22, 29))  # rows of a career matrix, in order
 TARGET_AGES = (29, 30, 31)
 CAREER_AGES = INPUT_AGES + TARGET_AGES  # the ages a career is read over, 22-31
-MIN_SEASONS = 5  # observed seasons required inside CAREER_AGES
+MIN_SEASONS = 5  # season rows required inside CAREER_AGES, whatever their cells hold
 CATEGORIES = ("star", "regular")
 MANDATORY_COLUMNS = ("player_id", "player_name", "season", "age")
 
 AGE_BOUNDS = (18, 45)
 SEASON_BOUNDS = (1995, 2023)
-DEFAULT_TEST_FRACTION = 36.0 / 177.0
+TEST_FRACTION = 36.0 / 177.0  # the paper's 36 test players of 177
 
 
 @dataclass(slots=True)
@@ -243,10 +243,10 @@ def select_eligible_players(
 ) -> tuple[dict[str, list[SeasonRecord]], dict[str, int]]:
     """Keep players with enough observed career to train and evaluate on.
 
-    A player is eligible when they have at least MIN_SEASONS observed
-    seasons at ages 22-31 and an observed target (column ``target_index``)
-    at every target age. Retained lists are age-sorted. Duplicate (player,
-    age) rows keep the first occurrence. Returns the eligible players and
+    A player is eligible when they have at least MIN_SEASONS season rows at
+    ages 22-31, however many of a row's cells are blank, and an observed
+    target (column ``target_index``) at every target age. Retained lists
+    are age-sorted. Duplicate (player, age) rows keep the first occurrence. Returns the eligible players and
     how many were dropped for each rule, as ``dropped_too_few_seasons`` and
     ``dropped_unobserved_targets``.
     """
@@ -409,17 +409,14 @@ def build_sequences(
     return Split(tuple(complete), tuple(categories), raw, target)
 
 
-def _split_indices(
-    n: int, test_fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _split_indices(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Player-level split of ``n`` players drawn from a fresh ``ingest.split``
-    substream ``rng``: (test indices, train indices)."""
+    substream ``rng``: (test indices, train indices). A ``TEST_FRACTION``
+    share of the players is tested, at least one and never all."""
     if n < 2:
         raise SplitError(f"need at least 2 sequences to split, got {n}")
-    if not 0.0 < test_fraction < 1.0:
-        raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
     order = rng.permutation(n)
-    n_test = min(max(int(round(n * test_fraction)), 1), n - 1)
+    n_test = min(max(int(round(n * TEST_FRACTION)), 1), n - 1)
     return order[:n_test], order[n_test:]
 
 
@@ -459,12 +456,7 @@ def split_and_normalize(
     return Dataset(train=train, test=test, norm_stats=stats, seed=seed, schema=schema)
 
 
-def ingest_csv(
-    path: str,
-    schema: FeatureSchema,
-    test_fraction: float = DEFAULT_TEST_FRACTION,
-    seed: int = 0,
-) -> tuple[Dataset, dict]:
+def ingest_csv(path: str, schema: FeatureSchema, seed: int = 0) -> tuple[Dataset, dict]:
     """Run the whole ingestion chain and return the dataset plus a summary.
 
     Imputation medians come from train players only: the seeded split is
@@ -485,7 +477,7 @@ def ingest_csv(
     if not eligible:
         raise IngestError("no eligible players")
     pids = list(eligible)
-    test_idx, train_idx = _split_indices(len(pids), test_fraction, split_rng)
+    test_idx, train_idx = _split_indices(len(pids), split_rng)
     medians = peer_medians([r for i in sorted(train_idx) for r in eligible[pids[i]]], schema)
     # Filled in place: the parsed matrix stays the only copy of the cells.
     complete = {pid: impute_missing(eligible.pop(pid), schema, medians) for pid in pids}

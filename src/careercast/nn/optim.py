@@ -9,12 +9,19 @@ import numpy as np
 from ..errors import NumericError, ParameterError
 
 BLOCK = 1 << 14  # elements per block of an update: 128 KB of each array
+# Kingma & Ba 2015's suggested settings, section 2; every model trains at them
+LEARNING_RATE = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class Adam:
     """Adam over an ordered list of parameter arrays, bias corrections folded.
 
-    Both bias corrections are folded into scalars, as in Kingma & Ba 2015
+    Its settings are the module constants: step size ``LEARNING_RATE``
+    (lr), decay rates ``BETA1`` and ``BETA2``, and ``EPSILON``. Both bias
+    corrections are folded into scalars, as in Kingma & Ba 2015
     (arXiv:1412.6980, section 2): with c1 = 1 - beta1^t and
     c2 = 1 - beta2^t, each step is
     ``p -= lr * sqrt(c2) / c1 * m / (sqrt(v) + epsilon * sqrt(c2))``,
@@ -31,13 +38,7 @@ class Adam:
     whole-array pass.
     """
 
-    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        if learning_rate <= 0:
-            raise ParameterError(f"learning rate must be positive, got {learning_rate}")
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+    def __init__(self):
         self.step_count = 0
         self._slots = None
         self._scratch = None
@@ -65,9 +66,9 @@ class Adam:
             self._scratch = np.empty(min(BLOCK, max((p.size for p in params), default=0)))
 
         self.step_count += 1
-        root_c2 = math.sqrt(1.0 - self.beta2**self.step_count)
-        step_size = self.learning_rate * root_c2 / (1.0 - self.beta1**self.step_count)
-        epsilon_hat = self.epsilon * root_c2
+        root_c2 = math.sqrt(1.0 - BETA2**self.step_count)
+        step_size = LEARNING_RATE * root_c2 / (1.0 - BETA1**self.step_count)
+        epsilon_hat = EPSILON * root_c2
         for p, g, (m, v) in zip(params, grads, self._slots):
             p, g = p.reshape(-1), g.reshape(-1)
             for lo in range(0, p.size, BLOCK):
@@ -76,12 +77,12 @@ class Adam:
 
     def _update(self, p, g, m, v, step_size, epsilon_hat):
         s = self._scratch[: p.size]
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=s)
         m += s
-        v *= self.beta2
+        v *= BETA2
         np.square(g, out=s)
-        s *= 1.0 - self.beta2
+        s *= 1.0 - BETA2
         v += s
         np.sqrt(v, out=s)
         s += epsilon_hat

@@ -7,40 +7,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ShapeError, SplitError
 from .losses import mse_loss
 from .optim import Adam
+
+BATCH_SIZE = 32
+VALIDATION_FRACTION = 0.1  # share of the samples held out for early stopping
 
 
 @dataclass
 class TrainConfig:
     max_epochs: int = 100
-    batch_size: int = 32
     patience: int = 10
-    validation_fraction: float = 0.1
-    learning_rate: float = 1e-3
 
     def validate(self):
-        for name in ("max_epochs", "batch_size", "patience"):
+        for name in ("max_epochs", "patience"):
             value = getattr(self, name)
             if not (is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (is_real(self.validation_fraction) and 0.0 < self.validation_fraction < 1.0):
-            raise ConfigError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction!r}"
-            )
-        if not (is_real(self.learning_rate) and self.learning_rate > 0.0):
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
 
 
 def is_int(value) -> bool:
     """An integer, but not a bool: JSON ``true`` is no count."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """An integer or a float, but not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -64,8 +53,8 @@ def _n_samples(inputs):
     return len(inputs)
 
 
-def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
-    bounds = [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+def _batch_bounds(n: int) -> list[tuple[int, int]]:
+    bounds = [(lo, min(lo + BATCH_SIZE, n)) for lo in range(0, n, BATCH_SIZE)]
     # A trailing batch of one breaks train-mode batchnorm; fold it into the
     # previous batch instead of dropping the sample.
     if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] == 1:
@@ -80,11 +69,13 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
     ``inputs`` is an array or a tuple of arrays sliced along axis 0 in
     parallel (every forecaster passes a (blocks, indicators) pair, whose
     indicators have zero columns for the standard model). A
-    ``validation_fraction`` slice is held out up front; training stops once
-    validation loss has not improved for ``patience`` epochs or at
-    ``max_epochs``, whichever comes first, and the parameters from the best
-    validation epoch are restored. Fully deterministic given ``rng``, which
-    draws the validation slice, every epoch's order and dropout masks.
+    ``VALIDATION_FRACTION`` slice is held out up front, and each epoch
+    reshuffles the rest into ``BATCH_SIZE`` batches of one ``Adam()`` step
+    each. Training stops once validation loss has not improved for
+    ``patience`` epochs or at ``max_epochs``, whichever comes first, and the
+    parameters from the best validation epoch are restored. Fully
+    deterministic given ``rng``, which draws the validation slice, every
+    epoch's order and dropout masks.
 
     The model's parameters are first moved into one flat buffer, and its
     gradients created in another (see ``Layer.bind``); both stay there
@@ -97,26 +88,24 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
     config.validate()
     n = _n_samples(inputs)
     if n == 0:
-        raise ConfigError("no training data")
+        raise SplitError("no training data")
     targets = np.asarray(targets, dtype=float)
     if len(targets) != n:
-        raise ConfigError(f"{n} inputs but {len(targets)} targets")
+        raise ShapeError(f"{n} inputs but {len(targets)} targets")
 
-    n_val = int(round(n * config.validation_fraction))
+    # empty below 6 samples, and never the whole set: round(0.1 * n) < n
+    n_val = int(round(n * VALIDATION_FRACTION))
     if n_val < 1:
-        raise ConfigError(
-            f"validation slice is empty: {n} samples at fraction "
-            f"{config.validation_fraction}"
+        raise SplitError(
+            f"validation slice is empty: {n} samples at fraction {VALIDATION_FRACTION}"
         )
-    if n - n_val < 1:
-        raise ConfigError("validation slice leaves no training samples")
     order = rng.permutation(n)
     val_idx = order[:n_val]
     train_idx = order[n_val:]
     val_inputs = _take(inputs, val_idx)
     val_targets = targets[val_idx]
 
-    optimizer = Adam(learning_rate=config.learning_rate)
+    optimizer = Adam()
     params, grads = _flatten(model)
     result = TrainResult()
     live = [params, *(arr for _, arr in model.state_items())]
@@ -126,7 +115,7 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
     for epoch in range(1, config.max_epochs + 1):
         epoch_order = train_idx[rng.permutation(train_idx.size)]
         total = 0.0
-        for lo, hi in _batch_bounds(train_idx.size, config.batch_size):
+        for lo, hi in _batch_bounds(train_idx.size):
             batch_idx = epoch_order[lo:hi]
             pred = model.forward(_take(inputs, batch_idx), train=True, rng=rng)
             loss, grad = mse_loss(pred, targets[batch_idx])

@@ -5,7 +5,6 @@ import numpy as np
 from careercast.baselines import LinearModel, _check_xy, linear_predict
 from careercast.errors import ParameterError, ShapeError
 from careercast.ingest import (
-    DEFAULT_TEST_FRACTION,
     INPUT_AGES,
     Dataset,
     Split,
@@ -56,14 +55,10 @@ def reconstruction_error(ae, x: np.ndarray) -> np.ndarray:
     return np.mean((recon - x) ** 2, axis=1)
 
 
-def seeded_split(
-    careers: Split, schema, seed: int, test_fraction: float = DEFAULT_TEST_FRACTION
-) -> Dataset:
+def seeded_split(careers: Split, schema, seed: int) -> Dataset:
     """``careers`` split as ``ingest_csv`` splits its careers: one draw from the
     ``ingest.split`` substream of ``seed``, handed to ``split_and_normalize``."""
-    test_idx, train_idx = _split_indices(
-        len(careers), test_fraction, substream(seed, "ingest.split")
-    )
+    test_idx, train_idx = _split_indices(len(careers), substream(seed, "ingest.split"))
     return split_and_normalize(careers, schema, test_idx, train_idx, seed)
 
 

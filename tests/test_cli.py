@@ -706,10 +706,6 @@ PRECEDENCE = {
         lambda: [f["name"] for f in read_json_file("o/dataset.json")["schema"]["features"]],
         (["BPM", "PTS"], ["BPM", "PTS", "AST"]),
     ),
-    "--test-fraction": (
-        ["ingest", "--input", "{pools}/a/synthetic.csv"], "test_fraction", 0.4, "0.6",
-        lambda: read_json_file("o/dataset.json")["summary"]["test_players"], (6, 9),
-    ),
     "--models": (
         ["evaluate"], "models", ["last_value"], "ridge", comparison_models,
         (["last_value"], ["ridge"]),
@@ -863,9 +859,15 @@ def test_usage_errors(tmp_path, capsys):
         ({"k_range": ["a", 3]}, [], "k_range"),
         ({"k_range": [2.5, 3]}, [], "k_range"),
         ({"kmeans_restarts": "3"}, [], "kmeans_restarts"),
-        ({"test_fraction": "0.2"}, [], "test_fraction"),
-        # not a config key: the regression penalties are constants in baselines
+        # not config keys: the test share, the regression penalties and the
+        # optimizer's step are constants of ingest, baselines and nn.optim
+        ({"test_fraction": "0.2"}, [], "unknown config key(s): test_fraction"),
         ({"ridge_lambda": "1"}, [], "unknown config key(s): ridge_lambda"),
+        (
+            {"autoencoder": {"learning_rate": 0.01}}, [],
+            "unknown key(s) ['learning_rate'] in 'autoencoder' block; "
+            "allowed: ['max_epochs', 'patience']",
+        ),
         ({"autoencoder": {"max_epochs": "5"}}, [], "max_epochs"),
         ({"forecaster": {"patience": True}}, [], "patience"),
         ({"forecaster": 5}, [], "forecaster"),
@@ -883,6 +885,7 @@ def test_usage_errors(tmp_path, capsys):
         "kmeans_restarts-str",
         "test_fraction-str",
         "ridge_lambda-str",
+        "learning_rate-key",
         "max_epochs-str",
         "patience-bool",
         "block-int",
@@ -918,6 +921,19 @@ def test_empty_csv_is_a_data_error(tmp_path, capsys):
     rc = main(["ingest", "--out", str(tmp_path / "o"), "--input", str(path)])
     assert rc == 2
     assert "no eligible players" in capsys.readouterr().err
+
+
+def test_a_pool_too_small_to_train_is_a_data_error(tmp_path, capsys):
+    """Four train players leave the fixed validation share no sample: no config
+    value can change that, so ``stage1`` exits 2, not 1."""
+    base = ["--out", str(tmp_path), "--seed", "0"]
+    assert main(["synth", *base, "--stars", "2", "--regulars", "3"]) == 0
+    assert main(["ingest", *base, "--input", str(tmp_path / "synthetic.csv")]) == 0
+    capsys.readouterr()
+    assert main(["stage1", *base]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation slice is empty: 4 samples")
+    assert not (tmp_path / "autoencoder.json").exists()
 
 
 def test_predict_by_player_id(pipeline, capsys):

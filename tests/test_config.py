@@ -18,10 +18,10 @@ def test_defaults_name_the_owning_modules_constants():
 
 def test_loaded_training_blocks_are_train_configs(tmp_path):
     path = tmp_path / "config.json"
-    doc = {"autoencoder": {"max_epochs": 7, "learning_rate": 0.01}, "forecaster": {"patience": 3}}
+    doc = {"autoencoder": {"max_epochs": 7, "patience": 2}, "forecaster": {"patience": 3}}
     path.write_text(json.dumps(doc), encoding="utf-8")
     cfg = load_config(path).validate()
-    assert cfg.autoencoder == TrainConfig(max_epochs=7, learning_rate=0.01)
+    assert cfg.autoencoder == TrainConfig(max_epochs=7, patience=2)
     assert cfg.forecaster == TrainConfig(patience=3)
     path.write_text(json.dumps({"seed": 4}), encoding="utf-8")
     assert load_config(path).forecaster == TrainConfig()

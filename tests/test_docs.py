@@ -34,6 +34,26 @@ def test_readme_commands_table_matches_the_parser():
     assert sorted(named) == sorted(subparsers.choices)
 
 
+def test_readme_flag_list_names_every_config_flag():
+    """The Commands section lists, as the flags that override the config, exactly
+    the parser options that set a ``PipelineConfig`` field."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    listed = " ".join(section.split("then the flags (", 1)[1].split(")", 1)[0].split())
+    named = listed.split("`")[1::2]
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    config = {f.name for f in fields(PipelineConfig)}
+    flags = {
+        flag
+        for p in (parser, *subparsers.choices.values())
+        for action in p._actions
+        if action.dest in config
+        for flag in action.option_strings
+    }
+    assert len(named) == len(set(named)) and set(named) == flags
+
+
 def test_readme_artifacts_tree_names_every_chained_file():
     text = README.read_text(encoding="utf-8")
     tree = text.split("\n## Artifacts\n", 1)[1].split("```\n", 2)[1]

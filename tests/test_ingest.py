@@ -169,10 +169,13 @@ def test_select_eligible_players(small_schema, write_season_csv):
     rows += full_career("keep", 2.0)
     rows += career_rows("short", {22: 1.0, 23: 1.0, 24: 1.0, 25: 1.0})
     rows += full_career("notarget", 0.0, missing=[(30, "BPM")])
+    # five season rows count, though those at 22 and 23 hold no cell at all
+    blank = [(age, name) for age in (22, 23) for name in SMALL_NAMES]
+    rows += career_rows("blank", {22: 0.0, 23: 0.0, 29: 1.0, 30: 1.0, 31: 1.0}, missing=blank)
     path = write_season_csv(rows)
     records = parse_season_csv(path, small_schema)
     eligible, dropped = select_eligible_players(records, small_schema.target_index)
-    assert set(eligible) == {"keep"}
+    assert set(eligible) == {"keep", "blank"}
     assert dropped == {"dropped_too_few_seasons": 1, "dropped_unobserved_targets": 1}
     ages = [r.age for r in eligible["keep"]]
     assert ages == sorted(ages)
@@ -572,7 +575,7 @@ def test_imputation_medians_ignore_test_players(small_schema, write_season_csv):
                     row["TS%"] = test_value if pid in test_ids else 0.40 + 0.01 * i
             rows += career
         path = write_season_csv(rows, f"{gap}-{test_value}.csv")
-        return ingest_csv(path, small_schema, test_fraction=0.25, seed=0)[0]
+        return ingest_csv(path, small_schema, seed=0)[0]
 
     split = ingest()
     test_ids = set(split.test.player_ids)
@@ -613,7 +616,7 @@ def take(careers, idx):
 def test_split_normalizes_with_train_stats_only(small_schema):
     rng = np.random.default_rng(7)
     careers = make_careers(30, small_schema.n_features, rng)
-    ds = artifacts.normalize(seeded_split(careers, small_schema, 3, test_fraction=0.2))
+    ds = artifacts.normalize(seeded_split(careers, small_schema, 3))
     assert len(ds.test) == 6
     assert len(ds.train) == 24
     assert not set(ds.train.player_ids) & set(ds.test.player_ids)
@@ -631,9 +634,9 @@ def test_split_normalizes_with_train_stats_only(small_schema):
             assert np.array_equal(raw, careers.raw[row[pid]])
             assert np.array_equal(target, careers.target[row[pid]])
 
-    again = seeded_split(careers, small_schema, 3, test_fraction=0.2)
+    again = seeded_split(careers, small_schema, 3)
     assert again.train.player_ids == ds.train.player_ids
-    other = seeded_split(careers, small_schema, 4, test_fraction=0.2)
+    other = seeded_split(careers, small_schema, 4)
     assert other.test.player_ids != ds.test.player_ids
 
 
@@ -673,8 +676,6 @@ def test_split_rejects_degenerate_inputs(small_schema):
     rng = np.random.default_rng(1)
     careers = make_careers(6, small_schema.n_features, rng)
     with pytest.raises(SplitError):
-        seeded_split(careers, small_schema, 0, test_fraction=1.5)
-    with pytest.raises(SplitError):
         seeded_split(take(careers, [0]), small_schema, 0)
     dupes = take(careers, [0, 1, 2, 3, 4, 5, 0])
     with pytest.raises(SplitError, match="duplicate player_id"):
@@ -705,7 +706,7 @@ def test_ingest_csv_summary(small_schema, write_season_csv):
     rows += career_rows("short", {22: 1.0, 23: 1.0, 24: 1.0})
     rows += full_career("notarget", 0.0, missing=[(31, "BPM")])
     path = write_season_csv(rows)
-    dataset, summary = ingest_csv(path, small_schema, test_fraction=0.25, seed=0)
+    dataset, summary = ingest_csv(path, small_schema, seed=0)
     assert summary["players_total"] == 10
     assert summary["players_kept"] == 8
     assert summary["dropped_too_few_seasons"] == 1
@@ -723,7 +724,7 @@ def test_ingest_csv_counts_imputed_cells_by_age_and_feature(
     for i in range(8):
         rows += full_career(f"p{i}", float(i), missing=holes.get(i, ()))
     rows = [r for r in rows if (r["player_id"], r["age"]) != ("p3", 25)]
-    _, summary = ingest_csv(write_season_csv(rows), small_schema, test_fraction=0.25, seed=0)
+    _, summary = ingest_csv(write_season_csv(rows), small_schema, seed=0)
     # target-age rows are never imputed; a deleted row counts each of its cells
     assert summary["imputed_cells"] == {
         "24": {"TS%": 2},

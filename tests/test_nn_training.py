@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from careercast.errors import ConfigError, NumericError, ParameterError
+from careercast.errors import ConfigError, NumericError, ParameterError, ShapeError, SplitError
 from careercast.forecaster import Forecaster
 from careercast.nn import (
     Adam,
@@ -18,6 +18,7 @@ from careercast.nn import (
     optim,
     train_loop,
 )
+from careercast.nn.training import VALIDATION_FRACTION
 from careercast.rng import substream
 
 
@@ -27,7 +28,7 @@ def test_adam_first_step_is_learning_rate_sized():
     grad = rng.normal(size=(4, 3))
     grad[np.abs(grad) < 0.01] = 0.5
     before = param.copy()
-    opt = Adam(learning_rate=1e-3)
+    opt = Adam()
     opt.step([param], [grad])
     # bias-corrected first step: -lr * g / (|g| + tiny) ~= -lr * sign(g)
     assert np.allclose(param - before, -1e-3 * np.sign(grad), atol=1e-6)
@@ -164,7 +165,7 @@ def make_linear_data(seed, n=64, p=3):
 def test_training_fits_linear_data():
     x, y = make_linear_data(0)
     model = Sequential([Dense(3, 1, substream(0, "test.fit"))])
-    config = TrainConfig(max_epochs=800, patience=800, learning_rate=0.01)
+    config = TrainConfig(max_epochs=3000, patience=3000)
     result = train_loop(model, x, y, config, rng=substream(0, "test.fit.train"))
     assert result.train_loss[-1] < 1e-3
     assert result.best_epoch <= result.stopped_epoch
@@ -180,7 +181,7 @@ def test_restored_parameters_reproduce_best_val_loss():
 
     probe = substream(1, "test.restore.train")
     order = probe.permutation(len(x))
-    val_idx = order[: int(round(len(x) * config.validation_fraction))]
+    val_idx = order[: int(round(len(x) * VALIDATION_FRACTION))]
     val_loss, _ = mse_loss(model.forward(x[val_idx], train=False), y[val_idx])
     assert val_loss == pytest.approx(result.best_val_loss, abs=1e-12)
     assert result.best_val_loss == min(result.val_loss)
@@ -192,10 +193,10 @@ def test_patience_one_stops_before_budget():
     x = rng.normal(size=(40, 5))
     y = rng.normal(size=(40, 1))
     model = Sequential([Dense(5, 1, substream(3, "test.patience"))])
-    # high learning rate so validation loss wobbles once it is near the optimum
-    config = TrainConfig(max_epochs=200, patience=1, learning_rate=0.05)
+    # validation loss wobbles once it is near the optimum, well inside the budget
+    config = TrainConfig(max_epochs=1000, patience=1)
     result = train_loop(model, x, y, config, rng=substream(3, "test.patience.train"))
-    assert result.stopped_epoch < 200
+    assert result.stopped_epoch < 1000
     assert result.best_epoch <= result.stopped_epoch
     assert result.stopped_epoch == result.best_epoch + 1
 
@@ -213,7 +214,7 @@ def test_training_is_deterministic():
 
 
 def test_trailing_singleton_batch_is_folded():
-    # 37 samples -> 4 validation, 33 training rows against batch_size 32;
+    # 37 samples -> 4 validation, 33 training rows against BATCH_SIZE 32;
     # a naive split would feed batchnorm a 1-row batch and fail.
     rng = np.random.default_rng(5)
     x = rng.normal(size=(37, 4))
@@ -226,19 +227,13 @@ def test_trailing_singleton_batch_is_folded():
 def test_train_loop_rejects_bad_shapes():
     x = np.zeros((10, 3))
     model = Sequential([Dense(3, 1)])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ShapeError):
         train_loop(model, x, np.zeros((7, 1)), TrainConfig(), rng=substream(0, "test.shapes"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(SplitError):
         train_loop(model, x[:0], np.zeros((0, 1)), TrainConfig(), rng=substream(0, "test.shapes"))
 
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(max_epochs=0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(validation_fraction=1.5).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=0.0).validate()
     TrainConfig().validate()

@@ -215,7 +215,7 @@ def small_dataset(schema):
         raw=raw,
         target=np.stack([target for _, target in draws]),
     )
-    return normalize(seeded_split(careers, schema, 2, test_fraction=0.25))
+    return normalize(seeded_split(careers, schema, 2))
 
 
 def test_load_chain_refuses_foreign_documents(small_schema, tmp_path):
