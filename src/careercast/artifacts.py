@@ -222,7 +222,7 @@ def _split_to_doc(split: Split) -> list[dict]:
     ]
 
 
-def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
+def dataset_to_doc(dataset: Dataset, summary: dict) -> dict:
     """The dataset body; the statistics are left out and refit on load, and the
     normalized inputs are left out for ``normalize`` to build."""
     return {
@@ -230,7 +230,7 @@ def dataset_to_doc(dataset: Dataset, summary: dict | None = None) -> dict:
         "schema": dataset.schema.to_doc(),
         "train": _split_to_doc(dataset.train),
         "test": _split_to_doc(dataset.test),
-        "summary": summary or {},
+        "summary": summary,
     }
 
 

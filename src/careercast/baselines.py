@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import NumericError, ParameterError, RankDeficiencyError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError
 from .ingest import TARGET_AGES
 from .nn import Dense, ReLU, Sequential, TrainConfig, TrainResult, train_loop
 
@@ -64,22 +64,17 @@ def _check_xy(x: np.ndarray, y: np.ndarray):
     return x, y
 
 
-def linear_fit(x: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
-    """Least squares (optionally ridge-penalized) in closed form.
+def linear_fit(x: np.ndarray, y: np.ndarray, l2: float) -> LinearModel:
+    """Ridge-penalized least squares in closed form; the intercept is never penalized.
 
-    The intercept is never penalized. With ``l2`` = 0 a rank-deficient
-    design is an error rather than an arbitrary pseudo-inverse pick.
+    ``l2`` must be positive: the penalty is what keeps a design with more
+    columns than rows solvable.
     """
     x, y = _check_xy(x, y)
-    if l2 < 0:
-        raise ParameterError(f"l2 must be non-negative, got {l2}")
+    if not l2 > 0:
+        raise ParameterError(f"l2 must be positive, got {l2}")
     n, p = x.shape
     xa = np.hstack([x, np.ones((n, 1))])
-    if l2 == 0.0 and np.linalg.matrix_rank(xa) < p + 1:
-        raise RankDeficiencyError(
-            f"design matrix with intercept has rank below {p + 1}; "
-            "add an l2 penalty or drop redundant columns"
-        )
     gram = xa.T @ xa
     gram[np.diag_indices(p)] += l2  # in place; the intercept's entry is gram[p, p]
     try:

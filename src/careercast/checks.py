@@ -86,7 +86,7 @@ CONFIGS = (
 )
 
 
-def gradcheck_suite(n_seeds: int = 20) -> list[dict]:
+def gradcheck_suite(n_seeds: int) -> list[dict]:
     """Run every configuration over ``n_seeds`` seeded draws.
 
     Returns one row per configuration with the worst relative error seen

@@ -45,9 +45,5 @@ class UndefinedMetricError(NumericError):
     """A metric has no defined value for this input (e.g. zero variance)."""
 
 
-class RankDeficiencyError(NumericError):
-    """A least-squares system is singular; regularization is required."""
-
-
 class ArtifactError(CareerCastError):
     """A persisted artifact is missing, malformed, or from a different run."""

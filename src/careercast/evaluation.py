@@ -110,7 +110,7 @@ def evaluate(model_name: str, predict_fn, split) -> EvalReport:
     return report
 
 
-def export_curves(report: EvalReport, by: str = "player"):
+def export_curves(report: EvalReport, by: str):
     """Rows for trend plots: (series, age, actual, predicted).
 
     Player mode emits each player's three target ages; category mode

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, ImputationError, IngestError, SchemaError, SplitError
+from .nn.training import MIN_TRAIN_SAMPLES
 from .rng import substream
 from .schema import COUNTING, FeatureSchema
 
@@ -461,6 +462,8 @@ def ingest_csv(path: str, schema: FeatureSchema, seed: int = 0) -> tuple[Dataset
 
     Imputation medians come from train players only: the seeded split is
     drawn once, before imputing, and ``split_and_normalize`` stores that draw.
+    A train split with fewer than ``MIN_TRAIN_SAMPLES`` players, which no
+    model could train on, is refused before anything is imputed.
     The summary counts players kept and dropped by reason, and under
     ``imputed_cells`` the cells filled at each age for each feature (nonzero
     counts only); the CLI prints the player counts and stores it all in the
@@ -478,6 +481,10 @@ def ingest_csv(path: str, schema: FeatureSchema, seed: int = 0) -> tuple[Dataset
         raise IngestError("no eligible players")
     pids = list(eligible)
     test_idx, train_idx = _split_indices(len(pids), split_rng)
+    if len(train_idx) < MIN_TRAIN_SAMPLES:
+        raise SplitError(
+            f"{len(train_idx)} train players; training needs at least {MIN_TRAIN_SAMPLES}"
+        )
     medians = peer_medians([r for i in sorted(train_idx) for r in eligible[pids[i]]], schema)
     # Filled in place: the parsed matrix stays the only copy of the cells.
     complete = {pid: impute_missing(eligible.pop(pid), schema, medians) for pid in pids}

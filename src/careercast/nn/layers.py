@@ -138,11 +138,11 @@ class BatchNorm(Layer):
 
     params = ("scale", "shift")
     state = ("running_mean", "running_var")
+    momentum = 0.9
+    eps = 1e-5
 
-    def __init__(self, n: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(self, n: int):
         self.n = n
-        self.momentum = momentum
-        self.eps = eps
         self.scale = np.ones(n)
         self.shift = np.zeros(n)
         self.running_mean = np.zeros(n)

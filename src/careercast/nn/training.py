@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -13,6 +14,8 @@ from .optim import Adam
 
 BATCH_SIZE = 32
 VALIDATION_FRACTION = 0.1  # share of the samples held out for early stopping
+# the fewest samples whose validation slice is not empty: round() takes 0.5 to 0
+MIN_TRAIN_SAMPLES = math.floor(0.5 / VALIDATION_FRACTION) + 1
 
 
 @dataclass
@@ -93,12 +96,12 @@ def train_loop(model, inputs, targets, config: TrainConfig, rng) -> TrainResult:
     if len(targets) != n:
         raise ShapeError(f"{n} inputs but {len(targets)} targets")
 
-    # empty below 6 samples, and never the whole set: round(0.1 * n) < n
-    n_val = int(round(n * VALIDATION_FRACTION))
-    if n_val < 1:
+    # never the whole set either: round(0.1 * n) < n
+    if n < MIN_TRAIN_SAMPLES:
         raise SplitError(
             f"validation slice is empty: {n} samples at fraction {VALIDATION_FRACTION}"
         )
+    n_val = int(round(n * VALIDATION_FRACTION))
     order = rng.permutation(n)
     val_idx = order[:n_val]
     train_idx = order[n_val:]

@@ -98,9 +98,7 @@ def default_specs(
 
 
 def generate_block(
-    specs: list[ArchetypeSpec],
-    seed: int = 0,
-    schema: FeatureSchema | None = None,
+    specs: list[ArchetypeSpec], seed: int, schema: FeatureSchema
 ) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...], np.ndarray]:
     """Every synthetic career as one block, plus ids, categories and labels.
 
@@ -111,8 +109,6 @@ def generate_block(
     """
     if not specs:
         raise ParameterError("need at least one archetype spec")
-    if schema is None:
-        schema = default_schema()
     t = schema.target_index
     other = [j for j in range(schema.n_features) if j != t]
     ages = np.array(CAREER_AGES, dtype=float)

@@ -6,6 +6,8 @@ criterion; add ``-s`` to see the measured numbers behind each verdict.
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -277,3 +279,46 @@ def test_pipeline_artifacts_are_deterministic(tmp_path):
             compared += 1
     assert compared >= 10
     print(f"\nPASS determinism: {compared} artifacts byte-identical across reruns")
+
+
+# Runs one pool through ``stage2 --standard`` in-process; argv: output directory.
+THREADED_PIPELINE = """
+import json, sys
+from pathlib import Path
+from careercast.cli import main
+
+out = Path(sys.argv[1])
+out.mkdir(parents=True)
+config = out / "config.json"
+config.write_text(json.dumps({"autoencoder": {"max_epochs": 3}, "forecaster": {"max_epochs": 3}}))
+base = ["--config", str(config), "--out", str(out), "--seed", "3"]
+for argv in (
+    ["synth", *base, "--stars", "8", "--regulars", "24"],
+    ["ingest", *base, "--input", str(out / "synthetic.csv")],
+    ["stage1", *base],
+    ["stage2", *base],
+    ["stage2", *base, "--standard"],
+):
+    assert main(argv) == 0, argv[0]
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Every artifact and the silhouette report come out byte-identical at 1
+    and 2 BLAS threads, as the README's Determinism paragraph states."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in (1, 2):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+        proc = subprocess.run(
+            [sys.executable, "-c", THREADED_PIPELINE, str(tmp_path / f"t{threads}")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = ("dataset.json", "autoencoder.json", "clusters.json", "forecaster.json",
+             "forecaster_standard.json", "reports/silhouette.csv")
+    for name in names:
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), (
+            f"{name} differs between 1 and 2 BLAS threads"
+        )
+    print(f"\nPASS thread count: {len(names)} files byte-identical at 1 and 2 BLAS threads")

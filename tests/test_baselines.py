@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from careercast.baselines import (
+    LINEAR_LAMBDA,
     LinearModel,
     last_value_predict,
     linear_fit,
@@ -15,7 +16,6 @@ from careercast.baselines import (
 from careercast.errors import (
     NumericError,
     ParameterError,
-    RankDeficiencyError,
     ShapeError,
 )
 from careercast.ingest import Split
@@ -58,12 +58,21 @@ def test_last_value_rejects_empty():
         last_value_predict(np.zeros((0, 7, 3)), target_index=0)
 
 
+def ols_oracle(x, y):
+    """Unpenalized least squares on the intercept-augmented design: (coef, intercept)."""
+    weights = np.linalg.lstsq(np.hstack([x, np.ones((len(x), 1))]), y, rcond=None)[0]
+    return weights[:-1], weights[-1]
+
+
 def test_linear_fit_recovers_exact_planted_weights():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 4))
     w = np.array([[1.5], [-2.0], [0.25], [3.0]])
     y = x @ w + 0.75
-    model = linear_fit(x, y, l2=0.0)
+    model = linear_fit(x, y, l2=LINEAR_LAMBDA)
+    coef, intercept = ols_oracle(x, y)
+    assert np.allclose(model.coef, coef, atol=1e-9)
+    assert np.allclose(model.intercept, intercept, atol=1e-9)
     assert np.allclose(model.coef, w, atol=1e-9)
     assert np.allclose(model.intercept, [0.75], atol=1e-9)
     assert np.allclose(linear_predict(model, x), y, atol=1e-9)
@@ -73,10 +82,10 @@ def test_tiny_ridge_matches_ordinary_least_squares():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(50, 10))
     y = rng.normal(size=(50, 3))
-    ols = linear_fit(x, y, l2=0.0)
+    coef, intercept = ols_oracle(x, y)
     ridge = linear_fit(x, y, l2=1e-8)
-    assert np.allclose(ridge.coef, ols.coef, atol=1e-8)
-    assert np.allclose(ridge.intercept, ols.intercept, atol=1e-8)
+    assert np.allclose(ridge.coef, coef, atol=1e-8)
+    assert np.allclose(ridge.intercept, intercept, atol=1e-8)
 
 
 def test_ridge_solution_beats_100_perturbations():
@@ -137,11 +146,12 @@ def test_huge_penalty_shrinks_to_the_mean():
 
 
 def test_rank_deficiency_is_an_error_without_penalty():
+    """No fit runs unpenalized; the penalty makes a duplicated column solvable."""
     rng = np.random.default_rng(4)
     x = rng.normal(size=(20, 3))
     x = np.hstack([x, x[:, :1]])  # duplicated column
     y = rng.normal(size=(20, 1))
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(ParameterError, match="l2 must be positive"):
         linear_fit(x, y, l2=0.0)
     model = linear_fit(x, y, l2=1e-6)
     assert np.all(np.isfinite(model.coef))
@@ -150,11 +160,12 @@ def test_rank_deficiency_is_an_error_without_penalty():
 def test_linear_fit_input_validation():
     x = np.zeros((5, 2))
     with pytest.raises(ShapeError):
-        linear_fit(np.zeros(5), np.zeros(5))
+        linear_fit(np.zeros(5), np.zeros(5), l2=1.0)
     with pytest.raises(ShapeError):
-        linear_fit(x, np.zeros((4, 1)))
-    with pytest.raises(ParameterError):
-        linear_fit(x, np.zeros(5), l2=-1.0)
+        linear_fit(x, np.zeros((4, 1)), l2=1.0)
+    for l2 in (0.0, -1.0, np.nan):
+        with pytest.raises(ParameterError, match="l2 must be positive"):
+            linear_fit(x, np.zeros(5), l2=l2)
     bad = x.copy()
     bad[0, 0] = np.inf
     with pytest.raises(NumericError):

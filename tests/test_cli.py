@@ -925,15 +925,36 @@ def test_empty_csv_is_a_data_error(tmp_path, capsys):
 
 def test_a_pool_too_small_to_train_is_a_data_error(tmp_path, capsys):
     """Four train players leave the fixed validation share no sample: no config
-    value can change that, so ``stage1`` exits 2, not 1."""
+    value can change that, so ``ingest`` refuses the pool with exit 2, not 1."""
     base = ["--out", str(tmp_path), "--seed", "0"]
     assert main(["synth", *base, "--stars", "2", "--regulars", "3"]) == 0
-    assert main(["ingest", *base, "--input", str(tmp_path / "synthetic.csv")]) == 0
     capsys.readouterr()
-    assert main(["stage1", *base]) == 2
+    assert main(["ingest", *base, "--input", str(tmp_path / "synthetic.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: validation slice is empty: 4 samples")
-    assert not (tmp_path / "autoencoder.json").exists()
+    assert err == "error: 4 train players; training needs at least 6\n"
+    assert not (tmp_path / "dataset.json").exists()
+
+
+def test_six_train_players_are_the_fewest_that_train(tmp_path, capsys):
+    """6 players split 5 train / 1 test and are refused; 7 split 6 / 1 and ``stage1`` runs."""
+
+    def ingest(players):
+        base = ["--out", str(tmp_path / str(players)), "--seed", "0"]
+        assert main(["synth", *base, "--stars", "3", "--regulars", str(players - 3)]) == 0
+        capsys.readouterr()
+        csv_path = str(tmp_path / str(players) / "synthetic.csv")
+        return base, main(["ingest", *base, "--input", csv_path])
+
+    _, rc = ingest(6)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: 5 train players; training needs at least 6\n"
+    assert not (tmp_path / "6" / "dataset.json").exists()
+    base, rc = ingest(7)
+    assert rc == 0
+    assert "(6 train / 1 test)" in capsys.readouterr().out
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"autoencoder": {"max_epochs": 3, "patience": 3}}))
+    assert main(["stage1", *base, "--config", str(config)]) == 0
 
 
 def test_predict_by_player_id(pipeline, capsys):

@@ -2,8 +2,11 @@
 the code has."""
 
 import argparse
+import importlib
 import json
+import re
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 from careercast import artifacts
@@ -59,3 +62,18 @@ def test_readme_artifacts_tree_names_every_chained_file():
     tree = text.split("\n## Artifacts\n", 1)[1].split("```\n", 2)[1]
     listed = {line.split()[0] for line in tree.splitlines() if line.strip()}
     assert set(artifacts.CHAIN) <= listed
+
+
+def test_readme_configuration_constants_match_the_code():
+    """Each "value (`module.NAME`)" in the Configuration section names the
+    constant's value in the code."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    stated = re.findall(r"(\S+)\s+\(`((?:\w+\.)+[A-Z][A-Z0-9_]*)`\)", section)
+    named = {name.rsplit(".", 1)[1] for _, name in stated}
+    assert {"BATCH_SIZE", "VALIDATION_FRACTION", "MIN_TRAIN_SAMPLES", "TEST_FRACTION",
+            "LINEAR_LAMBDA", "RIDGE_LAMBDA"} <= named
+    for value, name in stated:
+        module, constant = name.rsplit(".", 1)
+        actual = getattr(importlib.import_module(f"careercast.{module}"), constant)
+        assert float(Fraction(value)) == actual, f"README says {name} is {value}, code {actual}"

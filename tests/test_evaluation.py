@@ -149,7 +149,7 @@ def test_export_curves_category_means():
     with pytest.raises(ParameterError):
         export_curves(report, by="team")
     with pytest.raises(ParameterError):
-        export_curves(EvalReport("empty", (), (), np.empty((0, 3)), np.empty((0, 3))))
+        export_curves(EvalReport("empty", (), (), np.empty((0, 3)), np.empty((0, 3))), by="player")
 
 
 def test_export_scatter():

@@ -665,8 +665,8 @@ def test_flattened_train_inputs_share_the_dataset_block(tmp_path):
     schema = default_schema()
     path = str(tmp_path / "pool.csv")
     write_csv(path, default_specs(3, 9), seed=5, schema=schema)
-    dataset, _ = ingest_csv(path, schema)
-    doc = artifacts.dataset_to_doc(dataset)
+    dataset, summary = ingest_csv(path, schema)
+    doc = artifacts.dataset_to_doc(dataset, summary)
     loaded = artifacts.normalize(artifacts.dataset_from_doc(doc))
     for ds in (artifacts.normalize(dataset), loaded):
         assert np.shares_memory(flatten_batch(ds.train.input), ds.train.input)

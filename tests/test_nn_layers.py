@@ -102,7 +102,8 @@ def test_batchnorm_train_matches_batch_statistics():
 
 def test_batchnorm_running_stats_momentum():
     rng = np.random.default_rng(1)
-    layer = BatchNorm(2, momentum=0.9)
+    layer = BatchNorm(2)
+    assert layer.momentum == 0.9
     a = rng.normal(size=(6, 2))
     b = rng.normal(size=(6, 2))
     layer.forward(a, train=True)

@@ -219,7 +219,7 @@ def small_dataset(schema):
 
 
 def test_load_chain_refuses_foreign_documents(small_schema, tmp_path):
-    body = dataset_to_doc(small_dataset(small_schema))
+    body = dataset_to_doc(small_dataset(small_schema), {})
     write_artifact(tmp_path, DATASET, body, {"../elsewhere.json": "0" * 64})
     with pytest.raises(ArtifactError, match="unknown artifact"):
         load_chain(tmp_path, [DATASET])

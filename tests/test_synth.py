@@ -110,7 +110,7 @@ def test_spec_validation():
         ArchetypeSpec(count=1, peak_age=25, peak_bpm=0, curvature=-0.1,
                       noise_std=1.0, category="bench")
     with pytest.raises(ParameterError):
-        generate_block([], seed=0)
+        generate_block([], seed=0, schema=default_schema())
 
 
 def test_default_specs_shape():
