@@ -87,14 +87,13 @@ class Autoencoder(Layer):
 def ae_train(
     inputs: np.ndarray,
     seed: int = 0,
-    config: TrainConfig | None = None,
+    *,
+    config: TrainConfig,
 ) -> tuple[Autoencoder, TrainResult]:
     """Fit an autoencoder to reconstruct ``inputs`` (already flattened rows)."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2:
         raise ShapeError(f"expected (n, n_inputs) training data, got {inputs.shape}")
-    if config is None:
-        config = TrainConfig()
     ae = Autoencoder(inputs.shape[1], rng=rngmod.substream(seed, "autoencoder.init"))
     result = train_loop(
         ae.model,

@@ -97,12 +97,11 @@ def mlp_baseline_train(
     x: np.ndarray,
     y: np.ndarray,
     seed: int = 0,
-    config: TrainConfig | None = None,
+    *,
+    config: TrainConfig,
 ) -> tuple[Sequential, TrainResult]:
     """Fit a dense relu net on flattened input rows."""
     x, y = _check_xy(x, y)
-    if config is None:
-        config = TrainConfig()
     init_rng = rngmod.substream(seed, "mlp.init")
     sizes = (x.shape[1],) + MLP_HIDDEN + (y.shape[1],)
     layers = []

@@ -9,16 +9,57 @@ stays fast.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .autoencoder import Autoencoder
 from .forecaster import Forecaster, cluster_indicators
-from .nn import LSTM, BatchNorm, Dense, Dropout, ReLU, Sequential, grad_check
+from .nn import LSTM, BatchNorm, Dense, Dropout, ReLU, Sequential, mse_loss
+from .nn.training import _flatten
 from .rng import substream
 
 TIGHT = 1e-6  # purely linear stacks
 LOOSE = 1e-4
 SAMPLED_COORDS = 40
+# small enough that relu kink crossings are vanishingly rare, large enough
+# to stay above float64 rounding noise
+EPS = 1e-6
+
+
+def grad_check(model, inputs, targets, max_coords_per_param=None, rng=None) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Binds the model into the flat buffers ``train_loop`` trains, runs one
+    train-mode forward/backward, and keeps the gradient buffer as the
+    analytic gradient: the perturbing forwards never write it. Then each
+    parameter coordinate of the flat parameter buffer is moved by ``EPS``
+    both ways. Models under check must be deterministic in train mode,
+    i.e. dropout layers at rate 0 (batchnorm is fine: its train-mode output
+    is a pure function of the batch). A tensor larger than
+    ``max_coords_per_param`` is checked at that many coordinates, drawn
+    from ``rng``, which keeps full-size architectures affordable; None
+    checks every coordinate.
+    """
+    params, analytic = _flatten(model)
+    _, grad = mse_loss(model.forward(inputs, train=True), targets)
+    model.backward(grad)
+
+    def loss_at(i, value):
+        params[i] = value
+        return mse_loss(model.forward(inputs, train=True), targets)[0]
+
+    worst = 0.0
+    offset = 0
+    for _, param in model.param_items():
+        coords = range(param.size)
+        if max_coords_per_param is not None and param.size > max_coords_per_param:
+            coords = rng.choice(param.size, size=max_coords_per_param, replace=False)
+        for c in coords:
+            i = offset + c
+            original = params[i]
+            numeric = (loss_at(i, original + EPS) - loss_at(i, original - EPS)) / (2.0 * EPS)
+            params[i] = original
+            a = analytic[i]
+            worst = max(worst, abs(a - numeric) / max(1.0, abs(a) + abs(numeric)))
+        offset += param.size
+    return worst
 
 
 def _jitter_biases(model, rng) -> None:
@@ -99,17 +140,7 @@ def gradcheck_suite(n_seeds: int) -> list[dict]:
             rng = substream(0, f"gradcheck.{name}.{s}")
             model, inputs, targets = build(rng)
             _jitter_biases(model, rng)
-            # eps small enough that relu kink crossings are vanishingly
-            # rare, large enough to stay above float64 rounding noise
-            err = grad_check(
-                model,
-                inputs,
-                targets,
-                eps=1e-6,
-                max_coords_per_param=max_coords,
-                rng=rng if max_coords is not None else None,
-            )
-            worst = max(worst, err)
+            worst = max(worst, grad_check(model, inputs, targets, max_coords, rng))
         rows.append(
             {
                 "name": name,

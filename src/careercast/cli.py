@@ -509,7 +509,9 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_predict, reads=lambda cfg, args: (DATASET, *READS["proposed"]))
 
-    p = sub.add_parser("gradcheck", parents=[common], help="audit backward passes")
+    # No common flags: the audit's seeds are fixed and it writes nothing. Without
+    # abbreviations, ``--seed`` after the command is refused, not read as ``--seeds``.
+    p = sub.add_parser("gradcheck", allow_abbrev=False, help="audit backward passes")
     p.add_argument("--seeds", type=int, default=20, help="seeded draws per config")
 
     return parser

@@ -113,7 +113,8 @@ def forecaster_train(
     assignments=None,
     k: int = 0,
     seed: int = 0,
-    config: TrainConfig | None = None,
+    *,
+    config: TrainConfig,
 ) -> tuple[Forecaster, TrainResult]:
     """Fit a forecaster; with ``k`` > 0 each row also carries its cluster id."""
     blocks = np.asarray(blocks, dtype=float)
@@ -131,7 +132,7 @@ def forecaster_train(
         model,
         (blocks, cluster_indicators(assignments, k, blocks.shape[0])),
         targets,
-        config if config is not None else TrainConfig(),
+        config,
         rng=rngmod.substream(seed, "forecaster.train"),
     )
     return model, result

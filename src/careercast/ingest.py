@@ -53,9 +53,6 @@ class SeasonRecord:
     values: np.ndarray
     imputed: tuple[int, ...] = ()
 
-    def observed(self, j: int) -> bool:
-        return j not in self.imputed and not math.isnan(self.values[j])
-
 
 @dataclass
 class Split:
@@ -269,7 +266,7 @@ def select_eligible_players(
         window = [a for a in by_age if a in CAREER_AGES]
         if len(window) < MIN_SEASONS:
             dropped["dropped_too_few_seasons"] += 1
-        elif not all(a in by_age and by_age[a].observed(target_index) for a in TARGET_AGES):
+        elif any(a not in by_age or math.isnan(by_age[a].values[target_index]) for a in TARGET_AGES):
             dropped["dropped_unobserved_targets"] += 1
         else:
             eligible[pid] = sorted(by_age.values(), key=lambda r: r.age)
@@ -279,11 +276,12 @@ def select_eligible_players(
 def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray:
     """Median of each feature's observed peer values at each input age.
 
-    Row ``i`` is age ``INPUT_AGES[i]`` and column ``j`` is feature
-    ``schema.names[j]``. Imputed and absent cells do not count; an entry is
-    NaN where no peer observes that feature at that age. Each entry is one
-    ``np.median`` of that feature's observed peer cells, in peer order, so
-    the table costs one median per (age, feature) however gappy the pool.
+    ``peers`` are rows as parsed, before any imputation. Row ``i`` is age
+    ``INPUT_AGES[i]`` and column ``j`` is feature ``schema.names[j]``. Missing
+    cells do not count; an entry is NaN where no peer observes that feature
+    at that age. Each entry is one ``np.median`` of that feature's observed
+    peer cells, in peer order, so the table costs one median per (age,
+    feature) however gappy the pool.
     """
     at_age = {age: [] for age in INPUT_AGES}
     for r in peers:
@@ -294,9 +292,6 @@ def peer_medians(peers: list[SeasonRecord], schema: FeatureSchema) -> np.ndarray
         if not rows:
             continue
         values = np.array([r.values for r in rows], dtype=float)
-        for k, r in enumerate(rows):
-            if r.imputed:
-                values[k, list(r.imputed)] = np.nan
         for j, cells in enumerate(values.T):
             observed = cells[~np.isnan(cells)]
             if observed.size:
@@ -311,9 +306,10 @@ def impute_missing(
 ) -> list[SeasonRecord]:
     """Complete the rows of every input age in place, leaving targets untouched.
 
-    A wholly absent input-age row is first copied from the player's nearest
-    season (the nearest earlier one, else the nearest later one) as parsed,
-    ratio-like columns included, and every copied cell counts as imputed.
+    ``seasons`` are one player's rows as parsed. A wholly absent input-age
+    row is first copied from the player's nearest season (the nearest
+    earlier one, else the nearest later one), ratio-like columns included,
+    and every copied cell counts as imputed.
     Only the cells the (observed or copied) row still lacks are then filled:
     a ratio-like cell takes the peer median for that feature at that age
     from ``medians`` (see ``peer_medians``), and a counting cell copies the
@@ -332,12 +328,7 @@ def impute_missing(
         return rows + targets
 
     own_ages = sorted(by_age)
-    own = []  # each season's cells as passed in, NaN where missing or imputed
-    for age in own_ages:
-        cells = by_age[age].values.tolist()
-        for j in by_age[age].imputed:
-            cells[j] = math.nan
-        own.append(cells)
+    own = [by_age[age].values.tolist() for age in own_ages]  # as parsed, NaN where missing
     # Every copy is taken before any cell is filled, so it copies parsed cells only.
     for i, age in enumerate(INPUT_AGES):
         if rows[i] is None:  # copy the nearest earlier season, else the nearest later one
@@ -397,7 +388,7 @@ def build_sequences(
 
         for i, age in enumerate(TARGET_AGES):
             rec = by_age.get(age)
-            if rec is None or not rec.observed(ti):
+            if rec is None or math.isnan(rec.values[ti]):
                 raise IngestError(
                     f"internal invariant violated: {pid} has no observed "
                     f"{schema.target_name} at age {age}"

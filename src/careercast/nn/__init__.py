@@ -1,6 +1,5 @@
 """Small neural-network toolkit: layers, loss, optimizer, training loop."""
 
-from .gradcheck import grad_check
 from .layers import LSTM, BatchNorm, Dense, Dropout, Layer, ReLU, Sequential
 from .losses import mse_loss
 from .optim import Adam
@@ -18,7 +17,6 @@ __all__ = [
     "Sequential",
     "TrainConfig",
     "TrainResult",
-    "grad_check",
     "layer_from_doc",
     "layer_to_doc",
     "mse_loss",

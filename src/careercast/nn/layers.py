@@ -48,19 +48,15 @@ class Layer:
         """Named sub-layers, in the order their arrays are listed."""
         return []
 
-    def _items(self, kind: str, attr_prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        items = [(name, getattr(self, attr_prefix + name)) for name in getattr(self, kind)]
+    def _items(self, kind: str) -> list[tuple[str, np.ndarray]]:
+        items = [(name, getattr(self, name)) for name in getattr(self, kind)]
         for child_name, child in self.children():
-            items += [(f"{child_name}.{n}", a) for n, a in child._items(kind, attr_prefix)]
+            items += [(f"{child_name}.{n}", a) for n, a in child._items(kind)]
         return items
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """Trainable arrays, in a fixed order."""
         return self._items("params")
-
-    def grad_items(self) -> list[tuple[str, np.ndarray]]:
-        """Gradients aligned one-to-one with ``param_items``, under the same names."""
-        return self._items("params", "grad_")
 
     def state_items(self) -> list[tuple[str, np.ndarray]]:
         """Non-trained arrays that still define inference behavior."""

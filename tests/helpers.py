@@ -16,6 +16,14 @@ from careercast.schema import default_schema
 from careercast.synth import generate_block
 
 
+def bound_pairs(layer) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(parameter, ``grad_<name>``) array pairs of a bound model, in ``param_items`` order."""
+    pairs = [(getattr(layer, name), getattr(layer, "grad_" + name)) for name in layer.params]
+    for _, child in layer.children():
+        pairs += bound_pairs(child)
+    return pairs
+
+
 def penalized_objective(
     model: LinearModel, x: np.ndarray, y: np.ndarray, l2: float
 ) -> float:

@@ -23,6 +23,7 @@ from careercast.clustering import kmeans_fit, select_k, silhouette_score
 from careercast.evaluation import mae, r2
 from careercast.forecaster import forecaster_train
 from careercast.ingest import Split
+from careercast.nn import TrainConfig
 from careercast.schema import default_schema
 from careercast.synth import default_specs
 
@@ -172,16 +173,17 @@ def test_cluster_conditioning_beats_standard_lstm():
         blocks, targets = ds.train.input, ds.train.target
         test_blocks, test_targets = ds.test.input, ds.test.target
 
-        ae, _ = ae_train(flatten_batch(blocks), seed=seed)
+        ae, _ = ae_train(flatten_batch(blocks), seed=seed, config=TrainConfig())
         clusters = select_k(ae.encode(flatten_batch(blocks)), seed=seed)
         chosen_k.add(clusters.k)
         truth = np.array([1 if c == "star" else 0 for c in ds.train.category])
         purities.append(purity(clusters.train_assignments, truth))
 
         conditioned, _ = forecaster_train(
-            blocks, targets, clusters.train_assignments, k=clusters.k, seed=seed
+            blocks, targets, clusters.train_assignments, k=clusters.k, seed=seed,
+            config=TrainConfig(),
         )
-        standard, _ = forecaster_train(blocks, targets, k=0, seed=seed)
+        standard, _ = forecaster_train(blocks, targets, k=0, seed=seed, config=TrainConfig())
 
         test_assign = clusters.assign(ae.encode(flatten_batch(test_blocks)))
         mae_cond = mae(conditioned.predict_batch(test_blocks, test_assign), test_targets)

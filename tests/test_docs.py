@@ -9,6 +9,7 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
+import careercast
 from careercast import artifacts
 from careercast.cli import build_parser
 from careercast.config import TRAIN_KEYS, PipelineConfig
@@ -77,3 +78,18 @@ def test_readme_configuration_constants_match_the_code():
         module, constant = name.rsplit(".", 1)
         actual = getattr(importlib.import_module(f"careercast.{module}"), constant)
         assert float(Fraction(value)) == actual, f"README says {name} is {value}, code {actual}"
+
+
+def test_readme_layout_names_every_module():
+    """Every module file of the package, by its path under ``src/careercast/``, has
+    a line in the Layout block (a package's ``__init__.py`` is its directory's line)."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Layout\n", 1)[1].split("```\n", 2)[1]
+    listed, path = set(), []
+    for line in block.splitlines()[1:]:
+        depth = (len(line) - len(line.lstrip())) // 2
+        path[depth - 1 :] = [line.split()[0]]
+        listed.add("".join(path))
+    package = Path(careercast.__file__).parent
+    modules = {p.relative_to(package).as_posix() for p in package.rglob("*.py")}
+    assert {m for m in modules if not m.endswith("__init__.py")} <= listed

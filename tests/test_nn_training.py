@@ -21,6 +21,8 @@ from careercast.nn import (
 from careercast.nn.training import VALIDATION_FRACTION
 from careercast.rng import substream
 
+from helpers import bound_pairs
+
 
 def test_adam_first_step_is_learning_rate_sized():
     rng = np.random.default_rng(0)
@@ -137,7 +139,7 @@ def test_train_loop_binds_every_array_to_one_buffer(kind):
     train_loop(model, x, y, TrainConfig(max_epochs=2), rng=substream(7, "train_loop"))
 
     params = [arr for _, arr in model.param_items()]
-    grads = [arr for _, arr in model.grad_items()]
+    grads = [grad for _, grad in bound_pairs(model)]
     total = sum(p.size for p in params)
     for arrays in (params, grads):
         flat = arrays[0].base
@@ -150,7 +152,7 @@ def test_train_loop_binds_every_array_to_one_buffer(kind):
     grads[0].base.fill(np.nan)
     _, grad_out = mse_loss(model.forward(x, train=True, rng=rng), y)
     model.backward(grad_out)
-    assert all(a is b for (_, a), b in zip(model.grad_items(), grads))
+    assert all(a is b for (_, a), b in zip(bound_pairs(model), grads))
     assert np.isfinite(grads[0].base).all()
 
 
