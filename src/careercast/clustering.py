@@ -134,9 +134,9 @@ def _lloyd(points, centroids, k):
         centroids = np.stack(
             [points[assignments == j].mean(axis=0) for j in range(k)]
         )
-    # re-derive assignments so stored centroids reproduce them exactly
+    # the stored labels are what ``assign`` gives the stored centroids; where
+    # points coincide, that can leave a cluster empty
     assignments = assign(points, centroids)
-    centroids, assignments = _repair_empty(points, centroids, assignments, k)
     inertia = float(((points - centroids[assignments]) ** 2).sum())
     return centroids, assignments, inertia
 

@@ -366,39 +366,51 @@ def build_sequences(
     complete: dict[str, list[SeasonRecord]],
     schema: FeatureSchema,
 ) -> Split:
-    """Stack complete season rows into one unnormalized split, players in order."""
+    """Stack each player's ``impute_missing`` rows into one unnormalized split.
+
+    A player's rows are taken by position: the input ages, then the target
+    ages, which eligibility keeps observed. The category is the first
+    non-empty one in that order. Players keep their order.
+    """
     raw = np.empty((len(complete), len(INPUT_AGES), schema.n_features), dtype=float)
     target = np.empty((len(complete), len(TARGET_AGES)), dtype=float)
     ti = schema.target_index
     categories = []
-    for p, (pid, rows) in enumerate(complete.items()):
-        by_age = {r.age: r for r in rows}
-        for i, age in enumerate(INPUT_AGES):
-            rec = by_age.get(age)
-            if rec is None:
-                raise IngestError(f"internal invariant violated: {pid} lacks an age-{age} row")
-            raw[p, i] = rec.values
-        gaps = np.argwhere(np.isnan(raw[p]))
-        if len(gaps):
-            i, j = gaps[0]
-            raise IngestError(
-                f"internal invariant violated: {pid} age {INPUT_AGES[i]} "
-                f"missing {schema.names[j]!r}"
-            )
-
-        for i, age in enumerate(TARGET_AGES):
-            rec = by_age.get(age)
-            if rec is None or math.isnan(rec.values[ti]):
-                raise IngestError(
-                    f"internal invariant violated: {pid} has no observed "
-                    f"{schema.target_name} at age {age}"
-                )
-            target[p, i] = rec.values[ti]
-
-        categories.append(
-            next((r.category for r in sorted(rows, key=lambda r: r.age) if r.category), None)
-        )
+    for p, rows in enumerate(complete.values()):
+        raw[p] = [r.values for r in rows[: len(INPUT_AGES)]]
+        target[p] = [r.values[ti] for r in rows[len(INPUT_AGES) :]]
+        categories.append(next((r.category for r in rows if r.category), None))
     return Split(tuple(complete), tuple(categories), raw, target)
+
+
+def read_rows_block(path: str, schema: FeatureSchema) -> np.ndarray:
+    """The (7, features) block of ages 22-28 from one player's season CSV.
+
+    The file is read as ``ingest_csv`` reads one; rows at other ages are
+    ignored, but every row must carry one ``player_id``, and each input age
+    needs exactly one row with every cell observed.
+    """
+    records = parse_season_csv(path, schema)
+    players = sorted({r.player_id for r in records})
+    if len(players) > 1:
+        raise IngestError(f"{path}: more than one player_id: {players[0]}, {players[1]}")
+    by_age = {}
+    for rec in records:
+        if rec.age in INPUT_AGES and rec.age in by_age:
+            raise IngestError(f"{path}: age {rec.age}: more than one row")
+        by_age[rec.age] = rec.values
+    absent = [str(age) for age in INPUT_AGES if age not in by_age]
+    if absent:
+        raise IngestError(f"{path}: no row at age(s) {', '.join(absent)}")
+    block = np.array([by_age[age] for age in INPUT_AGES])
+    missing = np.argwhere(np.isnan(block))
+    if missing.size:
+        i, j = missing[0]
+        raise IngestError(
+            f"{path}: age {INPUT_AGES[i]}: column {schema.names[j]!r} is missing "
+            "or not a finite number"
+        )
+    return block
 
 
 def _split_indices(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

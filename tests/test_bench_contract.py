@@ -88,6 +88,10 @@ def test_traced_imputed_cells_match_the_dataset_summary(tmp_path):
     assert total > removed["blanked_cells"]  # a deleted row counts each of its cells
     assert metrics["ingest.imputed_cells"] == total
     assert metrics["ingest.impute_missing.calls"] == 15
+    # every ingest stage the benchmark times fires, so none reads as 0.0
+    for stage in ("parse_season_csv", "select_eligible_players", "build_sequences",
+                  "split_and_normalize"):
+        assert metrics[f"ingest.{stage}.calls"] == 1, stage
 
 
 def test_model_serialization_is_traced(tmp_path):

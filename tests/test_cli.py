@@ -1170,13 +1170,16 @@ def test_gradcheck_command(capsys):
          "usage error: unrecognized arguments: --config config.json"),
         (["gradcheck", "--seeds", "1", "--out", "audit"],
          "usage error: unrecognized arguments: --out audit"),
-        (["--seed", "5", "gradcheck", "--seeds", "1"], "config error: gradcheck takes no --seed"),
+        (["--seed", "5", "gradcheck", "--seeds", "1"],
+         "usage error: argument command: invalid choice: '5' (choose from 'synth', 'ingest', "
+         "'stage1', 'stage2', 'evaluate', 'predict', 'gradcheck')"),
     ],
     ids=["seed", "seed-not-seeds", "config", "out", "seed-before-command"],
 )
 def test_gradcheck_refuses_flags_it_would_ignore(tmp_path, capsys, argv, message):
     """The audit's seeds are fixed and it writes nothing, so these flags are refused:
-    after the command, its parser has none of them (nor reads ``--seed`` as ``--seeds``)."""
+    its parser has none of them (nor reads ``--seed`` as ``--seeds``), and the
+    top-level parser takes no flags at all."""
     paths = {a: str(tmp_path / a) for a in ("config.json", "audit")}
     assert main([paths.get(a, a) for a in argv]) == 1
     captured = capsys.readouterr()

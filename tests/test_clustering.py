@@ -322,6 +322,15 @@ def test_duplicate_points_keep_all_clusters_occupied():
     assert result.inertia == 0.0
 
 
+def test_stored_train_labels_are_what_the_stored_centroids_assign():
+    """``stage2`` trains on ``train_assignments`` and ``evaluate`` scores with
+    ``assign``: the two agree on coincident points, even where K exceeds the
+    distinct points and a cluster is left empty."""
+    points = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    model = select_k(points, k_range=[4], restarts=2, seed=0)
+    assert np.array_equal(model.assign(points), model.train_assignments)
+
+
 def test_kmeans_parameter_errors():
     points = np.zeros((3, 2))
     with pytest.raises(ParameterError):

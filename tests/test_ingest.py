@@ -316,18 +316,6 @@ def test_build_sequences_targets_are_raw_observed_values(small_schema, write_sea
     )
 
 
-def test_build_sequences_refuses_a_row_missing_a_feature(small_schema, write_season_csv):
-    records = parse_season_csv(write_season_csv(full_career("hole", 1.0)), small_schema)
-    eligible, _ = select_eligible_players(records, small_schema.target_index)
-    medians = peer_medians(eligible["hole"], small_schema)
-    complete = {"hole": impute_missing(eligible["hole"], small_schema, medians)}
-    first, second = 1, 2  # columns
-    row = next(r for r in complete["hole"] if r.age == 25)
-    row.values[[second, first]] = np.nan
-    with pytest.raises(IngestError, match=f"hole age 25 missing '{small_schema.names[first]}'"):
-        build_sequences(complete, small_schema)
-
-
 def gappy_pool(schema, seed, cell_share=0.1, player_share=0.2):
     """40 synthetic players; blanks input-age cells and deletes input-age rows.
 

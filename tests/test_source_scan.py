@@ -1,7 +1,9 @@
-"""Every function and class in the package is used by the package itself."""
+"""Every function and class in the package is used by the package itself, and
+only ``ingest`` reads season rows."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -66,3 +68,15 @@ def test_every_definition_is_used_inside_the_package():
             if uses[node.name] - referenced_names(node)[node.name] <= 0:
                 unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
     assert not unused, "defined but never used in src/careercast: " + ", ".join(unused)
+
+
+def test_only_ingest_names_season_rows():
+    """Outside ``ingest.py`` careers are arrays: no module names the row type or
+    the parser that makes it, in code, strings or comments."""
+    row_names = re.compile(r"\b(SeasonRecord|parse_season_csv)\b")
+    named = [
+        f"{path.relative_to(PACKAGE)}: {match}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path.name != "ingest.py"
+        for match in row_names.findall(path.read_text(encoding="utf-8"))
+    ]
+    assert not named, "season rows named outside ingest.py: " + ", ".join(named)
